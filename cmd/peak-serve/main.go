@@ -66,7 +66,7 @@ func main() {
 		workers  = flag.Int("workers", 1, "shared scheduler pool width (0 = GOMAXPROCS); any value gives identical job results")
 		jobs     = flag.Int("jobs", 2, "jobs allowed to run concurrently")
 		queueCap = flag.Int("queue", 16, "job queue capacity (full queue refuses with 429 + Retry-After)")
-		noCache  = flag.Bool("nocache", false, "private per-job compile caches instead of the shared one (results identical either way)")
+		noCache  = flag.Bool("nocache", false, "private per-job compile caches, profiles and measurements instead of the shared ones (results identical either way)")
 		journal  = flag.String("journal", "", "checkpoint journal path: jobs checkpoint every round and resume across restarts")
 		cacheDir = flag.String("cache-dir", "", "persistent warm-start store directory: compile cache, rating memos and finished jobs survive restarts (results identical either way)")
 		smoke    = flag.String("smoke", "", `run one job end to end and print its report ("BENCH/machine", e.g. "MGRID/sparc2"); with -cache-dir, also drain, reboot from the store and assert the re-served artifacts are byte-identical`)

@@ -330,6 +330,9 @@ func TestWarmStartDocsCrossReferenced(t *testing.T) {
 			"disk_hits",
 			"restored_jobs",
 			"flush_error",
+			"`profiles`", // single-flight reuse blocks in /stats
+			"`measurements`",
+			"once per key per process",
 		},
 		"ARCHITECTURE.md": {
 			"persistent store",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"peak/internal/bench"
 	"peak/internal/core"
@@ -163,6 +164,15 @@ func noiseReportFor(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Co
 		err    error
 	}
 	cells := make([]cell, len(benches)*len(regimes))
+	// A cell's profile depends on its benchmark and machine, never on the
+	// regime, so a benchmark's regimes share one profile run. The run is
+	// lazy: cells answered from the memo table profile nothing.
+	profiles := make([]func() (*profiling.Profile, error), len(benches))
+	for bi, b := range benches {
+		profiles[bi] = sync.OnceValues(func() (*profiling.Profile, error) {
+			return profiling.Run(b, b.Train, m)
+		})
+	}
 	pool.Map(len(cells), func(i int) {
 		b := benches[i/len(regimes)]
 		regime := regimes[i%len(regimes)]
@@ -192,7 +202,7 @@ func noiseReportFor(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Co
 				}
 			}
 		}
-		p, err := profiling.Run(b, b.Train, m)
+		p, err := profiles[i/len(regimes)]()
 		if err != nil {
 			cells[i] = cell{err: err}
 			return

@@ -1,6 +1,10 @@
 package opt
 
-import "peak/internal/ir"
+import (
+	"slices"
+
+	"peak/internal/ir"
+)
 
 // schedOpts configures the list scheduler.
 type schedOpts struct {
@@ -51,7 +55,9 @@ func remapUses(in *ir.Instr, f func(ir.Reg) ir.Reg) {
 // redefinition of R in the same block gets a fresh register, with the
 // intervening uses patched. This removes anti- and output-dependences that
 // would otherwise constrain the scheduler, at the cost of longer live-range
-// pressure.
+// pressure. Registers are visited in ascending order, so the fresh register
+// numbers — and with them the compiled code's fingerprint — are the same on
+// every compile.
 func renameRegisters(f *ir.LFunc) {
 	for _, b := range f.Blocks {
 		// For each register, find def positions in this block.
@@ -61,7 +67,13 @@ func renameRegisters(f *ir.LFunc) {
 				defsAt[d] = append(defsAt[d], i)
 			}
 		}
-		for reg, positions := range defsAt {
+		regs := make([]ir.Reg, 0, len(defsAt))
+		for reg := range defsAt {
+			regs = append(regs, reg)
+		}
+		slices.Sort(regs)
+		for _, reg := range regs {
+			positions := defsAt[reg]
 			// Every def except the last can be renamed.
 			for pi := 0; pi < len(positions)-1; pi++ {
 				i, j := positions[pi], positions[pi+1]

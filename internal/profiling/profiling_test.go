@@ -2,6 +2,7 @@ package profiling
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"peak/internal/bench"
@@ -9,6 +10,7 @@ import (
 	"peak/internal/irbuild"
 	"peak/internal/machine"
 	"peak/internal/sim"
+	"peak/internal/workloads"
 )
 
 // twoContextBenchmark: control flow depends on params n (varying between
@@ -156,4 +158,27 @@ func keysOf(p *Profile) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestProfileRunDeterministic is the purity oracle behind the tuning
+// server's profile reuse: Run is a function of (benchmark, dataset,
+// machine) alone, so two runs on freshly built benchmarks must yield equal
+// profiles for every benchmark on both machines.
+func TestProfileRunDeterministic(t *testing.T) {
+	for _, m := range []*machine.Machine{machine.SPARCII(), machine.PentiumIV()} {
+		for _, name := range workloads.Names() {
+			var profiles [2]*Profile
+			for i := range profiles {
+				b, _ := workloads.ByName(name)
+				p, err := Run(b, b.Train, m)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, m.Name, err)
+				}
+				profiles[i] = p
+			}
+			if !reflect.DeepEqual(profiles[0], profiles[1]) {
+				t.Errorf("%s/%s: two profile runs differ:\n%+v\n%+v", name, m.Name, profiles[0], profiles[1])
+			}
+		}
+	}
 }

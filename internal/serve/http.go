@@ -29,6 +29,11 @@ type Stats struct {
 	// Cache is the process-wide shared compile cache (absent when the
 	// server runs with private per-job caches).
 	Cache *CacheStats `json:"cache,omitempty"`
+	// Profiles and Measurements are the single-flight reuse tables for
+	// profile runs and ref-dataset measurements (absent with private
+	// per-job caches).
+	Profiles     *ReuseStats `json:"profiles,omitempty"`
+	Measurements *ReuseStats `json:"measurements,omitempty"`
 	// JournalIDs is the number of checkpoint IDs holding resumable state
 	// (absent without a journal).
 	JournalIDs *int `json:"journal_ids,omitempty"`
@@ -77,6 +82,14 @@ type CacheStats struct {
 	// DiskHits the lookups those preloaded entries answered.
 	Preloaded int64 `json:"preloaded,omitempty"`
 	DiskHits  int64 `json:"disk_hits,omitempty"`
+}
+
+// ReuseStats is a /stats "profiles" or "measurements" block: Runs counts
+// the distinct keys computed, Hits the jobs that reused one of them —
+// including jobs that waited on another job's in-flight run.
+type ReuseStats struct {
+	Runs int64 `json:"runs"`
+	Hits int64 `json:"hits"`
 }
 
 // StoreStats is the /stats "store" block: the persistent warm-start
@@ -148,6 +161,8 @@ func (s *Server) Stats() Stats {
 			Preloaded: cs.Preloaded, DiskHits: cs.DiskHits,
 		}
 	}
+	st.Profiles = s.profiles.stats()
+	st.Measurements = s.measures.stats()
 	if s.store != nil {
 		ss := s.store.Stats()
 		s.mu.Lock()

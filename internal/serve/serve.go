@@ -17,8 +17,9 @@
 //     shared cache's global counters never leak into a job's ledger
 //     (TuneResult's cache counters are the tune's own memo table).
 //   - Sharing is semantics-free. The compile cache stores frozen,
-//     deterministically compiled versions, so sharing it across jobs
-//     changes wall time, never results.
+//     deterministically compiled versions, and the profile and ref-dataset
+//     measurement tables hold values that are pure functions of their keys,
+//     so sharing them across jobs changes wall time, never results.
 //
 // Draining (SIGINT/SIGTERM in cmd/peak-serve, or Server.Drain) is
 // graceful: running jobs stop at the next Iterative Elimination round
@@ -60,8 +61,10 @@ type Options struct {
 	// queue full is refused with 429 + Retry-After. <= 0 means 8.
 	Queue int
 	// NoSharedCache gives every job a private compile cache instead of
-	// the process-wide shared one. Results are byte-identical either way;
-	// only wall time and the /stats cache totals change.
+	// the process-wide shared one, and makes every job profile and measure
+	// privately instead of reusing the server's single-flight profile and
+	// measurement tables. Results are byte-identical either way; only wall
+	// time and the /stats cache and reuse totals change.
 	NoSharedCache bool
 	// Journal, when non-nil, checkpoints every job after each completed
 	// tuning round, keyed by "serve/" + canonical spec, and resumes jobs
@@ -115,6 +118,13 @@ type Server struct {
 	cache   *vcache.Cache // nil when NoSharedCache
 	journal *fault.Journal
 	store   *store.Store // nil without -cache-dir
+
+	// profiles and measures are the single-flight tables for the two pure
+	// per-job stages: the profile run keyed by bench/dataset/machine, and
+	// the ref-dataset measurement keyed by bench/machine/flags (nil when
+	// NoSharedCache).
+	profiles *onceTable[*profiling.Profile]
+	measures *onceTable[int64]
 
 	// restoredJobs counts finished jobs rebuilt from store artifacts at
 	// New; storeFlushErr (under mu) records the last drain-flush failure.
@@ -171,6 +181,8 @@ func New(opts Options) *Server {
 	}
 	if !opts.NoSharedCache {
 		s.cache = vcache.New()
+		s.profiles = newOnceTable[*profiling.Profile]()
+		s.measures = newOnceTable[int64]()
 	}
 	if opts.Store != nil {
 		s.store = opts.Store
@@ -607,7 +619,11 @@ func (s *Server) runJob(j *job) {
 	if sp.force == nil {
 		ds = sp.bench.Train
 	}
-	prof, err := profiling.Run(sp.bench, ds, sp.mach)
+	// The profile is a pure function of (bench, dataset, machine) and read
+	// only after Run, so one run serves every job with that key.
+	prof, err := s.profiles.do(sp.bench.Name+"/"+ds.Name+"/"+sp.mach.Name, func() (*profiling.Profile, error) {
+		return profiling.Run(sp.bench, ds, sp.mach)
+	})
 	if err != nil {
 		fail(err)
 		return
@@ -634,15 +650,22 @@ func (s *Server) runJob(j *job) {
 		fail(err)
 		return
 	}
-	// The final measurements resolve through the shared cache and memoize
-	// in the store (both nil-safe), so a warm restart answers them without
-	// simulating. Measured cycles are identical on every path.
-	base, _, err := core.MeasurePerformanceStored(sp.bench, sp.bench.Ref, sp.mach, opt.O3(), s.cache, s.store)
+	// The final measurements run once per bench/machine/flags in this
+	// process, resolve through the shared cache and memoize in the store
+	// (all nil-safe), so a warm restart answers them without simulating.
+	// Measured cycles are identical on every path.
+	measure := func(flags opt.FlagSet) (int64, error) {
+		return s.measures.do(sp.bench.Name+"/"+sp.mach.Name+"/"+flags.String(), func() (int64, error) {
+			ts, _, err := core.MeasurePerformanceStored(sp.bench, sp.bench.Ref, sp.mach, flags, s.cache, s.store)
+			return ts, err
+		})
+	}
+	base, err := measure(opt.O3())
 	if err != nil {
 		fail(err)
 		return
 	}
-	tuned, _, err := core.MeasurePerformanceStored(sp.bench, sp.bench.Ref, sp.mach, res.Best, s.cache, s.store)
+	tuned, err := measure(res.Best)
 	if err != nil {
 		fail(err)
 		return

@@ -56,6 +56,13 @@ func runAll(t *testing.T, opts Options, reqs []Request) map[string]artifacts {
 		}
 		ids[i] = res.ID
 	}
+	return collect(t, ts.URL, ids)
+}
+
+// collect polls every job until it is done and returns its artifacts keyed
+// by canonical spec; a failed job fails the test.
+func collect(t *testing.T, base string, ids []string) map[string]artifacts {
+	t.Helper()
 	out := map[string]artifacts{}
 	deadline := time.Now().Add(120 * time.Second)
 	for _, id := range ids {
@@ -63,7 +70,7 @@ func runAll(t *testing.T, opts Options, reqs []Request) map[string]artifacts {
 			if time.Now().After(deadline) {
 				t.Fatalf("job %s did not finish in time", id)
 			}
-			body := get(t, ts.URL+"/jobs/"+id, http.StatusOK)
+			body := get(t, base+"/jobs/"+id, http.StatusOK)
 			var res Result
 			if err := json.Unmarshal(body, &res); err != nil {
 				t.Fatalf("decode job %s: %v", id, err)
@@ -74,8 +81,8 @@ func runAll(t *testing.T, opts Options, reqs []Request) map[string]artifacts {
 			if res.State == StateDone {
 				out[res.Spec] = artifacts{
 					body:   body,
-					report: get(t, ts.URL+"/jobs/"+id+"/report", http.StatusOK),
-					trace:  get(t, ts.URL+"/jobs/"+id+"/trace", http.StatusOK),
+					report: get(t, base+"/jobs/"+id+"/report", http.StatusOK),
+					trace:  get(t, base+"/jobs/"+id+"/trace", http.StatusOK),
 				}
 				break
 			}
