@@ -28,7 +28,7 @@
 // Usage:
 //
 //	peak-serve -addr :8080                      # serve
-//	peak-serve -jobs 4 -workers 8 -queue 32     # 4 concurrent jobs
+//	peak-serve -jobs 4 -workers 8 -queue 32     # 4 concurrent jobs on 8 lanes
 //	peak-serve -journal serve.jsonl             # checkpoint + resume
 //	peak-serve -deadline 2m -watchdog 30s       # per-job wall-clock bounds
 //	peak-serve -breaker-failures 5              # shed load after 5 straight failures
@@ -63,7 +63,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 1, "shared scheduler pool width (0 = GOMAXPROCS); any value gives identical job results")
+		workers  = flag.Int("workers", 1, "with -jobs, the shared pool's lane budget max(workers, jobs) (0 = GOMAXPROCS): each running job holds a lane and its ratings borrow the idle ones; any value gives identical job results")
 		jobs     = flag.Int("jobs", 2, "jobs allowed to run concurrently")
 		queueCap = flag.Int("queue", 16, "job queue capacity (full queue refuses with 429 + Retry-After)")
 		noCache  = flag.Bool("nocache", false, "private per-job compile caches, profiles and measurements instead of the shared ones (results identical either way)")
@@ -156,8 +156,8 @@ func main() {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
-	fmt.Fprintf(os.Stderr, "peak-serve: listening on %s (%d job slot(s), pool width %d, queue %d)\n",
-		ln.Addr(), *jobs, *workers, *queueCap)
+	fmt.Fprintf(os.Stderr, "peak-serve: listening on %s (%d job slot(s), %d lane(s), queue %d)\n",
+		ln.Addr(), *jobs, s.Stats().Pool.Lanes, *queueCap)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

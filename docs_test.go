@@ -333,6 +333,9 @@ func TestWarmStartDocsCrossReferenced(t *testing.T) {
 			"`profiles`", // single-flight reuse blocks in /stats
 			"`measurements`",
 			"once per key per process",
+			"`lanes`", // lane budget and lending in the /stats pool block
+			"`helpers`",
+			"TestServeLoneJobBorrowsIdleLane",
 		},
 		"ARCHITECTURE.md": {
 			"persistent store",

@@ -920,37 +920,48 @@ func (e *engine) rateRound(round int, current opt.FlagSet, candidates []opt.Flag
 	for {
 		m := e.methods[e.mi]
 
-		var baseRating Rating
-		baseEval := math.NaN()
-		baseConverged := true
-		if m != MethodRBR {
-			// RBR rates relative improvement directly and needs no base
-			// measurement; every other method anchors improvements to the
-			// base version's absolute rating.
-			b := e.rateJobSafe(fmt.Sprintf("round=%d/method=%s/base", round, m), m, current, current, false)
-			if b.err != nil {
-				return nil, nil, b.err
-			}
-			e.account(&b)
-			if traced {
-				e.emitRate(round, 0, baseLabel, &b)
-			}
-			baseRating = b.rating
-			baseEval = b.rating.EVAL
-			baseConverged = b.converged
+		// One Map rates the round: the base version first (RBR rates
+		// relative improvement directly and needs no base measurement; every
+		// other method anchors improvements to the base version's absolute
+		// rating), then the group leaders. Only leaders are rated; the job
+		// keys keep the per-flag format, so a leader's seeds (and rating) do
+		// not depend on which other candidates happened to share its code.
+		// Results are reduced in that order — base, then leaders by index —
+		// whichever goroutine finished first.
+		withBase := m != MethodRBR
+		jobs := leaders
+		if withBase {
+			jobs = append([]int{-1}, leaders...)
 		}
-
-		// Only group leaders are rated; the job keys keep the per-flag
-		// format, so a leader's seeds (and rating) do not depend on which
-		// other candidates happened to share its code.
 		escalatable := e.t.Force == nil
+		var base jobResult
 		results := make([]jobResult, len(candidates))
-		e.pool.Map(len(leaders), func(j int) {
-			i := leaders[j]
+		e.pool.Map(len(jobs), func(j int) {
+			i := jobs[j]
+			if i < 0 {
+				base = e.rateJobSafe(fmt.Sprintf("round=%d/method=%s/base", round, m), m, current, current, false)
+				return
+			}
 			f := candidates[i]
 			key := fmt.Sprintf("round=%d/method=%s/flag=%s", round, m, f)
 			results[i] = e.rateJobSafe(key, m, current.Without(f), current, escalatable)
 		})
+
+		var baseRating Rating
+		baseEval := math.NaN()
+		baseConverged := true
+		if withBase {
+			if base.err != nil {
+				return nil, nil, base.err
+			}
+			e.account(&base)
+			if traced {
+				e.emitRate(round, 0, baseLabel, &base)
+			}
+			baseRating = base.rating
+			baseEval = base.rating.EVAL
+			baseConverged = base.converged
+		}
 
 		allConverged := baseConverged
 		for _, i := range leaders {

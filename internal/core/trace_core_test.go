@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -192,4 +193,103 @@ func TestTuneResultFillMetrics(t *testing.T) {
 		t.Errorf("core.tuning_cycles = %d, want %d", got, 2*res.TuningCycles)
 	}
 	res.FillMetrics(nil) // must not panic
+}
+
+// laneTune runs one traced tune of the tiny benchmark on pool — holding a
+// lane first when hold is set, as a serve job slot does — and returns the
+// serialized trace and the result.
+func laneTune(t *testing.T, plan *fault.Plan, force *Method, pool sched.Pool, hold bool) ([]byte, *TuneResult) {
+	t.Helper()
+	b := tinyBenchmark()
+	m := machine.SPARCII()
+	p, err := profiling.Run(b, b.Train, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Faults = plan
+	if hold {
+		defer pool.Hold()()
+	}
+	tb := trace.NewBuffer()
+	tu := &Tuner{Bench: b, Mach: m, Dataset: b.Train, Cfg: cfg, Profile: p,
+		Force: force, Pool: pool, Trace: tb}
+	res, err := tu.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	tr := trace.NewTracer(&out)
+	tr.Flush(tb)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes(), res
+}
+
+// TestTraceBytesLanePool: a round's base rating shares the round's Map
+// with the candidate ratings, so the two shapes that break the "base is
+// index 0" pattern must still reduce identically on a serial pool and on
+// a four-lane pool, held or not: an RBR-forced tune, which has no base
+// rating job, and a faulted tune whose base rating draws an injected
+// panic and is retried under a derived key.
+func TestTraceBytesLanePool(t *testing.T) {
+	b := tinyBenchmark()
+	prof, err := profiling.Run(b, b.Train, machine.SPARCII())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	baseKey := fmt.Sprintf("round=0/method=%s/base", Consult(prof, &cfg).Methods[0])
+	var plan *fault.Plan
+	for seed := int64(1); plan == nil; seed++ {
+		if p := (&fault.Plan{Seed: seed, PanicRate: 0.3}); p.PanicsJob(baseKey) && !p.PanicsJob(baseKey+"/retry=1") {
+			plan = p
+		}
+	}
+	rbr := MethodRBR
+	for _, tc := range []struct {
+		name  string
+		plan  *fault.Plan
+		force *Method
+	}{
+		{"RBR-forced", nil, &rbr},
+		{"base-panic", plan, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, refRes := laneTune(t, tc.plan, tc.force, sched.NewSerial(), false)
+			events, err := trace.ReadEvents(bytes.NewReader(ref))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bases, retried int
+			for _, ev := range events {
+				if ev.Kind == trace.KindRate && ev.Ordinal == 0 {
+					bases++
+					if ev.Round == 1 && ev.Count > 0 {
+						retried++
+					}
+				}
+			}
+			switch {
+			case tc.force != nil && bases != 0:
+				t.Fatalf("RBR tune rated the base %d times", bases)
+			case tc.plan != nil && retried != 1:
+				t.Fatalf("round 1's base rating was retried in %d events, want 1 — the plan injects no base panic", retried)
+			}
+			for _, hold := range []bool{false, true} {
+				pool := sched.New(4)
+				got, gotRes := laneTune(t, tc.plan, tc.force, pool, hold)
+				if pool.Stats().Helpers.Load() == 0 {
+					t.Errorf("hold=%v: the four-lane pool started no helpers", hold)
+				}
+				if !bytes.Equal(got, ref) {
+					t.Errorf("hold=%v: trace differs from the serial pool's", hold)
+				}
+				if !reflect.DeepEqual(gotRes, refRes) {
+					t.Errorf("hold=%v: TuneResult differs from the serial pool's", hold)
+				}
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,5 +229,200 @@ func TestJobPanicIsolated(t *testing.T) {
 		if !strings.Contains(st.Summary(workers), "3 job panic(s)") {
 			t.Errorf("workers=%d: Summary missing panic count: %s", workers, st.Summary(workers))
 		}
+	}
+}
+
+// laneProbe instruments a parallel pool's items: it counts the items in
+// flight and checks, at every item start, that they fit the lane budget
+// plus the lanes of helpers that are yielding (a helper over budget
+// finishes its in-flight item before handing its lane back). Start and
+// finish share a mutex so a helper's finish-then-yield can never slip
+// between a start's count and its bound.
+type laneProbe struct {
+	p          *parallel
+	mu         sync.Mutex
+	cur, peak  int
+	violations []string
+}
+
+func (lp *laneProbe) start() {
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	lp.cur++
+	lp.peak = max(lp.peak, lp.cur)
+	if bound := lp.p.workers + max(lp.p.over(lp.p.lent.Load()), 0); lp.cur > bound {
+		lp.violations = append(lp.violations, fmt.Sprintf("%d items in flight, bound %d", lp.cur, bound))
+	}
+}
+
+func (lp *laneProbe) finish() {
+	lp.mu.Lock()
+	lp.cur--
+	lp.mu.Unlock()
+}
+
+// TestLanesBoundConcurrency: two holders running Maps — some of whose
+// items nest a Map of their own — never run more items at once than the
+// lane budget, except for one in-flight item per yielding helper; with
+// two holders on four lanes that is at most one item over.
+func TestLanesBoundConcurrency(t *testing.T) {
+	const lanes = 4
+	p := New(lanes).(*parallel)
+	lp := &laneProbe{p: p}
+	item := func() {
+		lp.start()
+		time.Sleep(50 * time.Microsecond)
+		lp.finish()
+	}
+	var wg sync.WaitGroup
+	for h := 0; h < 2; h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 40; round++ {
+				release := p.Hold()
+				p.Map(9, func(i int) {
+					item()
+					if i%4 == 0 {
+						p.Map(3, func(int) { item() })
+					}
+				})
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, v := range lp.violations {
+		t.Error(v)
+	}
+	if lp.peak > lanes+1 {
+		t.Errorf("peak %d items in flight, want at most %d", lp.peak, lanes+1)
+	}
+	if st := p.lent.Load(); st != 0 {
+		t.Errorf("lanes still lent after every Map and holder finished: %#x", st)
+	}
+}
+
+// fillLanes runs a Map of n items on p whose first `lanes` items wait
+// until they all run at once — proof that lanes-1 helpers joined the
+// caller — and returns the helpers the Map started.
+func fillLanes(t *testing.T, p *parallel, n, want int) int64 {
+	t.Helper()
+	before := p.stats.Helpers.Load()
+	var in atomic.Int64
+	all := make(chan struct{})
+	p.Map(n, func(i int) {
+		if i >= want {
+			return
+		}
+		if in.Add(1) == int64(want) {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			t.Errorf("only %d of %d items ran at once", in.Load(), want)
+		}
+	})
+	return p.stats.Helpers.Load() - before
+}
+
+// TestLoneHolderBorrowsIdleLanes: a Map called by the only holder gets
+// lanes-1 helpers; with a second holder it gets one fewer; a caller that
+// holds no lane gets lanes-1 helpers as before lanes existed.
+func TestLoneHolderBorrowsIdleLanes(t *testing.T) {
+	const lanes = 4
+	p := New(lanes).(*parallel)
+	if got := fillLanes(t, p, 8, lanes); got != lanes-1 {
+		t.Errorf("non-holder Map started %d helpers, want %d", got, lanes-1)
+	}
+	release := p.Hold()
+	if got := fillLanes(t, p, 8, lanes); got != lanes-1 {
+		t.Errorf("lone holder's Map started %d helpers, want %d", got, lanes-1)
+	}
+	other := p.Hold()
+	if got := fillLanes(t, p, 8, lanes-1); got != lanes-2 {
+		t.Errorf("Map beside a second holder started %d helpers, want %d", got, lanes-2)
+	}
+	other()
+	release()
+	if st := p.lent.Load(); st != 0 {
+		t.Errorf("lanes still lent: %#x", st)
+	}
+}
+
+// TestHelperYieldsReclaimedLane: a helper borrowing the idle lane of a
+// two-lane pool hands it back at its next item boundary once a second
+// holder claims it — every later item of the Map runs on the caller
+// alone — and the Map still covers every index.
+func TestHelperYieldsReclaimedLane(t *testing.T) {
+	p := New(2).(*parallel)
+	release := p.Hold()
+	defer release()
+
+	var in, late, latePeak atomic.Int64
+	both := make(chan struct{})
+	reclaimed := make(chan struct{})
+	ran := make([]int32, 12)
+	mapped := make(chan struct{})
+	holderDone := make(chan struct{})
+	go func() {
+		defer close(holderDone)
+		<-both
+		other := p.Hold()
+		close(reclaimed)
+		<-mapped
+		other()
+	}()
+	p.Map(len(ran), func(i int) {
+		atomic.AddInt32(&ran[i], 1)
+		if i < 2 {
+			// Items 0 and 1 run together: the caller and the helper.
+			if in.Add(1) == 2 {
+				close(both)
+			}
+			<-reclaimed
+			return
+		}
+		cur := late.Add(1)
+		for {
+			peak := latePeak.Load()
+			if cur <= peak || latePeak.CompareAndSwap(peak, cur) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		late.Add(-1)
+	})
+	close(mapped)
+	<-holderDone
+	for i, n := range ran {
+		if n != 1 {
+			t.Errorf("item %d ran %d times, want 1", i, n)
+		}
+	}
+	if got := p.stats.Helpers.Load(); got != 1 {
+		t.Errorf("helpers started = %d, want 1", got)
+	}
+	if got := latePeak.Load(); got != 1 {
+		t.Errorf("%d items ran at once after the lane was reclaimed, want 1", got)
+	}
+}
+
+// TestSerialHoldIsNoop: holding a Serial pool's lane changes nothing —
+// Map still runs in index order on the caller.
+func TestSerialHoldIsNoop(t *testing.T) {
+	p := NewSerial()
+	release := p.Hold()
+	defer release()
+	var order []int
+	p.Map(16, func(i int) { order = append(order, i) })
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("serial order[%d] = %d under Hold", i, got)
+		}
+	}
+	if p.Stats().Helpers.Load() != 0 {
+		t.Error("a serial pool started helpers")
 	}
 }

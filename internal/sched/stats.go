@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,12 +26,18 @@ type Stats struct {
 	// busyNanos accumulates wall time spent inside jobs, summed over
 	// workers — the numerator of the utilization figure.
 	busyNanos atomic.Int64
+	// Helpers counts helper goroutines Map started on free lanes.
+	Helpers atomic.Int64
 	// startNanos is the wall clock at first use (0 until then).
 	startNanos atomic.Int64
 	// endNanos latches the wall clock when the last queued job completes
 	// (0 while jobs are queued or in flight). Queuing new work clears it,
 	// so Wall freezes between batches instead of charging the pool for
-	// whatever the caller does after the work is done.
+	// whatever the caller does after the work is done. latchMu orders the
+	// latch against the clear: without it, one Map's last completion could
+	// latch after a concurrent Map had queued more work and cleared it,
+	// freezing Wall while that work ran.
+	latchMu  sync.Mutex
 	endNanos atomic.Int64
 	// JobPanics counts jobs that panicked and were recovered by the pool
 	// (the job contributes no result; the process survives). firstPanic
@@ -52,10 +59,13 @@ func (s *Stats) AddCycles(n int64) { s.Cycles.Add(n) }
 
 // enqueue records n jobs handed to Map and re-opens the wall-time window.
 func (s *Stats) enqueue(n int64) {
-	s.JobsQueued.Add(n)
-	if n > 0 {
-		s.endNanos.Store(0)
+	if n <= 0 {
+		return
 	}
+	s.latchMu.Lock()
+	s.JobsQueued.Add(n)
+	s.endNanos.Store(0)
+	s.latchMu.Unlock()
 }
 
 // run executes one job with full accounting. A panicking job is recovered
@@ -77,9 +87,11 @@ func (s *Stats) run(fn func(int), i int) {
 		}
 		s.busyNanos.Add(time.Since(start).Nanoseconds())
 		s.JobsRunning.Add(-1)
+		s.latchMu.Lock()
 		if s.JobsDone.Add(1) == s.JobsQueued.Load() {
 			s.endNanos.Store(time.Now().UnixNano())
 		}
+		s.latchMu.Unlock()
 	}()
 	fn(i)
 }

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -69,6 +71,41 @@ func TestStatsSummaryDegenerate(t *testing.T) {
 		}
 		if !strings.Contains(line, "utilization 0%") {
 			t.Errorf("Summary(%d) on an empty pool should report utilization 0%%: %s", workers, line)
+		}
+	}
+}
+
+// TestWallLatchConcurrentMaps is the two-caller regression test for the
+// wall-time latch: while any job runs, the pool has work in flight, so
+// Wall must not be latched. Before the latch and its clear were ordered,
+// one Map's last completion could latch after a concurrent Map had queued
+// its jobs and cleared the latch, freezing Wall (and pinning the serve
+// /stats utilization at its clamp) until that Map drained.
+func TestWallLatchConcurrentMaps(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		p := New(workers)
+		st := p.Stats()
+		var frozen atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20000; i++ {
+					p.Map(1, func(int) {
+						if st.endNanos.Load() != 0 {
+							frozen.Add(1)
+						}
+					})
+				}
+			}()
+		}
+		wg.Wait()
+		if n := frozen.Load(); n > 0 {
+			t.Errorf("workers=%d: %d jobs ran with Wall latched", workers, n)
+		}
+		if st.endNanos.Load() == 0 {
+			t.Errorf("workers=%d: Wall not latched after both callers drained", workers)
 		}
 	}
 }

@@ -58,7 +58,14 @@ type Stats struct {
 
 // PoolStats mirrors sched.Stats for the shared pool.
 type PoolStats struct {
+	// Workers is the configured -workers value (0 resolved to GOMAXPROCS);
+	// Lanes the pool's budget, max(workers, job slots), shared by running
+	// jobs and the rating helpers they start; Helpers counts helper
+	// goroutines started on free lanes — it grows while a lone job borrows
+	// idle slots' lanes. Utilization is relative to Lanes.
 	Workers     int     `json:"workers"`
+	Lanes       int     `json:"lanes"`
+	Helpers     int64   `json:"helpers"`
 	JobsQueued  int64   `json:"jobs_queued"`
 	JobsRunning int64   `json:"jobs_running"`
 	JobsDone    int64   `json:"jobs_done"`
@@ -145,7 +152,9 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	ps := s.pool.Stats()
 	st.Pool = PoolStats{
-		Workers:     s.pool.Workers(),
+		Workers:     s.opts.Workers,
+		Lanes:       s.pool.Workers(),
+		Helpers:     ps.Helpers.Load(),
 		JobsQueued:  ps.JobsQueued.Load(),
 		JobsRunning: ps.JobsRunning.Load(),
 		JobsDone:    ps.JobsDone.Load(),

@@ -149,3 +149,45 @@ func runHeld(t *testing.T, opts Options, reqs []Request) (map[string]artifacts, 
 	}
 	return arts, st
 }
+
+// TestServeLoneJobBorrowsIdleLane: on a -workers 1 -jobs 2 server a job
+// running alone holds one lane and its rating Maps borrow the idle slot's,
+// so the pool starts helpers — yet its result, report, metrics and trace
+// are byte-identical to the same job on a NoSharedCache server and on a
+// -jobs 1 server, whose serial pool has no helpers at all.
+func TestServeLoneJobBorrowsIdleLane(t *testing.T) {
+	req := subsetReq("BZIP2", opt.AllFlags()[:4])
+	lent, st := runHeld(t, Options{Workers: 1, Jobs: 2}, []Request{req})
+	private, _ := runHeld(t, Options{Workers: 1, Jobs: 2, NoSharedCache: true}, []Request{req})
+	serial, sst := runHeld(t, Options{Workers: 1, Jobs: 1}, []Request{req})
+
+	if st.Pool.Workers != 1 || st.Pool.Lanes != 2 {
+		t.Errorf("pool workers/lanes = %d/%d, want 1/2", st.Pool.Workers, st.Pool.Lanes)
+	}
+	if st.Pool.Helpers < 1 {
+		t.Errorf("lone job started %d helpers, want at least 1", st.Pool.Helpers)
+	}
+	if sst.Pool.Lanes != 1 || sst.Pool.Helpers != 0 {
+		t.Errorf("-jobs 1 pool lanes/helpers = %d/%d, want 1/0", sst.Pool.Lanes, sst.Pool.Helpers)
+	}
+	if len(lent) != 1 || len(private) != 1 || len(serial) != 1 {
+		t.Fatalf("finished %d/%d/%d jobs, want 1 each", len(lent), len(private), len(serial))
+	}
+	for spec, a := range lent {
+		for name, other := range map[string]map[string]artifacts{"NoSharedCache": private, "-jobs 1": serial} {
+			b, ok := other[spec]
+			if !ok {
+				t.Fatalf("spec %s missing from the %s run", spec, name)
+			}
+			if !bytes.Equal(a.body, b.body) {
+				t.Errorf("%s: result JSON (report, metrics) differs from the %s run:\n--- lanes\n%s\n--- %s\n%s", spec, name, a.body, name, b.body)
+			}
+			if !bytes.Equal(a.report, b.report) {
+				t.Errorf("%s: report differs from the %s run", spec, name)
+			}
+			if !bytes.Equal(a.trace, b.trace) {
+				t.Errorf("%s: trace differs from the %s run", spec, name)
+			}
+		}
+	}
+}

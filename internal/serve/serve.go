@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +52,12 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the shared scheduler pool's width (0 = GOMAXPROCS); all
-	// jobs' candidate ratings shard across this one pool.
+	// Workers sets, with Jobs, the shared scheduler pool's budget of
+	// lanes: max(Workers, Jobs), with Workers <= 0 meaning GOMAXPROCS.
+	// Every running job holds one lane for its job slot, and all jobs'
+	// candidate ratings shard across the pool's remaining lanes, so a lone
+	// job's ratings borrow the lanes of idle slots. Any value gives
+	// identical job results.
 	Workers int
 	// Jobs is the number of jobs allowed to run concurrently (job slots);
 	// <= 0 means 1.
@@ -170,9 +175,15 @@ func New(opts Options) *Server {
 	if opts.Queue <= 0 {
 		opts.Queue = 8
 	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	s := &Server{
-		opts:    opts,
-		pool:    sched.New(opts.Workers),
+		opts: opts,
+		// Job slots and rating helpers draw from one budget of lanes: at
+		// -workers 1 -jobs 2 two running jobs use exactly two goroutines,
+		// and a lone job's ratings borrow the idle slot's lane.
+		pool:    sched.New(max(opts.Workers, opts.Jobs)),
 		journal: opts.Journal,
 		queue:   make(chan *job, opts.Queue),
 		drainCh: make(chan struct{}),
@@ -319,6 +330,10 @@ func (s *Server) dispatch(j *job) {
 		j.mu.Unlock()
 		return
 	}
+	// The running job occupies its slot's lane; its rating Maps borrow
+	// only the lanes no other running job holds.
+	release := s.pool.Hold()
+	defer release()
 	s.runJob(j)
 }
 
@@ -558,25 +573,30 @@ func (s *Server) runJob(j *job) {
 	buf := trace.NewBuffer()
 	mx := trace.NewMetrics()
 
+	// Every breaker verdict lands before the job's terminal state is
+	// published, so a client that sees the job end also sees the breaker
+	// state that ending produced.
 	fail := func(err error) {
-		j.mu.Lock()
-		if errors.Is(err, core.ErrInterrupted) {
-			if j.cancelMsg != "" {
-				j.state = StateTimedOut
-				j.errMsg = j.cancelMsg + "; completed rounds are checkpointed — resubmit to resume"
-			} else {
-				j.state = StateInterrupted
-				j.errMsg = "interrupted by drain; completed rounds are checkpointed — resubmit to resume"
-			}
-			j.mu.Unlock()
+		interrupted := errors.Is(err, core.ErrInterrupted)
+		if interrupted {
 			// A canceled probe renders no verdict on the breaker.
 			s.breaker.abandon(j.id)
-			return
+		} else {
+			s.breaker.failure(j.id, fmt.Sprintf("job %s (%s): %v", j.id, sp.canonical, err))
 		}
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.mu.Unlock()
-		s.breaker.failure(j.id, fmt.Sprintf("job %s (%s): %v", j.id, sp.canonical, err))
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		switch {
+		case !interrupted:
+			j.state = StateFailed
+			j.errMsg = err.Error()
+		case j.cancelMsg != "":
+			j.state = StateTimedOut
+			j.errMsg = j.cancelMsg + "; completed rounds are checkpointed — resubmit to resume"
+		default:
+			j.state = StateInterrupted
+			j.errMsg = "interrupted by drain; completed rounds are checkpointed — resubmit to resume"
+		}
 	}
 
 	// The effective deadline: per-request, else the server default. The
@@ -680,6 +700,15 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 
+	// A done job is a breaker success — unless it quarantined so many
+	// miscompiled candidates that the toolchain itself looks sick.
+	if storm := s.opts.QuarantineStorm; storm > 0 && len(res.Quarantined) >= storm {
+		s.breaker.failure(j.id, fmt.Sprintf("job %s (%s): quarantine storm: %d miscompiled candidates",
+			j.id, sp.canonical, len(res.Quarantined)))
+	} else {
+		s.breaker.success(j.id)
+	}
+
 	j.mu.Lock()
 	j.state = StateDone
 	j.res = res
@@ -702,15 +731,6 @@ func (s *Server) runJob(j *job) {
 		}); err == nil {
 			s.store.RecordMemo(core.MemoKindJob, sp.canonical, payload)
 		}
-	}
-
-	// A done job is a breaker success — unless it quarantined so many
-	// miscompiled candidates that the toolchain itself looks sick.
-	if storm := s.opts.QuarantineStorm; storm > 0 && len(res.Quarantined) >= storm {
-		s.breaker.failure(j.id, fmt.Sprintf("job %s (%s): quarantine storm: %d miscompiled candidates",
-			j.id, sp.canonical, len(res.Quarantined)))
-	} else {
-		s.breaker.success(j.id)
 	}
 }
 
