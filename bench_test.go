@@ -35,7 +35,7 @@ import (
 func benchmarkTable1(b *testing.B, m *machine.Machine) {
 	cfg := core.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(m, experiments.PaperWindows, &cfg)
+		rows, err := experiments.Table1(m, experiments.PaperWindows, &cfg, core.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func BenchmarkFigure2MBR(b *testing.B) {
 func benchmarkFigure7(b *testing.B, m *machine.Machine) {
 	cfg := core.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		entries, err := experiments.Figure7(m, &cfg)
+		entries, err := experiments.Figure7(workloads.Figure7Set(), m, &cfg, Env{Cache: NewVersionCache()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func benchmarkTuningTime(b *testing.B, m *machine.Machine, name string, method c
 	}
 	cfg := core.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		p, err := ProfileBenchmark(bm, m)
+		p, err := ProfileBenchmark(bm, nil, m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkAblationBasicVsImprovedRBR(b *testing.B) {
 	m := machine.SPARCII()
 	cfg := core.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		p, err := ProfileBenchmark(bm, m)
+		p, err := ProfileBenchmark(bm, nil, m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func BenchmarkProfileRun(b *testing.B) {
 	bm, _ := workloads.ByName("APSI")
 	m := machine.SPARCII()
 	for i := 0; i < b.N; i++ {
-		if _, err := ProfileBenchmark(bm, m); err != nil {
+		if _, err := ProfileBenchmark(bm, nil, m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			pool := NewPool(workers)
 			for i := 0; i < b.N; i++ {
-				res, err := TuneBenchmarkOn(bm, m, nil, pool)
+				res, err := Tune(bm, m, nil, nil, nil, nil, Env{Pool: pool})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -264,7 +264,7 @@ func main() {
 	if *runTable1 {
 		cfg := core.DefaultConfig()
 		t0 := time.Now()
-		if _, err := experiments.Table1(m, experiments.PaperWindows, &cfg); err != nil {
+		if _, err := experiments.Table1(m, experiments.PaperWindows, &cfg, core.Env{}); err != nil {
 			fatalf("table1: %v", err)
 		}
 		r.Table1WallNs = time.Since(t0).Nanoseconds()

@@ -3,6 +3,12 @@
 // whole-program WHL baseline (panels c, d), for SWIM, MGRID, ART and EQUAKE
 // under every forceable rating method plus the WHL and AVG baselines.
 //
+// With -table1 it instead regenerates the paper's Table 1
+// (results_table1_<machine>.txt): the rating consistency (mean and standard
+// deviation of rating errors, ×100) of the consultant-chosen method for
+// every benchmark, across window sizes w = 10, 20, 40, 80, 160; -regime
+// reruns it under a noise regime.
+//
 // With -noise it instead regenerates the noise-sensitivity report
 // (results_noise.txt): rating consistency and winner-picking reliability
 // under the baseline, gauss4x, spikes, drift and bursts noise regimes.
@@ -24,6 +30,8 @@
 //	peak-experiments -machine p4      # one machine
 //	peak-experiments -workers 8       # sharded; output identical to -workers 1
 //	peak-experiments -headline        # the abstract's summary numbers
+//	peak-experiments -table1 -machine sparc2         # Table 1
+//	peak-experiments -table1 -regime spikes          # Table 1 under a noise regime
 //	peak-experiments -noise           # rating error vs noise regime
 //	peak-experiments -faults          # tuning under injected faults
 //	peak-experiments -checkpoint run.jsonl   # journal every round
@@ -50,6 +58,8 @@ func main() {
 	workers := flag.Int("workers", 1, "parallel workers (0 = GOMAXPROCS); any value gives identical output")
 	progress := flag.Bool("progress", false, "print live scheduler status and a final utilization summary")
 	headline := flag.Bool("headline", false, "also print the paper-abstract summary numbers")
+	table1 := flag.Bool("table1", false, "regenerate the Table-1 rating-consistency experiment instead of Figure 7")
+	regimeName := flag.String("regime", "", "noise regime for -table1 (baseline, gauss4x, spikes, drift, bursts); empty = machine default")
 	noiseRep := flag.Bool("noise", false, "regenerate the noise-sensitivity report instead of Figure 7")
 	noCache := flag.Bool("nocache", false, "disable the compile cache (A/B check; output is identical either way)")
 	cacheStats := flag.Bool("cachestats", false, "print compile-cache statistics to stderr (Figure 7 mode)")
@@ -142,20 +152,56 @@ func main() {
 
 	cfg := peak.DefaultConfig()
 	cfg.NoCompileCache = *noCache
+	env := peak.Env{Pool: pool, Journal: journal, Trace: obs.Buf, Metrics: obs.Mx}
+	// One compile cache shared across machines: compilations are keyed by
+	// machine, so nothing collides, and the -cachestats summary covers the
+	// whole run. Output is byte-identical with or without it.
+	if !*noCache {
+		env.Cache = peak.NewVersionCache()
+	}
+
+	if *table1 {
+		for i, m := range machines {
+			c := cfg
+			if *regimeName != "" {
+				regime, ok := peak.NoiseRegimeByName(m, *regimeName)
+				if !ok {
+					fmt.Fprintf(os.Stderr, "peak-experiments: unknown noise regime %q\n", *regimeName)
+					finish(1)
+				}
+				c.Noise = &regime.Model
+			}
+			rows, err := peak.Table1(m, &c, env)
+			if i > 0 {
+				fmt.Println()
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
+				if len(rows) > 0 {
+					fmt.Fprintf(os.Stderr, "peak-experiments: flushing %d partial row(s)\n", len(rows))
+					fmt.Print(experiments.FormatTable1(rows, experiments.PaperWindows))
+				}
+				finish(1)
+			}
+			fmt.Printf("Table 1: consistency of rating approaches on %s\n", m.Name)
+			fmt.Println("(numbers are Mean(StdDev) of the rating error, multiplied by 100)")
+			fmt.Print(experiments.FormatTable1(rows, experiments.PaperWindows))
+		}
+		finish(0)
+	}
 
 	if *noiseRep {
 		// The warm-start store memoizes grid cells across runs; the report
 		// bytes are identical with the store absent, cold or warm.
-		var st *store.Store
 		if *cacheDir != "" {
 			var err error
-			if st, err = store.Open(*cacheDir); err != nil {
+			if env.Store, err = store.Open(*cacheDir); err != nil {
 				fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
 				finish(1)
 			}
 		}
 		for i, m := range machines {
-			report, err := experiments.NoiseReportStored(m, &cfg, pool, obs.Buf, obs.Mx, st)
+			report, err := experiments.NoiseReport(peak.Benchmarks(), m, &cfg, env)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
 				finish(1)
@@ -165,7 +211,7 @@ func main() {
 			}
 			fmt.Print(report)
 		}
-		if st != nil {
+		if st := env.Store; st != nil {
 			if err := st.Flush(); err != nil {
 				fmt.Fprintf(os.Stderr, "peak-experiments: store flush: %v\n", err)
 				finish(1)
@@ -179,8 +225,9 @@ func main() {
 
 	if *faultsRep {
 		plan := peak.UniformFaults(*faultRate, *faultSeed)
+		cfg.Faults = plan
 		for i, m := range machines {
-			bars, err := peak.FaultReportBarsTraced(peak.Figure7Benchmarks(), m, &cfg, plan, pool, journal, obs.Buf, obs.Mx)
+			bars, err := experiments.FaultReport(peak.Figure7Benchmarks(), m, &cfg, env)
 			if i > 0 {
 				fmt.Println()
 			}
@@ -197,16 +244,9 @@ func main() {
 		finish(0)
 	}
 
-	// One compile cache shared across machines: compilations are keyed by
-	// machine, so nothing collides, and the -cachestats summary covers the
-	// whole run. Output is byte-identical with or without it.
-	var cache *peak.VersionCache
-	if !*noCache {
-		cache = peak.NewVersionCache()
-	}
 	var all []peak.Fig7Entry
 	for _, m := range machines {
-		entries, err := experiments.Figure7Traced(peak.Figure7Benchmarks(), m, &cfg, pool, cache, journal, obs.Buf, obs.Mx)
+		entries, err := experiments.Figure7(peak.Figure7Benchmarks(), m, &cfg, env)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
 			if len(entries) > 0 {
@@ -219,10 +259,10 @@ func main() {
 		fmt.Println()
 		all = append(all, entries...)
 	}
-	if *cacheStats && cache != nil {
-		fmt.Fprintln(os.Stderr, cache.Stats().Summary())
-	}
-	if cache != nil {
+	if cache := env.Cache; cache != nil {
+		if *cacheStats {
+			fmt.Fprintln(os.Stderr, cache.Stats().Summary())
+		}
 		cache.Stats().FillMetrics(obs.Mx)
 	}
 

@@ -1,6 +1,6 @@
 // Command peak-trace analyzes a JSONL event trace recorded with the
-// -trace flag of peak, peak-consistency or peak-experiments. It prints
-// two digests per tuning process in the trace:
+// -trace flag of peak or peak-experiments (any mode, -table1 included).
+// It prints two digests per tuning process in the trace:
 //
 //   - a time-breakdown table ("Where tuning time goes"): total simulated
 //     tuning cycles decomposed into rating, fault-retry, verification and

@@ -85,7 +85,16 @@ func main() {
 		}
 		cfg.Noise = &regime.Model
 	}
-	prof, err := peak.ProfileBenchmark(b, m)
+	var force *peak.Method
+	if *method != "" {
+		mm, ok := peak.ParseMethodName(*method)
+		if !ok {
+			fatalf("unknown method %q", *method)
+		}
+		force = &mm
+	}
+	// The profile of the tuning dataset both feeds -v and seeds the tune.
+	prof, err := peak.ProfileBenchmark(b, ds, m)
 	if err != nil {
 		fatalf("profile: %v", err)
 	}
@@ -118,16 +127,7 @@ func main() {
 	// exit path below stays a no-op after an interrupt-time flush).
 	obs.FlushOnInterrupt(os.Stderr, "peak", nil)
 
-	var res *peak.TuneResult
-	if *method == "" {
-		res, err = peak.TuneBenchmarkTraced(b, m, &cfg, pool, nil, obs.Buf, obs.Mx)
-	} else {
-		mm, ok := peak.ParseMethodName(*method)
-		if !ok {
-			fatalf("unknown method %q", *method)
-		}
-		res, err = peak.TuneWithMethodTraced(b, m, mm, ds, &cfg, pool, obs.Buf, obs.Mx)
-	}
+	res, err := peak.Tune(b, m, ds, prof, force, &cfg, peak.Env{Pool: pool, Trace: obs.Buf, Metrics: obs.Mx})
 	if err != nil {
 		fatalf("tune: %v", err)
 	}

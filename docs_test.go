@@ -406,3 +406,52 @@ func TestResilienceDocsCrossReferenced(t *testing.T) {
 		}
 	}
 }
+
+// TestNoVariantLadder is the ratchet on the one-entry-point-per-operation
+// design: every optional layer (pool, compile cache, persistent store,
+// journal, trace, metrics) is a field of core.Env, so no exported function
+// of the facade, internal/core or internal/experiments may again be a
+// per-layer variant of another — the X/XOn/XCached/XJournaled/XTraced/
+// XStored/XFor ladder this test exists to keep deleted.
+func TestNoVariantLadder(t *testing.T) {
+	suffixes := []string{"On", "OnCached", "Cached", "Journaled", "Traced", "Stored", "For"}
+	allowed := map[string]bool{
+		// The benchmark harness (e2ebench/) builds against this exact
+		// signature; it is the only measurement function, not a variant.
+		"MeasurePerformanceStored": true,
+	}
+	checked := 0
+	for _, src := range []string{".", filepath.Join("internal", "core"), filepath.Join("internal", "experiments")} {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, src, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					fd, ok := decl.(*ast.FuncDecl)
+					if !ok || !fd.Name.IsExported() {
+						continue
+					}
+					checked++
+					name := fd.Name.Name
+					for _, suf := range suffixes {
+						if strings.HasSuffix(name, suf) && !allowed[name] {
+							t.Errorf("%s: exported %s is a per-layer variant (suffix %q); take a core.Env instead",
+								fset.Position(fd.Pos()), name, suf)
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	// The facade alone exports 38 functions; a low count means the parse
+	// matched nothing.
+	if checked < 60 {
+		t.Fatalf("only %d exported functions checked — parse is broken", checked)
+	}
+}

@@ -26,7 +26,7 @@ func main() {
 	m := peak.PentiumIV()
 
 	// 1. Offline profile run (paper §3): contexts, components, timing.
-	prof, err := peak.ProfileBenchmark(b, m)
+	prof, err := peak.ProfileBenchmark(b, nil, m)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +43,9 @@ func main() {
 	fmt.Println()
 
 	// 3. Tune: Iterative Elimination over the 38 -O3 flags, rating each
-	// candidate version with the chosen method.
-	res, err := peak.TuneBenchmark(b, m, &cfg)
+	// candidate version with the chosen method, on the training dataset
+	// the profile was taken over.
+	res, err := peak.Tune(b, m, nil, prof, nil, &cfg, peak.Env{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -115,12 +115,12 @@ func main() {
 			continue
 		}
 		b := app.Section(s.Name, bench.FP)
-		prof, err := peak.ProfileBenchmark(b, m)
+		prof, err := peak.ProfileBenchmark(b, nil, m)
 		if err != nil {
 			log.Fatal(err)
 		}
 		appl := peak.Consult(prof, &cfg)
-		res, err := peak.TuneBenchmark(b, m, &cfg)
+		res, err := peak.Tune(b, m, nil, prof, nil, &cfg, peak.Env{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func main() {
 			if !ok {
 				log.Fatalf("missing benchmark %s", name)
 			}
-			res, err := peak.TuneBenchmark(b, m, &cfg)
+			res, err := peak.Tune(b, m, nil, nil, nil, &cfg, peak.Env{})
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}

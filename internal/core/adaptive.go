@@ -193,7 +193,7 @@ func (a *AdaptiveTuner) Run(ds *bench.Dataset) (*AdaptiveResult, error) {
 		ds.Setup(mem, rng)
 	}
 	runner := sim.NewRunner(a.Mach, mem, a.Cfg.Seed^a.Bench.Seed(67))
-	clock := sim.NewClockWith(NoiseModelFor(&a.Cfg, a.Mach), a.Cfg.Seed^a.Bench.Seed(71))
+	clock := sim.NewClockWith(a.Cfg.NoiseModel(a.Mach), a.Cfg.Seed^a.Bench.Seed(71))
 
 	states := map[string]*ctxState{}
 

@@ -37,7 +37,7 @@ func TestAdaptiveTunerOnline(t *testing.T) {
 	// The adaptive run (including exploration overhead) must not be much
 	// worse than running -O3 throughout, and the adopted winner must not
 	// be worse than -O3.
-	baseTS, _, err := MeasurePerformance(b, b.Train, m, opt.O3())
+	baseTS, _, err := MeasurePerformanceStored(b, b.Train, m, opt.O3(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAdaptiveTunerOnline(t *testing.T) {
 			res.TotalCycles, baseTS)
 	}
 	for key, fs := range res.Winners {
-		tuned, _, err := MeasurePerformance(b, b.Train, m, fs)
+		tuned, _, err := MeasurePerformanceStored(b, b.Train, m, fs, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +162,8 @@ func TestRBRInspectorCutsOverhead(t *testing.T) {
 	}
 	// Both must converge on results no worse than -O3.
 	for _, res := range []*TuneResult{plain, insp} {
-		base, _, _ := MeasurePerformance(b, b.Train, m, opt.O3())
-		tuned, _, _ := MeasurePerformance(b, b.Train, m, res.Best)
+		base, _, _ := MeasurePerformanceStored(b, b.Train, m, opt.O3(), nil, nil)
+		tuned, _, _ := MeasurePerformanceStored(b, b.Train, m, res.Best, nil, nil)
 		if float64(tuned) > 1.01*float64(base) {
 			t.Errorf("tuned worse than -O3 (%d vs %d)", tuned, base)
 		}

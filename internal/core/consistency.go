@@ -74,7 +74,7 @@ func Consistency(b *bench.Benchmark, m *machine.Machine, p *profiling.Profile,
 		ds.Setup(mem, rng)
 	}
 	runner := sim.NewRunner(m, mem, cfg.Seed^b.Seed(43))
-	clock := sim.NewClockWith(NoiseModelFor(cfg, m), cfg.Seed^b.Seed(47))
+	clock := sim.NewClockWith(cfg.NoiseModel(m), cfg.Seed^b.Seed(47))
 
 	// Collect the per-invocation stream once; windows are formed offline.
 	type raw struct {

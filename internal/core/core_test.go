@@ -235,11 +235,11 @@ func TestTunerEndToEnd(t *testing.T) {
 		t.Errorf("inconsistent cache ledger: %+v", res)
 	}
 	// The tuned version must not be worse than -O3 on the tuning dataset.
-	base, _, err := MeasurePerformance(b, b.Train, m, opt.O3())
+	base, _, err := MeasurePerformanceStored(b, b.Train, m, opt.O3(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, _, err := MeasurePerformance(b, b.Train, m, res.Best)
+	tuned, _, err := MeasurePerformanceStored(b, b.Train, m, res.Best, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,11 +365,11 @@ func TestMethodSwitchingOnNonConvergence(t *testing.T) {
 func TestMeasurePerformanceDeterministic(t *testing.T) {
 	b := tinyBenchmark()
 	m := machine.PentiumIV()
-	a1, p1, err := MeasurePerformance(b, b.Train, m, opt.O3())
+	a1, p1, err := MeasurePerformanceStored(b, b.Train, m, opt.O3(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, p2, err := MeasurePerformance(b, b.Train, m, opt.O3())
+	a2, p2, err := MeasurePerformanceStored(b, b.Train, m, opt.O3(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

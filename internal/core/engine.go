@@ -548,7 +548,7 @@ func (e *engine) newRatingCtx(jobKey string) *ratingCtx {
 		e:      e,
 		mem:    mem,
 		runner: sim.NewRunner(e.t.Mach, mem, sched.DeriveSeed(e.rootSeed, jobKey+"/runner")),
-		clock: sim.NewClockWith(NoiseModelFor(e.cfg, e.t.Mach),
+		clock: sim.NewClockWith(e.cfg.NoiseModel(e.t.Mach),
 			sched.DeriveSeed(e.rootSeed, jobKey+"/clock")),
 		rng:   rand.New(rand.NewSource(sched.DeriveSeed(e.rootSeed, jobKey+"/data"))),
 		hangs: e.faults.MeasureStream(jobKey),

@@ -11,30 +11,6 @@ import (
 	"peak/internal/vcache"
 )
 
-// MeasurePerformance runs the benchmark's tuning section over the dataset
-// with the given flags and returns the deterministic total TS cycles plus
-// the whole-program total (TS + non-TS). The tuned code is the plain
-// section, "absent of any instrumentation code" (§4.2).
-func MeasurePerformance(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
-	flags opt.FlagSet) (tsCycles, programCycles int64, err error) {
-	return MeasurePerformanceCached(b, ds, m, flags, nil)
-}
-
-// MeasurePerformanceCached is MeasurePerformance resolving the compilation
-// through a shared compile cache. The measured cycles are identical with or
-// without a cache (compilation is deterministic and cached versions are
-// frozen); the cache only removes repeat compile work when experiment
-// drivers measure the same (benchmark, flags, machine) combination more
-// than once. A nil cache compiles directly.
-func MeasurePerformanceCached(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
-	flags opt.FlagSet, cache *vcache.Cache) (tsCycles, programCycles int64, err error) {
-	v, _, err := resolveMeasureVersion(b, m, flags, cache)
-	if err != nil {
-		return 0, 0, fmt.Errorf("measure %s: %w", b.Name, err)
-	}
-	return runMeasurement(b, ds, m, flags, v)
-}
-
 // resolveMeasureVersion compiles the deployment version of the TS under
 // flags, through the cache when one is given, and returns it with its full
 // content fingerprint (the persistent store's measurement memo key).
@@ -59,7 +35,7 @@ func resolveMeasureVersion(b *bench.Benchmark, m *machine.Machine, flags opt.Fla
 
 // runMeasurement executes the resolved version over the dataset and sums
 // the deterministic TS cycles (the simulation half of
-// MeasurePerformanceCached).
+// MeasurePerformanceStored).
 func runMeasurement(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
 	flags opt.FlagSet, v *sim.Version) (tsCycles, programCycles int64, err error) {
 	rng := rand.New(rand.NewSource(b.Seed(31)))

@@ -50,7 +50,7 @@ const memoVersion = "v1"
 // bit patterns so the digest never loses precision to formatting. Faults
 // are deliberately excluded: faulted ratings are never memoized.
 func (c *Config) MemoDigest(m *machine.Machine) string {
-	nm := NoiseModelFor(c, m)
+	nm := c.NoiseModel(m)
 	fb := func(v float64) string { return fmt.Sprintf("%x", math.Float64bits(v)) }
 	return fmt.Sprintf("w=%d,vt=%s,mvt=%s,ok=%s,mi=%d,src=%d,brbr=%t,insp=%t,mc=%d,mds=%s,mcomp=%d,mpv=%s,it=%s,seed=%d,conv=%d,conf=%s,cirel=%s,esc=%d,ncc=%t,noise=%s.%s.%s.%s.%d.%s.%d.%s",
 		c.Window, fb(c.VarThreshold), fb(c.MBRVarThreshold), fb(c.OutlierK),
@@ -139,22 +139,29 @@ func restoreRateMemo(r *jobResult, b []byte) bool {
 	return true
 }
 
-// MeasurePerformanceStored is MeasurePerformanceCached backed by the
-// persistent store: the measured cycles are memoized under the resolved
-// code's 128-bit fingerprint plus the (benchmark, dataset, machine)
-// identity, so a warm process answers repeat measurements without running
-// the simulator at all. Measurement here is noise-free and deterministic,
-// so the memoized value is exactly what the simulation would produce; on
-// any key miss the real simulation runs and its result is recorded for the
-// next flush. A nil store behaves exactly like MeasurePerformanceCached.
+// MeasurePerformanceStored runs the benchmark's tuning section over the
+// dataset with the given flags and returns the deterministic total TS
+// cycles plus the whole-program total (TS + non-TS). The tuned code is the
+// plain section, "absent of any instrumentation code" (§4.2).
+//
+// Both layers are optional. A non-nil cache resolves the compilation
+// through a shared compile cache, so drivers that measure the same
+// (benchmark, flags, machine) combination more than once compile it once;
+// nil compiles directly. A non-nil store memoizes the measured cycles under
+// the resolved code's 128-bit fingerprint plus the (benchmark, dataset,
+// machine) identity, so a warm process answers repeat measurements without
+// running the simulator at all; on a key miss the simulation runs and its
+// result is recorded for the next flush. The cycles are identical on every
+// path: compilation is deterministic, cached versions are frozen, and
+// measurement is noise-free.
 func MeasurePerformanceStored(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
 	flags opt.FlagSet, cache *vcache.Cache, st *store.Store) (tsCycles, programCycles int64, err error) {
-	if st == nil {
-		return MeasurePerformanceCached(b, ds, m, flags, cache)
-	}
 	v, fp, err := resolveMeasureVersion(b, m, flags, cache)
 	if err != nil {
 		return 0, 0, fmt.Errorf("measure %s: %w", b.Name, err)
+	}
+	if st == nil {
+		return runMeasurement(b, ds, m, flags, v)
 	}
 	key := fmt.Sprintf("%s/%s/%s/%s/%s/fp=%s", memoVersion, b.Name, m.Name, ds.Name, flags, fp)
 	if payload, ok := st.LookupMemo(MemoKindMeasure, key); ok && len(payload) == 16 {

@@ -157,7 +157,7 @@ func TestMeasurePerformanceStored(t *testing.T) {
 	}
 	cache := vcache.New()
 	flags := opt.O3().Without(opt.AllFlags()[0])
-	wantTS, wantProg, err := MeasurePerformance(b, b.Train, m, flags)
+	wantTS, wantProg, err := MeasurePerformanceStored(b, b.Train, m, flags, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ type Config struct {
 	// MaxInvPerVersion/3; negative disables escalation.
 	EscalationBudget int
 	// Noise overrides the machine's default measurement-noise model (see
-	// NoiseModelFor); nil keeps the machine default.
+	// Config.NoiseModel); nil keeps the machine default.
 	Noise *noise.Model
 	// Faults enables deterministic fault injection: transient compile
 	// failures, miscompiles (caught by golden-output verification and
@@ -230,12 +230,12 @@ func (c *Config) escalationBudget() int {
 	return c.EscalationBudget
 }
 
-// NoiseModelFor returns the measurement-noise model rating runs under on
-// machine m: cfg.Noise when set, otherwise the machine's default
+// NoiseModel returns the measurement-noise model rating runs under on
+// machine m: c.Noise when set, otherwise the machine's default
 // jitter-plus-spikes model (sim.DefaultNoise).
-func NoiseModelFor(cfg *Config, m *machine.Machine) noise.Model {
-	if cfg.Noise != nil {
-		return *cfg.Noise
+func (c *Config) NoiseModel(m *machine.Machine) noise.Model {
+	if c.Noise != nil {
+		return *c.Noise
 	}
 	return sim.DefaultNoise(m)
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates the paper's evaluation artifacts:
 // Table 1 (rating consistency) and Figure 7 (performance improvement and
-// normalized tuning time on both machines). The cmd/peak-consistency and
-// cmd/peak-experiments binaries, the repository benchmarks, and
-// EXPERIMENTS.md all drive these entry points.
+// normalized tuning time on both machines), plus the noise-sensitivity
+// and fault-injection reports built on the same protocols. Each artifact
+// has one entry point taking a core.Env for its optional layers;
+// cmd/peak-experiments, the repository benchmarks and EXPERIMENTS.md all
+// drive them.
 package experiments
 
 import (
@@ -12,13 +14,11 @@ import (
 
 	"peak/internal/bench"
 	"peak/internal/core"
-	"peak/internal/fault"
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/profiling"
 	"peak/internal/sched"
 	"peak/internal/trace"
-	"peak/internal/vcache"
 	"peak/internal/workloads"
 )
 
@@ -27,86 +27,95 @@ var PaperWindows = []int{10, 20, 40, 80, 160}
 
 // Table1 reproduces the consistency experiment for every benchmark on the
 // given machine: the consultant-chosen rating method's error statistics per
-// window size (§5.1). It runs serially; Table1On shards it over a pool.
-func Table1(m *machine.Machine, windows []int, cfg *core.Config) ([]core.ConsistencyRow, error) {
-	return Table1On(m, windows, cfg, nil)
-}
-
-// Table1On runs the Table-1 regenerator with each benchmark's profiling and
-// consistency measurement as one coarse job on the pool (nil means serial).
-// Each job is self-contained — its random streams are seeded from the
-// benchmark and the config, never shared — and the rows are reduced in
-// workloads.All() order, so the output is identical at any worker count.
-// On error the rows computed so far (in order, up to the first failed
-// benchmark) are still returned with the first error, so callers can flush
-// partial results; a panicking benchmark job is recovered into an error.
-func Table1On(m *machine.Machine, windows []int, cfg *core.Config, pool sched.Pool) ([]core.ConsistencyRow, error) {
-	return Table1Traced(m, windows, cfg, pool, nil, nil)
-}
-
-// Table1Traced is Table1On with observability: a non-nil trace buffer
-// receives one "cell" event per (consistency row, window size), flushed
-// in benchmark order after the parallel grid completes, and a non-nil
-// metrics registry accumulates the grid totals. Both follow the
-// determinism contract: each job emits into its own buffer and the
-// reduction folds them in input order, so the trace bytes are identical
-// at any worker count.
-func Table1Traced(m *machine.Machine, windows []int, cfg *core.Config, pool sched.Pool, tb *trace.Buffer, mx *trace.Metrics) ([]core.ConsistencyRow, error) {
-	if pool == nil {
-		pool = sched.NewSerial()
-	}
+// window size (§5.1). Each benchmark's profiling and consistency
+// measurement is one coarse job on env.Pool; each job is self-contained —
+// its random streams are seeded from the benchmark and the config, never
+// shared — and the rows are reduced in workloads.All() order, so the output
+// is identical at any worker count. A non-nil env.Trace receives one "cell"
+// event per (consistency row, window size) in the same order, and
+// env.Metrics the grid totals. On error the rows of the benchmarks before
+// the first failed one are returned with the error (see shard).
+func Table1(m *machine.Machine, windows []int, cfg *core.Config, env core.Env) ([]core.ConsistencyRow, error) {
 	benches := workloads.All()
-	type result struct {
-		rows []core.ConsistencyRow
-		tb   *trace.Buffer
-		err  error
+	return shard(len(benches), env, func(i int) string { return "table 1 " + benches[i].Name },
+		func(i int, env core.Env) ([]core.ConsistencyRow, error) {
+			b := benches[i]
+			p, err := profiling.Run(b, b.Train, m)
+			if err != nil {
+				return nil, err
+			}
+			method := core.Consult(p, cfg).Chosen()
+			rows, err := core.Consistency(b, m, p, method, windows, cfg)
+			if err != nil {
+				return nil, err
+			}
+			if env.Trace != nil {
+				for _, row := range rows {
+					section := row.Section
+					if row.Context != "" {
+						section += "(" + row.Context + ")"
+					}
+					for _, w := range windows {
+						ws := row.Windows[w]
+						env.Trace.Emit(trace.Event{Kind: trace.KindCell,
+							Detail: fmt.Sprintf("table1/%s/%s/%s", b.Name, m.Name, section),
+							Method: row.Method.String(), Count: int64(w),
+							Mu: ws.Mu, Sigma: ws.Sigma})
+					}
+				}
+			}
+			env.Metrics.Add("experiments.table1_rows", int64(len(rows)))
+			return rows, nil
+		})
+}
+
+// shard runs n coarse jobs on env.Pool (nil means serial) and folds their
+// results in job order — the reduction every experiment driver shares. Job
+// i runs under a copy of env whose Trace and Metrics are private to it
+// (nil where env's are), so jobs never contend on the observers; the fold
+// appends each job's results, trace buffer and metrics in input order,
+// which makes all three identical at any worker count. The fold stops at
+// the first failed job: the results and observations of jobs 0..k−1 are
+// returned with job k's error, so callers can flush partial output. A
+// panicking job is recovered into an error naming it (label(i)) instead of
+// taking down the process from a pool goroutine.
+func shard[T any](n int, env core.Env, label func(i int) string, job func(i int, env core.Env) ([]T, error)) ([]T, error) {
+	if env.Pool == nil {
+		env.Pool = sched.NewSerial()
 	}
-	results := make([]result, len(benches))
-	pool.Map(len(benches), func(i int) {
-		b := benches[i]
+	type result struct {
+		out []T
+		tb  *trace.Buffer
+		mx  *trace.Metrics
+		err error
+	}
+	results := make([]result, n)
+	env.Pool.Map(n, func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				results[i] = result{err: fmt.Errorf("table 1 %s: panic: %v", b.Name, r)}
+				results[i] = result{err: fmt.Errorf("%s: panic: %v", label(i), r)}
 			}
 		}()
-		p, err := profiling.Run(b, b.Train, m)
-		if err != nil {
-			results[i] = result{err: err}
-			return
+		jenv := env
+		if env.Trace != nil {
+			jenv.Trace = trace.NewBuffer()
 		}
-		method := core.Consult(p, cfg).Chosen()
-		rs, err := core.Consistency(b, m, p, method, windows, cfg)
-		var jtb *trace.Buffer
-		if tb != nil && err == nil {
-			jtb = trace.NewBuffer()
-			for _, row := range rs {
-				section := row.Section
-				if row.Context != "" {
-					section += "(" + row.Context + ")"
-				}
-				for _, w := range windows {
-					ws := row.Windows[w]
-					jtb.Emit(trace.Event{Kind: trace.KindCell,
-						Detail: fmt.Sprintf("table1/%s/%s/%s", b.Name, m.Name, section),
-						Method: row.Method.String(), Count: int64(w),
-						Mu: ws.Mu, Sigma: ws.Sigma})
-				}
-			}
+		if env.Metrics != nil {
+			jenv.Metrics = trace.NewMetrics()
 		}
-		results[i] = result{rows: rs, tb: jtb, err: err}
+		out, err := job(i, jenv)
+		results[i] = result{out, jenv.Trace, jenv.Metrics, err}
 	})
-	var rows []core.ConsistencyRow
+	var out []T
 	for _, r := range results {
 		if r.err != nil {
-			return rows, r.err
+			return out, r.err
 		}
-		rows = append(rows, r.rows...)
-		tb.Append(r.tb)
-		if mx != nil {
-			mx.Add("experiments.table1_rows", int64(len(r.rows)))
-		}
+		out = append(out, r.out...)
+		env.Trace.Append(r.tb)
+		env.Metrics.Merge(r.mx)
 	}
-	return rows, nil
+	return out, nil
 }
 
 // FormatTable1 renders rows in the paper's layout: mean (standard
@@ -163,172 +172,95 @@ type Fig7Entry struct {
 	Flags opt.FlagSet
 }
 
-// Figure7 reproduces the Figure-7 experiment on machine m for the paper's
-// four benchmarks (SWIM, MGRID, ART, EQUAKE): every forceable rating method
-// plus the WHL and AVG baselines, tuned on train and on ref, measured on
-// ref.
-func Figure7(m *machine.Machine, cfg *core.Config) ([]Fig7Entry, error) {
-	return Figure7On(workloads.Figure7Set(), m, cfg, nil)
-}
-
-// Figure7For runs the Figure-7 protocol serially for an arbitrary
-// benchmark list; Figure7On shards it over a pool.
-func Figure7For(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config) ([]Fig7Entry, error) {
-	return Figure7On(benches, m, cfg, nil)
-}
-
-// Figure7On runs the Figure-7 protocol with two grains of parallelism on
-// the pool (nil means serial): each benchmark is one coarse job, and each
+// Figure7 reproduces the Figure-7 experiment on machine m for a benchmark
+// list (the paper's is workloads.Figure7Set: SWIM, MGRID, ART, EQUAKE):
+// every forceable rating method plus the WHL and AVG baselines, tuned on
+// train and on ref, measured on ref. It runs with two grains of
+// parallelism on env.Pool: each benchmark is one coarse job, and each
 // tuning process inside it shards its candidate ratings through the same
 // pool (sched.Pool.Map nests without deadlock). Entries are reduced in
 // input order and every tuning engine derives its random streams per job,
 // so the result is identical at any worker count.
-func Figure7On(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool) ([]Fig7Entry, error) {
-	var cache *vcache.Cache
-	if !cfg.NoCompileCache {
-		cache = vcache.New()
-	}
-	return Figure7OnCached(benches, m, cfg, pool, cache)
+//
+// Every tuning process and performance measurement of the run shares
+// env.Cache (each compilation happens once; nil leaves each tune its
+// private cache) and env.Store. A non-nil env.Journal makes every tuning
+// process append a checkpoint after each Iterative Elimination round
+// (keyed "bench/machine/method/dataset") and resume from any state the
+// journal already holds, reproducing the uninterrupted entries
+// byte-for-byte. A non-nil env.Trace receives every tuning process's event
+// stream and env.Metrics the per-tune counters, both folded in input order.
+// Entries and trace bytes are identical for any cache value. On error the
+// entries of the benchmarks before the first failed one are returned with
+// the error (see shard).
+func Figure7(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, env core.Env) ([]Fig7Entry, error) {
+	return shard(len(benches), env, func(i int) string { return "figure 7 " + benches[i].Name },
+		func(i int, env core.Env) ([]Fig7Entry, error) { return figure7One(benches[i], m, cfg, env) })
 }
 
-// Figure7OnCached is Figure7On with a caller-supplied compile cache, shared
-// by every tuning process and performance measurement of the run (each
-// (benchmark, flags, machine, dataset-independent) compilation happens
-// once). Callers pass their own cache to aggregate stats across machines or
-// print them (-cachestats); nil disables caching. Entries are bit-identical
-// for any cache value — see the determinism notes on core.Tuner.Cache.
-func Figure7OnCached(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, cache *vcache.Cache) ([]Fig7Entry, error) {
-	return Figure7Journaled(benches, m, cfg, pool, cache, nil)
-}
-
-// Figure7Journaled is Figure7OnCached with checkpoint/resume: a non-nil
-// journal makes every tuning process append a checkpoint after each
-// Iterative Elimination round (keyed "bench/machine/method/dataset") and
-// resume from any state the journal already holds, reproducing the
-// uninterrupted entries byte-for-byte. On error the entries computed so far
-// are still returned (in input order up to the first failed benchmark)
-// together with the first error, so callers can flush partial results; a
-// panicking benchmark job is recovered into such an error rather than
-// taking down the whole run.
-func Figure7Journaled(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, cache *vcache.Cache, j *fault.Journal) ([]Fig7Entry, error) {
-	return Figure7Traced(benches, m, cfg, pool, cache, j, nil, nil)
-}
-
-// Figure7Traced is Figure7Journaled with observability: a non-nil trace
-// buffer receives every tuning process's event stream (internal/trace)
-// and a non-nil metrics registry accumulates the per-tune counters. Each
-// coarse benchmark job emits into its own buffer and registry; the
-// reduction folds them in input order after the parallel phase, so the
-// trace bytes — like the entries — are identical at any worker count and
-// with the cache on or off. On error, the buffers of the benchmarks
-// completed before the failure are still flushed (matching the partial
-// entries).
-func Figure7Traced(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, cache *vcache.Cache, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) ([]Fig7Entry, error) {
-	if pool == nil {
-		pool = sched.NewSerial()
+func figure7One(b *bench.Benchmark, m *machine.Machine, cfg *core.Config, env core.Env) ([]Fig7Entry, error) {
+	pTrain, err := profiling.Run(b, b.Train, m)
+	if err != nil {
+		return nil, err
 	}
-	type result struct {
-		entries []Fig7Entry
-		tb      *trace.Buffer
-		mx      *trace.Metrics
-		err     error
+	pRef, err := profiling.Run(b, b.Ref, m)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]result, len(benches))
-	pool.Map(len(benches), func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				results[i] = result{err: fmt.Errorf("figure 7 %s: panic: %v", benches[i].Name, r)}
-			}
-		}()
-		var jtb *trace.Buffer
-		if tb != nil {
-			jtb = trace.NewBuffer()
+	chosen := core.Consult(pTrain, cfg).Chosen()
+	measure := func(flags opt.FlagSet) (int64, error) {
+		ts, _, err := core.MeasurePerformanceStored(b, b.Ref, m, flags, env.Cache, env.Store)
+		return ts, err
+	}
+	baseRef, err := measure(opt.O3())
+	if err != nil {
+		return nil, err
+	}
+
+	methods := forceable(pTrain, cfg)
+	entries := make([]Fig7Entry, 0, len(methods))
+	for _, method := range methods {
+		e := Fig7Entry{Benchmark: b.Name, Method: method, Chosen: method == chosen}
+		trainRes, err := env.Tune(core.Tuner{Bench: b, Mach: m, Dataset: b.Train, Cfg: *cfg, Profile: pTrain, Force: &method})
+		if err != nil {
+			return nil, fmt.Errorf("%s %s train: %w", b.Name, method, err)
 		}
-		var jmx *trace.Metrics
-		if mx != nil {
-			jmx = trace.NewMetrics()
+		refRes, err := env.Tune(core.Tuner{Bench: b, Mach: m, Dataset: b.Ref, Cfg: *cfg, Profile: pRef, Force: &method})
+		if err != nil {
+			return nil, fmt.Errorf("%s %s ref: %w", b.Name, method, err)
 		}
-		entries, err := figure7One(benches[i], m, cfg, pool, cache, j, jtb, jmx)
-		results[i] = result{entries, jtb, jmx, err}
-	})
-	var out []Fig7Entry
-	for _, r := range results {
-		if r.err != nil {
-			return out, r.err
-		}
-		out = append(out, r.entries...)
-		tb.Append(r.tb)
-		mx.Merge(r.mx)
-	}
-	return out, nil
-}
-
-func figure7One(b *bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, cache *vcache.Cache, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) ([]Fig7Entry, error) {
-	var out []Fig7Entry
-	{
-		pTrain, err := profiling.Run(b, b.Train, m)
+		tunedTrain, err := measure(trainRes.Best)
 		if err != nil {
 			return nil, err
 		}
-		pRef, err := profiling.Run(b, b.Ref, m)
+		tunedRef, err := measure(refRes.Best)
 		if err != nil {
 			return nil, err
 		}
-		chosen := core.Consult(pTrain, cfg).Chosen()
-
-		baseRef, _, err := core.MeasurePerformanceCached(b, b.Ref, m, opt.O3(), cache)
-		if err != nil {
-			return nil, err
-		}
-
-		methods := forceable(pTrain, cfg)
-		entries := make([]Fig7Entry, 0, len(methods))
-		for _, method := range methods {
-			method := method
-			e := Fig7Entry{Benchmark: b.Name, Method: method, Chosen: method == chosen}
-
-			trainRes, err := tuneTraced(b, b.Train, m, pTrain, method, cfg, pool, cache, j, tb, mx)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s train: %w", b.Name, method, err)
-			}
-			refRes, err := tuneTraced(b, b.Ref, m, pRef, method, cfg, pool, cache, j, tb, mx)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s ref: %w", b.Name, method, err)
-			}
-			tunedTrain, _, err := core.MeasurePerformanceCached(b, b.Ref, m, trainRes.Best, cache)
-			if err != nil {
-				return nil, err
-			}
-			tunedRef, _, err := core.MeasurePerformanceCached(b, b.Ref, m, refRes.Best, cache)
-			if err != nil {
-				return nil, err
-			}
-			e.TrainImprovement = core.Improvement(baseRef, tunedTrain)
-			e.RefImprovement = core.Improvement(baseRef, tunedRef)
-			e.TrainTuningCycles = trainRes.TuningCycles
-			e.RefTuningCycles = refRes.TuningCycles
-			e.Flags = trainRes.Best
-			entries = append(entries, e)
-		}
-
-		// Normalize tuning times to WHL.
-		var whl *Fig7Entry
-		for i := range entries {
-			if entries[i].Method == core.MethodWHL {
-				whl = &entries[i]
-			}
-		}
-		for i := range entries {
-			if whl != nil && whl.TrainTuningCycles > 0 {
-				entries[i].TrainNormTime = float64(entries[i].TrainTuningCycles) / float64(whl.TrainTuningCycles)
-			}
-			if whl != nil && whl.RefTuningCycles > 0 {
-				entries[i].RefNormTime = float64(entries[i].RefTuningCycles) / float64(whl.RefTuningCycles)
-			}
-		}
-		out = append(out, entries...)
+		e.TrainImprovement = core.Improvement(baseRef, tunedTrain)
+		e.RefImprovement = core.Improvement(baseRef, tunedRef)
+		e.TrainTuningCycles = trainRes.TuningCycles
+		e.RefTuningCycles = refRes.TuningCycles
+		e.Flags = trainRes.Best
+		entries = append(entries, e)
 	}
-	return out, nil
+
+	// Normalize tuning times to WHL.
+	var whl *Fig7Entry
+	for i := range entries {
+		if entries[i].Method == core.MethodWHL {
+			whl = &entries[i]
+		}
+	}
+	for i := range entries {
+		if whl != nil && whl.TrainTuningCycles > 0 {
+			entries[i].TrainNormTime = float64(entries[i].TrainTuningCycles) / float64(whl.TrainTuningCycles)
+		}
+		if whl != nil && whl.RefTuningCycles > 0 {
+			entries[i].RefNormTime = float64(entries[i].RefTuningCycles) / float64(whl.RefTuningCycles)
+		}
+	}
+	return entries, nil
 }
 
 // forceable lists the method bars Figure 7 shows for a benchmark: every
@@ -347,33 +279,6 @@ func forceable(p *profiling.Profile, cfg *core.Config) []core.Method {
 	}
 	out = append(out, core.MethodRBR, core.MethodWHL, core.MethodAVG)
 	return out
-}
-
-func tuneForced(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
-	p *profiling.Profile, method core.Method, cfg *core.Config, pool sched.Pool,
-	cache *vcache.Cache) (*core.TuneResult, error) {
-	return tuneTraced(b, ds, m, p, method, cfg, pool, cache, nil, nil, nil)
-}
-
-// tuneTraced runs one forced-method tune with the full option set: an
-// optional checkpoint journal (the engine derives the checkpoint ID
-// "bench/machine/method/dataset", unique per tune of a Figure-7 run), an
-// optional trace buffer — owned by the calling coarse job, which is also
-// the tune's reduction goroutine, so emission stays single-threaded —
-// and an optional metrics registry receiving the tune's counters.
-func tuneTraced(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
-	p *profiling.Profile, method core.Method, cfg *core.Config, pool sched.Pool,
-	cache *vcache.Cache, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) (*core.TuneResult, error) {
-	forced := method
-	tu := &core.Tuner{
-		Bench: b, Mach: m, Dataset: ds, Cfg: *cfg, Profile: p, Force: &forced,
-		Pool: pool, Cache: cache, Journal: j, Trace: tb,
-	}
-	res, err := tu.Tune()
-	if err == nil {
-		res.FillMetrics(mx)
-	}
-	return res, err
 }
 
 // FormatFigure7 renders the entries as the two panels of Figure 7 for one

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"peak/internal/profiling"
 	"peak/internal/sched"
 	"peak/internal/sim"
+	"peak/internal/trace"
 	"peak/internal/vcache"
 	"peak/internal/workloads"
 )
@@ -58,7 +61,7 @@ func quickBenchmark() *bench.Benchmark {
 func TestFigure7Protocol(t *testing.T) {
 	cfg := core.DefaultConfig()
 	m := machine.SPARCII()
-	entries, err := Figure7For([]*bench.Benchmark{quickBenchmark()}, m, &cfg)
+	entries, err := Figure7([]*bench.Benchmark{quickBenchmark()}, m, &cfg, core.Env{Cache: vcache.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestForceableBars(t *testing.T) {
 
 func TestTable1Structure(t *testing.T) {
 	cfg := core.DefaultConfig()
-	rows, err := Table1(machine.SPARCII(), []int{10, 40}, &cfg)
+	rows, err := Table1(machine.SPARCII(), []int{10, 40}, &cfg, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +215,7 @@ func TestVersionCacheDeterminism(t *testing.T) {
 		if !noCache {
 			cache = vcache.New()
 		}
-		entries, err := Figure7OnCached(benches, m, &cfg, pool, cache)
+		entries, err := Figure7(benches, m, &cfg, core.Env{Pool: pool, Cache: cache})
 		if err != nil {
 			t.Fatalf("figure7 (nocache=%v): %v", noCache, err)
 		}
@@ -232,7 +235,7 @@ func TestVersionCacheDeterminism(t *testing.T) {
 		}
 		tab := FormatTable1(rows, []int{10, 20})
 
-		noise, err := noiseReportFor(benches, m, &cfg, pool, nil, nil, nil)
+		noise, err := NoiseReport(benches, m, &cfg, core.Env{Pool: pool})
 		if err != nil {
 			t.Fatalf("noise report (nocache=%v): %v", noCache, err)
 		}
@@ -251,6 +254,43 @@ func TestVersionCacheDeterminism(t *testing.T) {
 	} {
 		if got := render(c.noCache, c.pool); got != ref {
 			t.Errorf("%s: output diverged from cache on, workers=1", c.name)
+		}
+	}
+}
+
+// TestShardIsolatesPanics pins the reduction every experiment driver
+// shares: when job k panics, shard returns an error naming job k, the
+// results of jobs 0..k−1 in input order, and exactly those jobs' trace
+// events and metrics — at any worker count, and without the panic
+// escaping the pool goroutine that ran it.
+func TestShardIsolatesPanics(t *testing.T) {
+	const n, k = 6, 3
+	for _, pool := range []sched.Pool{nil, sched.New(4)} {
+		env := core.Env{Pool: pool, Trace: trace.NewBuffer(), Metrics: trace.NewMetrics()}
+		out, err := shard(n, env, func(i int) string { return fmt.Sprintf("job-%d", i) },
+			func(i int, env core.Env) ([]int, error) {
+				env.Trace.Emit(trace.Event{Kind: trace.KindCell, Detail: fmt.Sprintf("job-%d", i)})
+				env.Metrics.Add("jobs", 1)
+				if i == k {
+					panic("boom")
+				}
+				return []int{i, 10 * i}, nil
+			})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("job-%d: panic: boom", k)) {
+			t.Fatalf("err = %v, want a panic error naming job-%d", err, k)
+		}
+		if want := []int{0, 0, 1, 10, 2, 20}; !reflect.DeepEqual(out, want) {
+			t.Errorf("partial results = %v, want %v", out, want)
+		}
+		var got []string
+		for _, ev := range env.Trace.Events() {
+			got = append(got, ev.Detail)
+		}
+		if want := []string{"job-0", "job-1", "job-2"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("folded trace = %v, want %v", got, want)
+		}
+		if c := env.Metrics.Get("jobs"); c != k {
+			t.Errorf("folded metrics jobs = %d, want %d", c, k)
 		}
 	}
 }

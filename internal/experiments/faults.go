@@ -10,10 +10,6 @@ import (
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/profiling"
-	"peak/internal/sched"
-	"peak/internal/trace"
-	"peak/internal/vcache"
-	"peak/internal/workloads"
 )
 
 // This file adds the robustness experiment: the Figure-7 tuning protocol is
@@ -46,96 +42,42 @@ type FaultBar struct {
 	Overhead float64
 }
 
-// FaultReport runs the robustness experiment on machine m over the paper's
-// Figure-7 benchmarks and renders it. A non-nil journal makes the faulted
-// tunes checkpoint after every round (and resume from any prior state it
-// already holds — see core.Tuner.Journal).
-func FaultReport(m *machine.Machine, cfg *core.Config, plan *fault.Plan, pool sched.Pool, j *fault.Journal) (string, error) {
-	bars, err := FaultReportFor(workloads.Figure7Set(), m, cfg, plan, pool, j)
-	if err != nil {
-		return "", err
-	}
-	return FormatFaultReport(bars, m.Name, plan), nil
+// FaultReport computes the robustness experiment's bars for a benchmark
+// list (the report's is workloads.Figure7Set): per benchmark and forceable
+// rating method, one fault-free and one faulted tune on the train dataset.
+// The faulted twin runs under cfg.Faults, the fault-free twin under cfg
+// with Faults cleared; both share env.Cache and env.Metrics. Only the
+// faulted twin checkpoints to env.Journal (resuming from any prior state it
+// already holds — see core.Tuner.Journal) and records its event stream in
+// env.Trace: the fault-free twin would collide with its identity and tell
+// a story the Figure-7 trace already tells. Each benchmark is one coarse
+// job on env.Pool and bars are reduced in input order, so the bars and the
+// trace bytes are identical at any worker count. On error the bars of the
+// benchmarks before the first failed one are returned with the error (see
+// shard). FormatFaultReport renders the bars.
+func FaultReport(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, env core.Env) ([]FaultBar, error) {
+	return shard(len(benches), env, func(i int) string { return "fault report " + benches[i].Name },
+		func(i int, env core.Env) ([]FaultBar, error) { return faultReportOne(benches[i], m, cfg, env) })
 }
 
-// FaultReportFor computes the fault-report bars for an explicit benchmark
-// list: per benchmark and forceable rating method, one fault-free and one
-// faulted tune on the train dataset. Each benchmark is one coarse job on
-// the pool (nil means serial) and bars are reduced in input order, so the
-// report is byte-identical at any worker count. On error the bars computed
-// so far are still returned (partial results, in input order up to the
-// first failed benchmark) together with the first error.
-func FaultReportFor(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, plan *fault.Plan, pool sched.Pool, j *fault.Journal) ([]FaultBar, error) {
-	return FaultReportTraced(benches, m, cfg, plan, pool, j, nil, nil)
-}
-
-// FaultReportTraced is FaultReportFor with observability: a non-nil
-// trace buffer receives the event streams of the *faulted* tunes (the
-// fault-free twins stay untraced — they would collide with the faulted
-// tunes' identities and tell a story the Figure-7 trace already tells);
-// a non-nil metrics registry accumulates both tunes' counters. Per-
-// benchmark buffers are folded in input order, so the trace bytes are
-// identical at any worker count.
-func FaultReportTraced(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, plan *fault.Plan, pool sched.Pool, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) ([]FaultBar, error) {
-	if pool == nil {
-		pool = sched.NewSerial()
-	}
-	var cache *vcache.Cache
-	if !cfg.NoCompileCache {
-		cache = vcache.New()
-	}
-	type result struct {
-		bars []FaultBar
-		tb   *trace.Buffer
-		mx   *trace.Metrics
-		err  error
-	}
-	results := make([]result, len(benches))
-	pool.Map(len(benches), func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				results[i] = result{err: fmt.Errorf("fault report %s: panic: %v", benches[i].Name, r)}
-			}
-		}()
-		var jtb *trace.Buffer
-		if tb != nil {
-			jtb = trace.NewBuffer()
-		}
-		var jmx *trace.Metrics
-		if mx != nil {
-			jmx = trace.NewMetrics()
-		}
-		bars, err := faultReportOne(benches[i], m, cfg, plan, pool, cache, j, jtb, jmx)
-		results[i] = result{bars, jtb, jmx, err}
-	})
-	var out []FaultBar
-	for _, r := range results {
-		if r.err != nil {
-			return out, r.err
-		}
-		out = append(out, r.bars...)
-		tb.Append(r.tb)
-		mx.Merge(r.mx)
-	}
-	return out, nil
-}
-
-func faultReportOne(b *bench.Benchmark, m *machine.Machine, cfg *core.Config, plan *fault.Plan, pool sched.Pool, cache *vcache.Cache, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) ([]FaultBar, error) {
+func faultReportOne(b *bench.Benchmark, m *machine.Machine, cfg *core.Config, env core.Env) ([]FaultBar, error) {
 	p, err := profiling.Run(b, b.Train, m)
 	if err != nil {
 		return nil, err
 	}
+	cleanEnv := env
+	cleanEnv.Journal, cleanEnv.Trace = nil, nil
+	cleanCfg := *cfg
+	cleanCfg.Faults = nil
 	var bars []FaultBar
 	for _, method := range forceable(p, cfg) {
-		cleanCfg := *cfg
-		cleanCfg.Faults = nil
-		clean, err := tuneTraced(b, b.Train, m, p, method, &cleanCfg, pool, cache, nil, nil, mx)
+		tuner := core.Tuner{Bench: b, Mach: m, Dataset: b.Train, Cfg: cleanCfg, Profile: p, Force: &method}
+		clean, err := cleanEnv.Tune(tuner)
 		if err != nil {
 			return bars, fmt.Errorf("%s %s fault-free: %w", b.Name, method, err)
 		}
-		faultCfg := *cfg
-		faultCfg.Faults = plan
-		faulted, err := tuneTraced(b, b.Train, m, p, method, &faultCfg, pool, cache, j, tb, mx)
+		tuner.Cfg = *cfg
+		faulted, err := env.Tune(tuner)
 		if err != nil {
 			return bars, fmt.Errorf("%s %s faulted: %w", b.Name, method, err)
 		}

@@ -11,15 +11,17 @@ import (
 	"peak/internal/fault"
 	"peak/internal/machine"
 	"peak/internal/sched"
+	"peak/internal/vcache"
 )
 
 func TestFaultReportStructureAndDeterminism(t *testing.T) {
 	m := machine.SPARCII()
 	cfg := core.DefaultConfig()
 	plan := fault.Uniform(0.05, 2004)
+	cfg.Faults = plan
 	benches := []*bench.Benchmark{quickBenchmark()}
 
-	bars, err := FaultReportFor(benches, m, &cfg, plan, nil, nil)
+	bars, err := FaultReport(benches, m, &cfg, core.Env{Cache: vcache.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestFaultReportStructureAndDeterminism(t *testing.T) {
 		t.Error("5% fault rate injected nothing across all bars")
 	}
 
-	again, err := FaultReportFor(benches, m, &cfg, plan, sched.New(4), nil)
+	again, err := FaultReport(benches, m, &cfg, core.Env{Pool: sched.New(4), Cache: vcache.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestFigure7JournaledResumes(t *testing.T) {
 	cfg := core.DefaultConfig()
 	benches := []*bench.Benchmark{quickBenchmark()}
 
-	ref, err := Figure7For(benches, m, &cfg)
+	ref, err := Figure7(benches, m, &cfg, core.Env{Cache: vcache.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestFigure7JournaledResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Figure7Journaled(benches, m, &cfg, nil, nil, j)
+	got, err := Figure7(benches, m, &cfg, core.Env{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestFigure7JournaledResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	resumed, err := Figure7Journaled(benches, m, &cfg, nil, nil, j2)
+	resumed, err := Figure7(benches, m, &cfg, core.Env{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,7 @@ import (
 	"peak/internal/profiling"
 	"peak/internal/sched"
 	"peak/internal/sim"
-	"peak/internal/store"
 	"peak/internal/trace"
-	"peak/internal/workloads"
 )
 
 // This file adds the noise-sensitivity experiment: how do the rating
@@ -45,9 +43,9 @@ const (
 	noiseTrialCycles = 1_000_000
 )
 
-// RegimesFor returns the noise regimes the report sweeps on machine m: the
+// Regimes returns the noise regimes the report sweeps on machine m: the
 // machine's calibrated default, then four stress regimes derived from it.
-func RegimesFor(m *machine.Machine) []NoiseRegime {
+func Regimes(m *machine.Machine) []NoiseRegime {
 	d := sim.DefaultNoise(m)
 	return []NoiseRegime{
 		{Name: "baseline", Model: d},
@@ -60,7 +58,7 @@ func RegimesFor(m *machine.Machine) []NoiseRegime {
 
 // RegimeByName resolves a regime label for machine m.
 func RegimeByName(m *machine.Machine, name string) (NoiseRegime, bool) {
-	for _, r := range RegimesFor(m) {
+	for _, r := range Regimes(m) {
 		if r.Name == name {
 			return r, true
 		}
@@ -70,50 +68,12 @@ func RegimeByName(m *machine.Machine, name string) (NoiseRegime, bool) {
 
 // RegimeNames lists the regime labels in report order.
 func RegimeNames(m *machine.Machine) []string {
-	regimes := RegimesFor(m)
+	regimes := Regimes(m)
 	names := make([]string, len(regimes))
 	for i, r := range regimes {
 		names[i] = r.Name
 	}
 	return names
-}
-
-// NoiseReport runs the noise-sensitivity experiment serially on machine m.
-func NoiseReport(m *machine.Machine, cfg *core.Config) (string, error) {
-	return NoiseReportOn(m, cfg, nil)
-}
-
-// NoiseReportOn regenerates the noise-sensitivity report for machine m,
-// sharding the (benchmark × regime) consistency grid over pool (nil means
-// serial). Each cell is one self-contained job — its profile and
-// measurement streams are seeded from the benchmark and the config alone —
-// and cells are reduced in (benchmark, regime) order, so the report is
-// byte-identical at any worker count.
-func NoiseReportOn(m *machine.Machine, cfg *core.Config, pool sched.Pool) (string, error) {
-	return NoiseReportTraced(m, cfg, pool, nil, nil)
-}
-
-// NoiseReportTraced is NoiseReportOn with observability: a non-nil trace
-// buffer receives one "cell" event per (benchmark, regime) grid cell and
-// one "trials" event per (regime, decision rule) of the winner-picking
-// section; a non-nil metrics registry accumulates the grid totals. Cell
-// jobs emit into per-cell buffers flushed in grid order after the
-// parallel phase, so the trace bytes are byte-identical at any worker
-// count (the grid touches no compile cache, so -nocache trivially
-// matches too).
-func NoiseReportTraced(m *machine.Machine, cfg *core.Config, pool sched.Pool, tb *trace.Buffer, mx *trace.Metrics) (string, error) {
-	return noiseReportFor(workloads.All(), m, cfg, pool, tb, mx, nil)
-}
-
-// NoiseReportStored is NoiseReportTraced with a persistent warm-start
-// store: each (benchmark, regime) grid cell's result is memoized under a
-// key covering the benchmark, machine, regime noise model and full rating
-// configuration, so a warm rerun answers the cells without profiling or
-// simulating. The report (and the trace) are byte-identical with the store
-// nil, cold or warm — a memo hit restores exactly the values a cold cell
-// computes. The winner-trial section is cheap and always runs live.
-func NoiseReportStored(m *machine.Machine, cfg *core.Config, pool sched.Pool, tb *trace.Buffer, mx *trace.Metrics, st *store.Store) (string, error) {
-	return noiseReportFor(workloads.All(), m, cfg, pool, tb, mx, st)
 }
 
 // cellMemoKey names one noise-grid cell in the store's memo table. The
@@ -150,20 +110,26 @@ func decodeCellMemo(payload []byte) (core.Method, core.WindowStat, bool) {
 	return method, st, true
 }
 
-// noiseReportFor is NoiseReportStored over an explicit benchmark list.
-func noiseReportFor(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, tb *trace.Buffer, mx *trace.Metrics, ps *store.Store) (string, error) {
-	if pool == nil {
-		pool = sched.NewSerial()
-	}
-	regimes := RegimesFor(m)
-
-	type cell struct {
-		method core.Method
-		stat   core.WindowStat
-		tb     *trace.Buffer
-		err    error
-	}
-	cells := make([]cell, len(benches)*len(regimes))
+// NoiseReport regenerates the noise-sensitivity report for machine m over
+// a benchmark list (the report's is workloads.All): Table-1-style rating
+// consistency of every (benchmark, regime) grid cell, then the
+// winner-picking reliability of the CI-gated decision rule against the
+// raw-mean rule under each regime. Each grid cell is one job on env.Pool —
+// its profile and measurement streams are seeded from the benchmark and
+// the config alone — and cells are reduced in (benchmark, regime) order, so
+// the report is byte-identical at any worker count.
+//
+// A non-nil env.Store memoizes each cell's result under a key covering the
+// benchmark, machine, regime noise model and full rating configuration, so
+// a warm rerun answers the cells without profiling or simulating; a memo
+// hit restores exactly the values a cold cell computes. The winner-trial
+// section is cheap and always runs live. A non-nil env.Trace receives one
+// "cell" event per grid cell and one "trials" event per (regime, decision
+// rule), env.Metrics the grid totals; the trace bytes are identical with
+// the store nil, cold or warm, and — since the grid touches no compile
+// cache — with the cache on or off.
+func NoiseReport(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, env core.Env) (string, error) {
+	regimes := Regimes(m)
 	// A cell's profile depends on its benchmark and machine, never on the
 	// regime, so a benchmark's regimes share one profile run. The run is
 	// lazy: cells answered from the memo table profile nothing.
@@ -173,62 +139,59 @@ func noiseReportFor(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Co
 			return profiling.Run(b, b.Train, m)
 		})
 	}
-	pool.Map(len(cells), func(i int) {
-		b := benches[i/len(regimes)]
-		regime := regimes[i%len(regimes)]
-		c := *cfg
-		c.Noise = &regime.Model
-		// emit builds the cell's trace event — identical whether the values
-		// were computed live or restored from the memo table, so the trace
-		// bytes never depend on the store's temperature.
-		emit := func(method core.Method, st core.WindowStat) *trace.Buffer {
-			if tb == nil {
-				return nil
+	type cell struct {
+		method core.Method
+		stat   core.WindowStat
+	}
+	cells, err := shard(len(benches)*len(regimes), env,
+		func(i int) string {
+			return fmt.Sprintf("noise %s/%s", benches[i/len(regimes)].Name, regimes[i%len(regimes)].Name)
+		},
+		func(i int, env core.Env) ([]cell, error) {
+			b := benches[i/len(regimes)]
+			regime := regimes[i%len(regimes)]
+			c := *cfg
+			c.Noise = &regime.Model
+			// done emits the cell's trace event — identical whether the
+			// values were computed live or restored from the memo table, so
+			// the trace bytes never depend on the store's temperature.
+			done := func(method core.Method, st core.WindowStat) ([]cell, error) {
+				env.Trace.Emit(trace.Event{Kind: trace.KindCell,
+					Detail: fmt.Sprintf("noise/%s/%s/%s", b.Name, m.Name, regime.Name),
+					Method: method.String(), Count: NoiseWindow,
+					Mu: st.Mu, Sigma: st.Sigma})
+				env.Metrics.Add("experiments.noise_cells", 1)
+				return []cell{{method, st}}, nil
 			}
-			ctb := trace.NewBuffer()
-			ctb.Emit(trace.Event{Kind: trace.KindCell,
-				Detail: fmt.Sprintf("noise/%s/%s/%s", b.Name, m.Name, regime.Name),
-				Method: method.String(), Count: NoiseWindow,
-				Mu: st.Mu, Sigma: st.Sigma})
-			return ctb
-		}
-		var memoK string
-		if ps != nil {
-			memoK = cellMemoKey(b, m, regime.Name, &c)
-			if payload, ok := ps.LookupMemo(core.MemoKindCell, memoK); ok {
-				if method, st, valid := decodeCellMemo(payload); valid {
-					cells[i] = cell{method: method, stat: st, tb: emit(method, st)}
-					return
+			var memoK string
+			if env.Store != nil {
+				memoK = cellMemoKey(b, m, regime.Name, &c)
+				if payload, ok := env.Store.LookupMemo(core.MemoKindCell, memoK); ok {
+					if method, st, valid := decodeCellMemo(payload); valid {
+						return done(method, st)
+					}
 				}
 			}
-		}
-		p, err := profiles[i/len(regimes)]()
-		if err != nil {
-			cells[i] = cell{err: err}
-			return
-		}
-		method := core.Consult(p, &c).Chosen()
-		rows, err := core.Consistency(b, m, p, method, []int{NoiseWindow}, &c)
-		if err != nil {
-			cells[i] = cell{err: err}
-			return
-		}
-		// The dominant-context row carries the headline statistic.
-		st := rows[0].Windows[NoiseWindow]
-		if ps != nil {
-			ps.RecordMemo(core.MemoKindCell, memoK, encodeCellMemo(method, st))
-		}
-		cells[i] = cell{method: method, stat: st, tb: emit(method, st)}
-	})
-	for i := range cells {
-		if cells[i].err != nil {
-			return "", cells[i].err
-		}
-		tb.Append(cells[i].tb)
-		if mx != nil {
-			mx.Add("experiments.noise_cells", 1)
-		}
+			p, err := profiles[i/len(regimes)]()
+			if err != nil {
+				return nil, err
+			}
+			method := core.Consult(p, &c).Chosen()
+			rows, err := core.Consistency(b, m, p, method, []int{NoiseWindow}, &c)
+			if err != nil {
+				return nil, err
+			}
+			// The dominant-context row carries the headline statistic.
+			st := rows[0].Windows[NoiseWindow]
+			if env.Store != nil {
+				env.Store.RecordMemo(core.MemoKindCell, memoK, encodeCellMemo(method, st))
+			}
+			return done(method, st)
+		})
+	if err != nil {
+		return "", err
 	}
+	tb, mx := env.Trace, env.Metrics
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Rating consistency under noise on %s (w=%d, Mean(StdDev) of rating error x100,\nconsultant-chosen method, dominant context):\n",

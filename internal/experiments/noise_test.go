@@ -15,7 +15,7 @@ import (
 
 func TestNoiseRegimes(t *testing.T) {
 	m := machine.SPARCII()
-	regimes := RegimesFor(m)
+	regimes := Regimes(m)
 	want := []string{"baseline", "gauss4x", "spikes", "drift", "bursts"}
 	if len(regimes) != len(want) {
 		t.Fatalf("regimes = %d, want %d", len(regimes), len(want))
@@ -25,8 +25,8 @@ func TestNoiseRegimes(t *testing.T) {
 			t.Errorf("regime %d = %s, want %s", i, regimes[i].Name, name)
 		}
 	}
-	if regimes[0].Model != (RegimesFor(m)[0].Model) {
-		t.Error("RegimesFor is not stable")
+	if regimes[0].Model != (Regimes(m)[0].Model) {
+		t.Error("Regimes is not stable")
 	}
 	// The baseline regime must be exactly the machine default: tuning
 	// with -noise baseline must reproduce tuning without the flag.
@@ -52,11 +52,11 @@ func TestNoiseReportDeterministic(t *testing.T) {
 	benches := []*bench.Benchmark{quickBenchmark()}
 	m := machine.SPARCII()
 	cfg := core.DefaultConfig()
-	serial, err := noiseReportFor(benches, m, &cfg, nil, nil, nil, nil)
+	serial, err := NoiseReport(benches, m, &cfg, core.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := noiseReportFor(benches, m, &cfg, sched.New(8), nil, nil, nil)
+	parallel, err := NoiseReport(benches, m, &cfg, core.Env{Pool: sched.New(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestNoiseReportWarmStartByteIdentical(t *testing.T) {
 
 	run := func(ps *store.Store, workers int) (string, string) {
 		tb := trace.NewBuffer()
-		report, err := noiseReportFor(benches, m, &cfg, sched.New(workers), tb, nil, ps)
+		report, err := NoiseReport(benches, m, &cfg, core.Env{Pool: sched.New(workers), Store: ps, Trace: tb})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func TestFigure7TraceDeterministic(t *testing.T) {
 		}
 		tb := trace.NewBuffer()
 		mx := trace.NewMetrics()
-		entries, err := Figure7Traced(benches, m, &cfg, sched.New(workers), cache, nil, tb, mx)
+		entries, err := Figure7(benches, m, &cfg, core.Env{Pool: sched.New(workers), Cache: cache, Trace: tb, Metrics: mx})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +97,11 @@ func TestNoiseReportTraceDeterministic(t *testing.T) {
 		cfg := core.DefaultConfig()
 		tb := trace.NewBuffer()
 		mx := trace.NewMetrics()
-		report, err := noiseReportFor(benches, m, &cfg, sched.New(workers), tb, mx, nil)
+		report, err := NoiseReport(benches, m, &cfg, core.Env{Pool: sched.New(workers), Trace: tb, Metrics: mx})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := int64(len(benches) * len(RegimesFor(m))); mx.Get("experiments.noise_cells") != want {
+		if want := int64(len(benches) * len(Regimes(m))); mx.Get("experiments.noise_cells") != want {
 			t.Errorf("noise_cells = %d, want %d", mx.Get("experiments.noise_cells"), want)
 		}
 		return serializeTrace(t, tb), report
@@ -127,10 +127,10 @@ func TestNoiseReportTraceDeterministic(t *testing.T) {
 			trials++
 		}
 	}
-	if cells != len(benches)*len(RegimesFor(m)) {
-		t.Errorf("%d cell events, want %d", cells, len(benches)*len(RegimesFor(m)))
+	if cells != len(benches)*len(Regimes(m)) {
+		t.Errorf("%d cell events, want %d", cells, len(benches)*len(Regimes(m)))
 	}
-	if trials != 2*len(RegimesFor(m)) {
-		t.Errorf("%d trials events, want %d", trials, 2*len(RegimesFor(m)))
+	if trials != 2*len(Regimes(m)) {
+		t.Errorf("%d trials events, want %d", trials, 2*len(Regimes(m)))
 	}
 }

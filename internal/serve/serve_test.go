@@ -189,11 +189,11 @@ func TestServeReportMirrorsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _, err := core.MeasurePerformance(b, b.Ref, m, opt.O3())
+	base, _, err := core.MeasurePerformanceStored(b, b.Ref, m, opt.O3(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, _, err := core.MeasurePerformance(b, b.Ref, m, res.Best)
+	tuned, _, err := core.MeasurePerformanceStored(b, b.Ref, m, res.Best, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,11 +114,11 @@ func TestVersionsRunClean(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			for _, m := range []*machine.Machine{machine.SPARCII(), machine.PentiumIV()} {
-				t0, _, err := core.MeasurePerformance(b, b.Train, m, opt.O0())
+				t0, _, err := core.MeasurePerformanceStored(b, b.Train, m, opt.O0(), nil, nil)
 				if err != nil {
 					t.Fatalf("%s on %s -O0: %v", b.Name, m.Name, err)
 				}
-				t3, _, err := core.MeasurePerformance(b, b.Train, m, opt.O3())
+				t3, _, err := core.MeasurePerformanceStored(b, b.Train, m, opt.O3(), nil, nil)
 				if err != nil {
 					t.Fatalf("%s on %s -O3: %v", b.Name, m.Name, err)
 				}

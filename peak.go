@@ -24,8 +24,15 @@
 //
 //	b, _ := peak.BenchmarkByName("ART")
 //	m := peak.PentiumIV()
-//	res, err := peak.TuneBenchmark(b, m, nil)   // profile + consult + tune
-//	fmt.Println(res.MethodUsed, res.Best)       // RBR, flags without strict-aliasing
+//	// profile + consult + tune on the training dataset, serially
+//	res, err := peak.Tune(b, m, nil, nil, nil, nil, peak.Env{})
+//	fmt.Println(res.MethodUsed, res.Best) // RBR, flags without strict-aliasing
+//
+// Every operation — Tune, Table1, Figure7, NoiseReport, FaultReport —
+// takes an Env naming its optional layers (worker pool, shared compile
+// cache, persistent store, checkpoint journal, trace buffer, metrics
+// registry); a nil field turns that layer off, and results are
+// bit-identical for any combination.
 //
 // Lower-level building blocks (IR construction, compilation, simulation,
 // individual raters) live in the internal packages and are exercised by
@@ -91,6 +98,10 @@ type (
 	SectionStat = core.SectionStat
 	// SelectorConfig tunes the TS Selector.
 	SelectorConfig = core.SelectorConfig
+	// Env selects the optional layers an operation runs under: Pool,
+	// Cache, Store, Journal, Trace and Metrics. A nil field turns its
+	// layer off; the zero Env is a serial, uncached, untraced run.
+	Env = core.Env
 	// Pool shards independent tuning work across workers while keeping
 	// results bit-identical to a serial run (see ARCHITECTURE.md for the
 	// determinism contract).
@@ -102,11 +113,11 @@ type (
 	// NoiseRegime is a named noise model from the sensitivity sweep.
 	NoiseRegime = experiments.NoiseRegime
 	// VersionCache is a concurrency-safe, content-addressed compile cache.
-	// Pass one (via Tuner-level helpers like TuneBenchmarkCached or
-	// experiments.Figure7OnCached) to share compiled versions across tuning
-	// processes; results are bit-identical with or without it. Caching is on
-	// by default inside each tuning process — the shared cache only widens
-	// its scope. Config.NoCompileCache disables caching entirely.
+	// Set one as Env.Cache to share compiled versions across the tuning
+	// processes and measurements of an operation; results are bit-identical
+	// with or without it. Caching is on by default inside each tuning
+	// process — the shared cache only widens its scope.
+	// Config.NoCompileCache disables caching entirely.
 	VersionCache = vcache.Cache
 	// VersionCacheStats is a snapshot of a cache's counters.
 	VersionCacheStats = vcache.Stats
@@ -115,25 +126,24 @@ type (
 	// to tune under faults; same seed + same plan gives byte-identical
 	// results at any worker count, cache on or off, resumed or not.
 	FaultPlan = fault.Plan
-	// Journal is an append-only checkpoint journal: attach one to a tuning
-	// run (core.Tuner.Journal, Figure7Journaled, FaultReport) to checkpoint
-	// after every Iterative Elimination round and resume interrupted runs
-	// byte-identically.
+	// Journal is an append-only checkpoint journal: set one as Env.Journal
+	// to checkpoint every tuning process after each Iterative Elimination
+	// round and resume interrupted runs byte-identically.
 	Journal = fault.Journal
 	// FaultBar is one (benchmark, method) comparison of the fault report.
 	FaultBar = experiments.FaultBar
 	// TraceBuffer collects structured tuning events deterministically: the
 	// trace of a run is byte-identical at any worker count and with the
-	// compile cache on or off (see OBSERVABILITY.md). Pass one to the
-	// Traced entry points; a nil buffer disables tracing at no cost.
+	// compile cache on or off (see OBSERVABILITY.md). Set one as
+	// Env.Trace; a nil buffer disables tracing at no cost.
 	TraceBuffer = trace.Buffer
 	// TraceEvent is one structured trace record (schema in OBSERVABILITY.md).
 	TraceEvent = trace.Event
 	// Tracer serializes trace buffers to JSONL, assigning sequence numbers.
 	Tracer = trace.Tracer
-	// Metrics is a registry of named counters and gauges filled by the
-	// Traced entry points and the FillMetrics methods of TuneResult,
-	// scheduler stats, cache stats and journals.
+	// Metrics is a registry of named counters and gauges filled through
+	// Env.Metrics and by the FillMetrics methods of TuneResult, scheduler
+	// stats, cache stats and journals.
 	Metrics = trace.Metrics
 	// TraceAnalysis digests a trace into per-tune time breakdowns and
 	// elimination timelines (what cmd/peak-trace prints).
@@ -187,90 +197,67 @@ func O0() FlagSet { return opt.O0() }
 func ParseFlags(s string) (FlagSet, error) { return opt.ParseFlagSet(s) }
 
 // ProfileBenchmark runs the offline profile pass (paper §3) of b's tuning
-// section over its training dataset on machine m.
-func ProfileBenchmark(b *Benchmark, m *Machine) (*Profile, error) {
-	return profiling.Run(b, b.Train, m)
+// section over dataset ds (nil means the training dataset) on machine m.
+func ProfileBenchmark(b *Benchmark, ds *Dataset, m *Machine) (*Profile, error) {
+	if ds == nil {
+		ds = b.Train
+	}
+	return profiling.Run(b, ds, m)
 }
 
 // Consult runs the Rating Approach Consultant on a profile.
 func Consult(p *Profile, cfg *Config) *Applicability { return core.Consult(p, cfg) }
 
 // NewPool returns a worker pool with the given size. workers <= 0 uses
-// GOMAXPROCS; workers == 1 is the serial pool. Pass the pool to the On
-// variants (TuneBenchmarkOn, Table1On, Figure7On) — any size produces
-// bit-identical results, so workers=1 is a drop-in check of the others.
+// GOMAXPROCS; workers == 1 is the serial pool. Set it as Env.Pool — any
+// size produces bit-identical results, so workers=1 is a drop-in check of
+// the others.
 func NewPool(workers int) Pool { return sched.New(workers) }
-
-// TuneBenchmark profiles b on m, lets the consultant pick the rating
-// method, and runs the full PEAK tuning process on the training dataset.
-// cfg may be nil for the default configuration.
-func TuneBenchmark(b *Benchmark, m *Machine, cfg *Config) (*TuneResult, error) {
-	return TuneBenchmarkOn(b, m, cfg, nil)
-}
-
-// TuneBenchmarkOn is TuneBenchmark with the candidate ratings of every
-// Iterative Elimination round sharded across pool (nil means serial).
-func TuneBenchmarkOn(b *Benchmark, m *Machine, cfg *Config, pool Pool) (*TuneResult, error) {
-	return TuneBenchmarkCached(b, m, cfg, pool, nil)
-}
 
 // NewVersionCache returns an empty compile cache for sharing across tuning
 // processes (see VersionCache).
 func NewVersionCache() *VersionCache { return vcache.New() }
 
-// TuneBenchmarkCached is TuneBenchmarkOn resolving compilations through a
-// shared cache (nil keeps the tune's private cache). The result is
-// bit-identical for any cache value and worker count.
-func TuneBenchmarkCached(b *Benchmark, m *Machine, cfg *Config, pool Pool, cache *VersionCache) (*TuneResult, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
+// orDefault resolves the facade's nil-means-default config convention.
+func orDefault(cfg *Config) *Config {
+	if cfg == nil {
+		c := DefaultConfig()
+		return &c
 	}
-	p, err := profiling.Run(b, b.Train, m)
-	if err != nil {
-		return nil, err
-	}
-	t := &core.Tuner{Bench: b, Mach: m, Dataset: b.Train, Cfg: c, Profile: p, Pool: pool, Cache: cache}
-	return t.Tune()
+	return cfg
 }
 
-// TuneWithMethod forces a specific rating method (the Figure-7 protocol).
-func TuneWithMethod(b *Benchmark, m *Machine, method Method, ds *Dataset, cfg *Config) (*TuneResult, error) {
-	return TuneWithMethodOn(b, m, method, ds, cfg, nil)
-}
-
-// TuneWithMethodOn is TuneWithMethod sharded across pool (nil = serial).
-func TuneWithMethodOn(b *Benchmark, m *Machine, method Method, ds *Dataset, cfg *Config, pool Pool) (*TuneResult, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
+// Tune runs the full PEAK tuning process for b on m under env: Iterative
+// Elimination over the 38 flags, each candidate rated on dataset ds (nil
+// means the training dataset). A nil method lets the Rating Approach
+// Consultant pick CBR, MBR or RBR with runtime switching; a non-nil one
+// forces that method (the Figure-7 protocol). p is the offline profile of
+// b over ds on m (nil profiles it here); cfg nil means DefaultConfig. The
+// result is bit-identical for any env.Pool size and env.Cache value.
+func Tune(b *Benchmark, m *Machine, ds *Dataset, p *Profile, method *Method, cfg *Config, env Env) (*TuneResult, error) {
 	if ds == nil {
 		ds = b.Train
 	}
-	p, err := profiling.Run(b, ds, m)
-	if err != nil {
-		return nil, err
+	if p == nil {
+		var err error
+		if p, err = profiling.Run(b, ds, m); err != nil {
+			return nil, err
+		}
 	}
-	t := &core.Tuner{Bench: b, Mach: m, Dataset: ds, Cfg: c, Profile: p, Force: &method, Pool: pool}
-	return t.Tune()
+	return env.Tune(core.Tuner{Bench: b, Mach: m, Dataset: ds, Cfg: *orDefault(cfg), Profile: p, Force: method})
 }
 
 // NewAdaptiveTuner builds an online tuner for b on m: it profiles the
 // benchmark for context keying and then tunes during production runs via
 // AdaptiveTuner.Run (no separate tuning time — the §6 scenario).
 func NewAdaptiveTuner(b *Benchmark, m *Machine, cfg *Config) (*AdaptiveTuner, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return core.NewAdaptiveTuner(b, m, c)
+	return core.NewAdaptiveTuner(b, m, *orDefault(cfg))
 }
 
 // Measure runs b's tuning section over ds with the given flags and returns
 // (TS cycles, whole-program cycles).
 func Measure(b *Benchmark, ds *Dataset, m *Machine, flags FlagSet) (int64, int64, error) {
-	return core.MeasurePerformance(b, ds, m, flags)
+	return core.MeasurePerformanceStored(b, ds, m, flags, nil, nil)
 }
 
 // SelectSections runs the TS Selector (paper §4.1) over a composite
@@ -286,34 +273,23 @@ func DefaultSelectorConfig() SelectorConfig { return core.DefaultSelectorConfig(
 // Improvement converts two measured times into a relative improvement.
 func Improvement(base, tuned int64) float64 { return core.Improvement(base, tuned) }
 
-// Table1 regenerates the paper's Table-1 consistency experiment on m.
-func Table1(m *Machine, cfg *Config) ([]ConsistencyRow, error) {
-	return Table1On(m, cfg, nil)
+// Table1 regenerates the paper's Table-1 consistency experiment on m at
+// the paper's window sizes, each benchmark one coarse job on env.Pool. A
+// non-nil env.Trace receives one "cell" event per consistency row and
+// window, env.Metrics the grid totals. cfg may be nil for the default
+// configuration.
+func Table1(m *Machine, cfg *Config, env Env) ([]ConsistencyRow, error) {
+	return experiments.Table1(m, experiments.PaperWindows, orDefault(cfg), env)
 }
 
-// Table1On is Table1 with each benchmark's consistency measurement run as
-// one coarse job on pool (nil means serial).
-func Table1On(m *Machine, cfg *Config, pool Pool) ([]ConsistencyRow, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.Table1On(m, experiments.PaperWindows, &c, pool)
-}
-
-// Figure7 regenerates the paper's Figure-7 experiment on m.
-func Figure7(m *Machine, cfg *Config) ([]Fig7Entry, error) {
-	return Figure7On(m, cfg, nil)
-}
-
-// Figure7On is Figure7 sharded over pool (nil means serial): benchmarks at
-// coarse grain, each tuning process's candidate ratings at fine grain.
-func Figure7On(m *Machine, cfg *Config, pool Pool) ([]Fig7Entry, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.Figure7On(workloads.Figure7Set(), m, &c, pool)
+// Figure7 regenerates the paper's Figure-7 experiment on m for SWIM, MGRID,
+// ART and EQUAKE: benchmarks at coarse grain on env.Pool, each tuning
+// process's candidate ratings at fine grain. env.Cache is shared by every
+// tune and measurement, env.Journal checkpoints and resumes every tune, and
+// env.Trace/env.Metrics carry every tuning process of the protocol (train
+// and ref tunes per bar). cfg may be nil for the default configuration.
+func Figure7(m *Machine, cfg *Config, env Env) ([]Fig7Entry, error) {
+	return experiments.Figure7(workloads.Figure7Set(), m, orDefault(cfg), env)
 }
 
 // DefaultNoise returns machine m's calibrated jitter-plus-spikes noise
@@ -322,7 +298,7 @@ func DefaultNoise(m *Machine) NoiseModel { return sim.DefaultNoise(m) }
 
 // NoiseRegimes lists the noise-sensitivity regimes for machine m
 // (baseline, gauss4x, spikes, drift, bursts).
-func NoiseRegimes(m *Machine) []NoiseRegime { return experiments.RegimesFor(m) }
+func NoiseRegimes(m *Machine) []NoiseRegime { return experiments.Regimes(m) }
 
 // NoiseRegimeByName resolves a regime label for machine m.
 func NoiseRegimeByName(m *Machine, name string) (NoiseRegime, bool) {
@@ -331,15 +307,11 @@ func NoiseRegimeByName(m *Machine, name string) (NoiseRegime, bool) {
 
 // NoiseReport regenerates the noise-sensitivity report for machine m:
 // Table-1-style rating consistency and winner-picking reliability under
-// each regime. cfg may be nil for the default configuration; the grid is
-// sharded over pool (nil means serial) with byte-identical output at any
-// worker count.
-func NoiseReport(m *Machine, cfg *Config, pool Pool) (string, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.NoiseReportOn(m, &c, pool)
+// each regime. The grid is sharded over env.Pool with byte-identical output
+// at any worker count; env.Store memoizes grid cells across runs. cfg may
+// be nil for the default configuration.
+func NoiseReport(m *Machine, cfg *Config, env Env) (string, error) {
+	return experiments.NoiseReport(workloads.All(), m, orDefault(cfg), env)
 }
 
 // UniformFaults returns a fault plan injecting every fault class at the
@@ -356,47 +328,23 @@ func NewJournal(path string) (*Journal, error) { return fault.NewJournal(path) }
 func OpenJournal(path string) (*Journal, error) { return fault.OpenJournal(path) }
 
 // FaultReport runs the robustness experiment on m: the Figure-7 tuning
-// protocol under fault injection, each bar's winner compared against its
-// fault-free twin, with a recovery-ledger footer. A non-nil journal
-// checkpoints (and resumes) the faulted tunes. cfg may be nil for the
-// default configuration.
-func FaultReport(m *Machine, cfg *Config, plan *FaultPlan, pool Pool, j *Journal) (string, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.FaultReport(m, &c, plan, pool, j)
+// protocol on the train dataset under the fault plan cfg.Faults, each bar's
+// winner compared against its fault-free twin. A non-nil env.Journal
+// checkpoints (and resumes) the faulted tunes; env.Trace carries their
+// event streams. On failure the bars completed so far are returned with
+// the first error.
+func FaultReport(m *Machine, cfg *Config, env Env) ([]FaultBar, error) {
+	return experiments.FaultReport(workloads.Figure7Set(), m, orDefault(cfg), env)
 }
 
-// FaultReportBars is FaultReport returning the raw comparison bars for an
-// explicit benchmark list (partial bars plus the first error on failure).
-func FaultReportBars(benches []*Benchmark, m *Machine, cfg *Config, plan *FaultPlan, pool Pool, j *Journal) ([]FaultBar, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.FaultReportFor(benches, m, &c, plan, pool, j)
-}
-
-// Figure7Journaled is Figure7On with checkpoint/resume through j and a
-// caller-supplied shared compile cache (both may be nil).
-func Figure7Journaled(m *Machine, cfg *Config, pool Pool, cache *VersionCache, j *Journal) ([]Fig7Entry, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.Figure7Journaled(workloads.Figure7Set(), m, &c, pool, cache, j)
-}
-
-// NewTraceBuffer returns an empty trace buffer for the Traced entry
-// points. Serialize it with NewTracer after the run completes.
+// NewTraceBuffer returns an empty trace buffer to set as Env.Trace.
+// Serialize it with NewTracer after the run completes.
 func NewTraceBuffer() *TraceBuffer { return trace.NewBuffer() }
 
 // NewTracer returns a tracer writing JSONL trace records to w.
 func NewTracer(w io.Writer) *Tracer { return trace.NewTracer(w) }
 
-// NewMetrics returns an empty metrics registry for the Traced entry
-// points.
+// NewMetrics returns an empty metrics registry to set as Env.Metrics.
 func NewMetrics() *Metrics { return trace.NewMetrics() }
 
 // ReadTrace parses a JSONL trace stream (as written by a Tracer or the
@@ -406,91 +354,6 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) { return trace.ReadEvents(r) }
 // AnalyzeTrace digests trace events into per-tune time breakdowns and
 // elimination timelines — the digest cmd/peak-trace renders.
 func AnalyzeTrace(events []TraceEvent) TraceAnalysis { return trace.Analyze(events) }
-
-// TuneBenchmarkTraced is TuneBenchmarkCached with observability: a
-// non-nil trace buffer records the tuning process's event stream
-// (byte-identical at any worker count, cache on or off) and a non-nil
-// metrics registry accumulates the result's counters.
-func TuneBenchmarkTraced(b *Benchmark, m *Machine, cfg *Config, pool Pool, cache *VersionCache, tb *TraceBuffer, mx *Metrics) (*TuneResult, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	p, err := profiling.Run(b, b.Train, m)
-	if err != nil {
-		return nil, err
-	}
-	t := &core.Tuner{Bench: b, Mach: m, Dataset: b.Train, Cfg: c, Profile: p, Pool: pool, Cache: cache, Trace: tb}
-	res, err := t.Tune()
-	if err == nil {
-		res.FillMetrics(mx)
-	}
-	return res, err
-}
-
-// TuneWithMethodTraced is TuneWithMethodOn with observability (see
-// TuneBenchmarkTraced).
-func TuneWithMethodTraced(b *Benchmark, m *Machine, method Method, ds *Dataset, cfg *Config, pool Pool, tb *TraceBuffer, mx *Metrics) (*TuneResult, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	if ds == nil {
-		ds = b.Train
-	}
-	p, err := profiling.Run(b, ds, m)
-	if err != nil {
-		return nil, err
-	}
-	t := &core.Tuner{Bench: b, Mach: m, Dataset: ds, Cfg: c, Profile: p, Force: &method, Pool: pool, Trace: tb}
-	res, err := t.Tune()
-	if err == nil {
-		res.FillMetrics(mx)
-	}
-	return res, err
-}
-
-// Table1Traced is Table1On with observability: one "cell" trace event
-// per consistency row and the grid totals in the metrics registry.
-func Table1Traced(m *Machine, cfg *Config, pool Pool, tb *TraceBuffer, mx *Metrics) ([]ConsistencyRow, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.Table1Traced(m, experiments.PaperWindows, &c, pool, tb, mx)
-}
-
-// Figure7Traced is Figure7Journaled with observability: the trace
-// carries every tuning process of the protocol (train and ref tunes per
-// bar) and the metrics registry their summed counters.
-func Figure7Traced(m *Machine, cfg *Config, pool Pool, cache *VersionCache, j *Journal, tb *TraceBuffer, mx *Metrics) ([]Fig7Entry, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.Figure7Traced(workloads.Figure7Set(), m, &c, pool, cache, j, tb, mx)
-}
-
-// NoiseReportTraced is NoiseReport with observability: one "cell" event
-// per grid cell and two "trials" events per regime.
-func NoiseReportTraced(m *Machine, cfg *Config, pool Pool, tb *TraceBuffer, mx *Metrics) (string, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.NoiseReportTraced(m, &c, pool, tb, mx)
-}
-
-// FaultReportBarsTraced is FaultReportBars with observability: the trace
-// carries the faulted tunes' event streams (the fault-free twins stay
-// untraced), the metrics registry both tunes' counters.
-func FaultReportBarsTraced(benches []*Benchmark, m *Machine, cfg *Config, plan *FaultPlan, pool Pool, j *Journal, tb *TraceBuffer, mx *Metrics) ([]FaultBar, error) {
-	c := DefaultConfig()
-	if cfg != nil {
-		c = *cfg
-	}
-	return experiments.FaultReportTraced(benches, m, &c, plan, pool, j, tb, mx)
-}
 
 // Validate sanity-checks a benchmark definition (useful when constructing
 // custom workloads against the public API).

@@ -56,7 +56,7 @@ func TestFacadePipeline(t *testing.T) {
 	// End-to-end through the public API on the cheapest benchmark.
 	b, _ := BenchmarkByName("EQUAKE")
 	m := SPARCII()
-	prof, err := ProfileBenchmark(b, m)
+	prof, err := ProfileBenchmark(b, nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,8 @@ func TestFacadePipeline(t *testing.T) {
 	if app.Chosen() != CBR {
 		t.Errorf("EQUAKE consultant chose %s, want CBR", app.Chosen())
 	}
-	res, err := TuneWithMethod(b, m, CBR, b.Train, &cfg)
+	method := CBR
+	res, err := Tune(b, m, b.Train, nil, &method, &cfg, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,11 @@ func TestPoolDeterminism(t *testing.T) {
 			t.Fatalf("benchmark %s missing", name)
 		}
 		m := PentiumIV()
-		serial, err := TuneBenchmarkOn(b, m, nil, NewPool(1))
+		serial, err := Tune(b, m, nil, nil, nil, nil, Env{Pool: NewPool(1)})
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", name, err)
 		}
-		parallel, err := TuneBenchmarkOn(b, m, nil, NewPool(8))
+		parallel, err := Tune(b, m, nil, nil, nil, nil, Env{Pool: NewPool(8)})
 		if err != nil {
 			t.Fatalf("%s workers=8: %v", name, err)
 		}
