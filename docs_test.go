@@ -335,7 +335,9 @@ func TestWarmStartDocsCrossReferenced(t *testing.T) {
 			"once per key per process",
 			"`lanes`", // lane budget and lending in the /stats pool block
 			"`helpers`",
+			"`late_helpers`",
 			"TestServeLoneJobBorrowsIdleLane",
+			"TestServeLoneJobGainsLateHelper",
 		},
 		"ARCHITECTURE.md": {
 			"persistent store",

@@ -232,4 +232,26 @@ func BenchmarkMeanSamplesConvergence(b *testing.B) {
 			_ = half/m < cfg.ciRelThreshold()
 		}
 	})
+	// growing is the engine's pattern: Window/8 new samples between
+	// checks, up to MaxInvPerVersion, so every check refilters. One
+	// iteration rates one version from an empty window to the cap.
+	b.Run("growing", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(5))
+		stream := make([]float64, cfg.MaxInvPerVersion)
+		for i := range stream {
+			stream[i] = 1000 * (1 + rng.NormFloat64()*0.012)
+		}
+		every := max(cfg.Window/8, 1)
+		var ms meanSamples
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ms.resetSamples()
+			for j, x := range stream {
+				ms.add(x)
+				if (j+1)%every == 0 {
+					ms.meanConverged(&cfg)
+				}
+			}
+		}
+	})
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"peak/internal/analysis"
 	"peak/internal/regress"
@@ -39,13 +41,25 @@ type rater interface {
 }
 
 // meanSamples implements the windowed mean/variance rating shared by AVG,
-// CBR and RBR, with outlier elimination. The outlier filter is O(n log n),
-// and both rating() and the periodic convergence checks need its output, so
+// CBR, RBR and constant-only MBR, with outlier elimination. Both rating()
+// and the periodic convergence checks need the outlier filter's output, so
 // the filtered window is cached and recomputed only when new samples have
-// arrived since the last filter run (see BenchmarkMeanSamplesConvergence).
+// arrived since the last filter run. The filter itself is O(n): a sorted
+// mirror of the window, kept up to date by binary insertion, gives the
+// median directly and the MAD by a merge (stats.RejectOutliersSorted), and
+// the Student-t critical value comes from stats' table (see
+// BenchmarkMeanSamplesConvergence).
 type meanSamples struct {
 	samples []float64
 	seen    int
+
+	// sorted holds samples[:len(sorted)] in ascending order; filter
+	// inserts the samples added since. nonFinite records a NaN or ±Inf
+	// sample, which the sorted path does not handle: the filter then
+	// falls back to stats.RejectOutliers.
+	sorted    []float64
+	nonFinite bool
+	keptBuf   []float64 // backing store for fKept, reused across filter runs
 
 	fN         int // sample count the cache below was computed from
 	fKept      []float64
@@ -58,16 +72,32 @@ type meanSamples struct {
 
 func (s *meanSamples) add(x float64) { s.samples = append(s.samples, x) }
 
+// resetSamples empties the window for a new version, keeping the buffers.
+func (s *meanSamples) resetSamples() {
+	*s = meanSamples{samples: s.samples[:0], sorted: s.sorted[:0], keptBuf: s.keptBuf[:0]}
+}
+
 // filter brings the cached outlier-rejected view of the window up to date.
+// The kept samples stay in arrival order, so Mean and Variance sum in the
+// same order as over stats.RejectOutliers' result and give the same bits.
 func (s *meanSamples) filter(cfg *Config) {
 	if s.fN == len(s.samples) && s.fN > 0 {
 		return
 	}
-	s.fKept, s.fRejected, s.fAbandoned = stats.RejectOutliers(s.samples, cfg.OutlierK)
+	for _, x := range s.samples[len(s.sorted):] {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			s.nonFinite = true
+		}
+		s.sorted = slices.Insert(s.sorted, sort.SearchFloat64s(s.sorted, x), x)
+	}
+	if s.nonFinite {
+		s.fKept, s.fRejected, s.fAbandoned = stats.RejectOutliers(s.samples, cfg.OutlierK)
+	} else {
+		s.fKept, s.fRejected, s.fAbandoned = stats.RejectOutliersSorted(s.samples, s.sorted, cfg.OutlierK, s.keptBuf)
+		s.keptBuf = s.fKept
+	}
 	s.fMean = stats.Mean(s.fKept)
 	s.fVar = stats.Variance(s.fKept)
-	// The Student-t critical value behind the half-width costs far more
-	// than the filter itself, so it is part of the cached state.
 	s.fCIHalf = stats.MeanCIHalf(s.fVar, len(s.fKept), cfg.confidence())
 	s.fN = len(s.samples)
 }
@@ -130,7 +160,7 @@ func (r *avgRater) rating() Rating { return r.evalVar(r.cfg, MethodAVG) }
 // no consistency check, which is exactly why it can pick losers.
 func (r *avgRater) converged(cfg *Config) bool { return len(r.samples) >= cfg.Window }
 func (r *avgRater) used() int                  { return r.seen }
-func (r *avgRater) reset()                     { r.meanSamples = meanSamples{} }
+func (r *avgRater) reset()                     { r.resetSamples() }
 
 // --- CBR --------------------------------------------------------------------
 
@@ -162,7 +192,7 @@ func (r *cbrRater) observe(ic *invocation) (int64, error) {
 func (r *cbrRater) rating() Rating             { return r.evalVar(r.cfg, MethodCBR) }
 func (r *cbrRater) converged(cfg *Config) bool { return r.meanConverged(cfg) }
 func (r *cbrRater) used() int                  { return r.seen }
-func (r *cbrRater) reset()                     { r.meanSamples = meanSamples{} }
+func (r *cbrRater) reset()                     { r.resetSamples() }
 
 // --- MBR --------------------------------------------------------------------
 
@@ -177,8 +207,10 @@ type mbrRater struct {
 	dominant int
 	cfg      *Config
 
-	rows  [][]float64
-	times []float64
+	rows [][]float64
+	// times holds the invocation times; the constant-only path rates them
+	// as a window, reusing its filter cache across checks.
+	times meanSamples
 	seen  int
 }
 
@@ -209,7 +241,7 @@ func (r *mbrRater) observe(ic *invocation) (int64, error) {
 	}
 	r.seen++
 	r.rows = append(r.rows, r.model.CountsFor(st.Counters))
-	r.times = append(r.times, ic.clock.Measure(st.Cycles))
+	r.times.add(ic.clock.Measure(st.Cycles))
 	return st.Cycles, nil
 }
 
@@ -217,7 +249,7 @@ func (r *mbrRater) solve() (*regress.Result, bool) {
 	if len(r.rows) < len(r.model.Components)+1 {
 		return nil, false
 	}
-	res, err := regress.Solve(r.rows, r.times)
+	res, err := regress.Solve(r.rows, r.times.samples)
 	if err != nil {
 		return nil, false
 	}
@@ -235,13 +267,11 @@ func (r *mbrRater) constantOnly() bool {
 
 func (r *mbrRater) rating() Rating {
 	if r.constantOnly() {
-		ms := meanSamples{samples: r.times}
-		rt := ms.evalVar(r.cfg, MethodMBR)
-		return rt
+		return r.times.evalVar(r.cfg, MethodMBR)
 	}
 	res, ok := r.solve()
 	if !ok {
-		return Rating{Method: MethodMBR, EVAL: math.Inf(1), VAR: math.Inf(1), Samples: len(r.times)}
+		return Rating{Method: MethodMBR, EVAL: math.Inf(1), VAR: math.Inf(1), Samples: len(r.times.samples)}
 	}
 	eval := 0.0
 	if r.dominant >= 0 && r.dominant < len(res.Coef) {
@@ -253,7 +283,7 @@ func (r *mbrRater) rating() Rating {
 			}
 		}
 	}
-	return Rating{Method: MethodMBR, EVAL: eval, VAR: res.VarRatio(), Samples: len(r.times)}
+	return Rating{Method: MethodMBR, EVAL: eval, VAR: res.VarRatio(), Samples: len(r.times.samples)}
 }
 
 func (r *mbrRater) minRows(cfg *Config) int {
@@ -269,8 +299,7 @@ func (r *mbrRater) converged(cfg *Config) bool {
 		return false
 	}
 	if r.constantOnly() {
-		ms := meanSamples{samples: r.times}
-		return ms.meanConverged(cfg)
+		return r.times.meanConverged(cfg)
 	}
 	res, ok := r.solve()
 	if !ok {
@@ -280,7 +309,10 @@ func (r *mbrRater) converged(cfg *Config) bool {
 }
 
 func (r *mbrRater) used() int { return r.seen }
-func (r *mbrRater) reset()    { r.rows, r.times, r.seen = nil, nil, 0 }
+func (r *mbrRater) reset() {
+	r.rows, r.seen = nil, 0
+	r.times.resetSamples()
+}
 
 // --- RBR --------------------------------------------------------------------
 
@@ -365,7 +397,7 @@ func (r *rbrRater) rating() Rating             { return r.evalVar(r.cfg, MethodR
 func (r *rbrRater) converged(cfg *Config) bool { return r.meanConverged(cfg) }
 func (r *rbrRater) used() int                  { return r.seen }
 func (r *rbrRater) reset() {
-	r.meanSamples = meanSamples{}
+	r.resetSamples()
 	r.flip = false
 }
 

@@ -31,6 +31,7 @@ package sched
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -55,10 +56,12 @@ type Pool interface {
 	Stats() *Stats
 	// Hold claims one lane for a long-lived goroutine (a serve job slot)
 	// until the returned release function is called (exactly once). A
-	// holder's Maps start helpers only on lanes no holder occupies, and
-	// helpers running on a lane a holder reclaims give it back at their
-	// next item boundary. Holding never blocks and never changes results;
-	// on a Serial pool it is a no-op.
+	// holder's Maps run helpers only on lanes no holder occupies: at the
+	// Map's start, and later as lanes free while the Map still has
+	// unclaimed items — the release itself offers the lane to the open
+	// Maps. Helpers running on a lane a holder reclaims give it back at
+	// their next item boundary. Holding never blocks and never changes
+	// results; on a Serial pool it is a no-op.
 	Hold() (release func())
 }
 
@@ -105,10 +108,15 @@ func (s *Serial) Hold() func() { return func() {} }
 func (s *Serial) Stats() *Stats { return &s.stats }
 
 // parallel is the sharded pool: each Map hands out indices through an
-// atomic counter to the calling goroutine plus as many helper goroutines
-// as free lanes allow at that moment. Helpers are per-Map (no long-lived
-// worker state), which is what makes nesting safe: a blocked parent Map
-// cannot starve its children because the child's caller always works.
+// atomic counter to the calling goroutine plus helper goroutines on free
+// lanes. Helpers join a Map when it starts, as far as lanes are free at
+// that moment, and later whenever a lane frees while the Map's caller is
+// still taking items: a holder's release or a helper that ran out of items
+// offers its lane to the newest open Map that has unclaimed items, so
+// nested Maps finish their inner work before outer items start. Helpers
+// keep no long-lived worker state, which is what makes nesting safe: a
+// blocked parent Map cannot starve its children because the child's
+// caller always works.
 //
 // The lane budget is shared by holders (Hold) and helpers. A Map caller
 // always works on a lane of its own: a holder's, a helper's, or — for a
@@ -122,7 +130,26 @@ type parallel struct {
 	// and yielding each decide on a consistent pair with one CAS.
 	lent  atomic.Int64
 	stats Stats
+
+	// mu guards open, the Maps whose callers are still taking items, in
+	// the order they started. Handing a freed lane to an open Map, or
+	// returning it to the budget when none wants it, happens under mu, so
+	// a Map that registers concurrently either sees the lane free or is
+	// offered it.
+	mu   sync.Mutex
+	open []*batch
 }
+
+// batch is one Map call's shared state.
+type batch struct {
+	n    int
+	fn   func(int)
+	next atomic.Int64
+	wg   sync.WaitGroup // helpers working on the batch
+}
+
+// unclaimed reports how many of the batch's items no goroutine has taken.
+func (b *batch) unclaimed() int { return max(b.n-int(b.next.Load()), 0) }
 
 const heldUnit = 1 << 32
 
@@ -141,7 +168,6 @@ func (p *parallel) lend() bool {
 			return false
 		}
 		if p.lent.CompareAndSwap(st, st+1) {
-			p.stats.Helpers.Add(1)
 			return true
 		}
 	}
@@ -163,43 +189,108 @@ func (p *parallel) yield() bool {
 
 func (p *parallel) Hold() func() {
 	p.lent.Add(heldUnit)
-	return func() { p.lent.Add(-heldUnit) }
+	return func() {
+		p.lent.Add(-heldUnit)
+		p.offer()
+	}
+}
+
+// offer starts helpers on free lanes for the open Maps, newest first, at
+// most one per unclaimed item. Called when a holder releases its lane.
+func (p *parallel) offer() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := len(p.open) - 1; i >= 0; i-- {
+		b := p.open[i]
+		for k := b.unclaimed(); k > 0 && p.lend(); k-- {
+			p.join(b, true)
+			go p.help(b)
+		}
+	}
+}
+
+// join counts a helper, on a lane already lent for it, into b; late marks
+// a Map that was already running. Caller holds mu.
+func (p *parallel) join(b *batch, late bool) {
+	p.stats.Helpers.Add(1)
+	if late {
+		p.stats.LateHelpers.Add(1)
+	}
+	b.wg.Add(1)
+}
+
+// help runs items on a lent lane: first of b, then — each time the
+// current Map runs out of items — of the newest open Map that still has
+// some, until none does or a holder reclaims the lane. The lane moves on
+// or goes back before the helper leaves b, so once a Map returns none of
+// its helpers still holds a lane for it.
+func (p *parallel) help(b *batch) {
+	for b != nil {
+		var next *batch
+		if p.drain(b, true) {
+			next = p.rejoin()
+		}
+		b.wg.Done()
+		b = next
+	}
+}
+
+// rejoin carries a helper's lane to the newest open Map with unclaimed
+// items, or returns it to the budget when there is none.
+func (p *parallel) rejoin() *batch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := len(p.open) - 1; i >= 0; i-- {
+		if b := p.open[i]; b.unclaimed() > 0 {
+			p.join(b, true)
+			return b
+		}
+	}
+	p.lent.Add(-1)
+	return nil
+}
+
+// drain takes b's items until none is left (true) or, for a helper, until
+// a holder reclaims its lane (false; the lane is already handed back).
+func (p *parallel) drain(b *batch, helper bool) bool {
+	for {
+		if helper && p.yield() {
+			return false
+		}
+		i := int(b.next.Add(1)) - 1
+		if i >= b.n {
+			return true
+		}
+		p.stats.run(b.fn, i)
+	}
 }
 
 func (p *parallel) Map(n int, fn func(int)) {
 	p.stats.enqueue(int64(n))
-	if n == 0 {
+	if n <= 1 {
+		if n == 1 {
+			p.stats.run(fn, 0)
+		}
 		return
 	}
-	var next atomic.Int64
-	work := func(helper bool) {
-		for {
-			if helper && p.yield() {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				if helper {
-					p.lent.Add(-1)
-				}
-				return
-			}
-			p.stats.run(fn, i)
-		}
-	}
-
-	var wg sync.WaitGroup
-	// Spawn at most n-1 helpers, and only while lanes are free; everything
-	// else runs inline on the caller.
+	b := &batch{n: n, fn: fn}
+	p.mu.Lock()
+	p.open = append(p.open, b)
+	// At most n-1 helpers at the start, and only while lanes are free;
+	// lanes that free later join through offer and rejoin.
 	for h := 0; h < n-1 && p.lend(); h++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(true)
-		}()
+		p.join(b, false)
+		go p.help(b)
 	}
-	work(false)
-	wg.Wait()
+	p.mu.Unlock()
+	p.drain(b, false)
+	p.mu.Lock()
+	i := slices.Index(p.open, b)
+	// Delete zeroes the vacated tail slot, so the pool keeps no reference
+	// to a finished Map's closure.
+	p.open = slices.Delete(p.open, i, i+1)
+	p.mu.Unlock()
+	b.wg.Wait()
 }
 
 func (p *parallel) Workers() int  { return p.workers }

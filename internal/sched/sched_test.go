@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -424,5 +425,156 @@ func TestSerialHoldIsNoop(t *testing.T) {
 	}
 	if p.Stats().Helpers.Load() != 0 {
 		t.Error("a serial pool started helpers")
+	}
+}
+
+// TestFreedLaneJoinsOpenMap: holder A's Map starts while holder B fills
+// the other lane of a two-lane pool, so it starts no helper. B releases
+// during the Map's first item, and its lane joins the Map: item 1 runs
+// while item 0 is still running on the caller. Results come back in
+// index order.
+func TestFreedLaneJoinsOpenMap(t *testing.T) {
+	p := New(2).(*parallel)
+	releaseA := p.Hold()
+	defer releaseA()
+	releaseB := p.Hold()
+
+	const n = 16
+	out := make([]int, n)
+	joined := make(chan struct{})
+	p.Map(n, func(i int) {
+		switch i {
+		case 0:
+			if got := p.stats.Helpers.Load(); got != 0 {
+				t.Errorf("Map started %d helpers with no free lane", got)
+			}
+			releaseB()
+			select {
+			case <-joined:
+			case <-time.After(10 * time.Second):
+				t.Error("no helper joined after the lane freed")
+			}
+		case 1:
+			close(joined)
+		}
+		out[i] = i * i
+	})
+	for i, v := range out {
+		if v != i*i {
+			t.Errorf("out[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+	if got := p.stats.LateHelpers.Load(); got != 1 {
+		t.Errorf("late helpers = %d, want 1", got)
+	}
+	if got := p.stats.Helpers.Load(); got != 1 {
+		t.Errorf("helpers = %d, want 1 (late helpers count as helpers)", got)
+	}
+	waitLent(t, p, heldUnit)
+}
+
+// TestIdleHelperJoinsOpenMap: on a three-lane pool with two holders, A's
+// Map takes the one free lane for its helper, so B's Map starts with
+// none. When A's helper runs out of items it carries the lane to B's Map
+// instead of returning it: B's item 1 runs while item 0 is still running
+// on B's caller.
+func TestIdleHelperJoinsOpenMap(t *testing.T) {
+	p := New(3).(*parallel)
+	releaseA, releaseB := p.Hold(), p.Hold()
+	defer releaseA()
+	defer releaseB()
+
+	aStarted, bStarted, joined := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	wait := func(ch chan struct{}, what string) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Error(what)
+		}
+	}
+	var bDone sync.WaitGroup
+	bDone.Add(1)
+	go func() {
+		defer bDone.Done()
+		<-aStarted
+		p.Map(8, func(i int) {
+			switch i {
+			case 0:
+				close(bStarted)
+				wait(joined, "A's helper never joined B's Map")
+			case 1:
+				close(joined)
+			}
+		})
+	}()
+	// Both of A's items wait for B's Map, so the caller runs one and the
+	// helper the other.
+	var once sync.Once
+	p.Map(2, func(int) {
+		once.Do(func() { close(aStarted) })
+		wait(bStarted, "B's Map never started")
+	})
+	bDone.Wait()
+	if got := p.stats.Helpers.Load(); got != 2 {
+		t.Errorf("helpers = %d, want 2 (A's helper, then its join of B's Map)", got)
+	}
+	if got := p.stats.LateHelpers.Load(); got != 1 {
+		t.Errorf("late helpers = %d, want 1", got)
+	}
+	waitLent(t, p, 2*heldUnit)
+}
+
+// TestMapRetainsNothingAfterReturn: once Map returns, the pool holds no
+// reference to it — neither its batch in the open list's backing array
+// nor, through it, the job closure and whatever the closure captured.
+func TestMapRetainsNothingAfterReturn(t *testing.T) {
+	p := New(2).(*parallel)
+	defer runtime.KeepAlive(p) // the pool itself must stay reachable
+	release := p.Hold()
+	freed := make(chan struct{})
+	func() {
+		payload := new([1 << 16]byte)
+		runtime.SetFinalizer(payload, func(*[1 << 16]byte) { close(freed) })
+		p.Map(8, func(i int) { payload[i]++ })
+		p.Map(4, func(i int) {
+			p.Map(3, func(j int) { payload[4*i+j]++ })
+		})
+	}()
+	release()
+	waitLent(t, p, 0)
+
+	p.mu.Lock()
+	if len(p.open) != 0 {
+		t.Errorf("%d Maps still open", len(p.open))
+	}
+	for i, b := range p.open[:cap(p.open)] {
+		if b != nil {
+			t.Errorf("open list slot %d still references a finished Map", i)
+		}
+	}
+	p.mu.Unlock()
+	for try := 0; ; try++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if try == 100 {
+			t.Fatal("a finished Map's closure is still reachable from the pool")
+		}
+	}
+}
+
+// waitLent waits until every helper has handed its lane back, leaving
+// the lane word at want.
+func waitLent(t *testing.T, p *parallel, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.lent.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("lane word = %#x, want %#x", p.lent.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -26,8 +26,11 @@ type Stats struct {
 	// busyNanos accumulates wall time spent inside jobs, summed over
 	// workers — the numerator of the utilization figure.
 	busyNanos atomic.Int64
-	// Helpers counts helper goroutines Map started on free lanes.
-	Helpers atomic.Int64
+	// Helpers counts helpers that joined a Map on a free lane; LateHelpers
+	// counts those among them that joined a Map already running, on a lane
+	// freed by a holder's release or by a helper that ran out of items.
+	Helpers     atomic.Int64
+	LateHelpers atomic.Int64
 	// startNanos is the wall clock at first use (0 until then).
 	startNanos atomic.Int64
 	// endNanos latches the wall clock when the last queued job completes

@@ -60,12 +60,16 @@ type Stats struct {
 type PoolStats struct {
 	// Workers is the configured -workers value (0 resolved to GOMAXPROCS);
 	// Lanes the pool's budget, max(workers, job slots), shared by running
-	// jobs and the rating helpers they start; Helpers counts helper
-	// goroutines started on free lanes — it grows while a lone job borrows
-	// idle slots' lanes. Utilization is relative to Lanes.
+	// jobs and the rating helpers they start; Helpers counts helpers that
+	// joined a rating round on a free lane — it grows while a lone job
+	// borrows idle slots' lanes — and LateHelpers those among them that
+	// joined a round already running, on a lane freed when a neighbouring
+	// job ended or another round ran out of ratings. Utilization is
+	// relative to Lanes.
 	Workers     int     `json:"workers"`
 	Lanes       int     `json:"lanes"`
 	Helpers     int64   `json:"helpers"`
+	LateHelpers int64   `json:"late_helpers"`
 	JobsQueued  int64   `json:"jobs_queued"`
 	JobsRunning int64   `json:"jobs_running"`
 	JobsDone    int64   `json:"jobs_done"`
@@ -155,6 +159,7 @@ func (s *Server) Stats() Stats {
 		Workers:     s.opts.Workers,
 		Lanes:       s.pool.Workers(),
 		Helpers:     ps.Helpers.Load(),
+		LateHelpers: ps.LateHelpers.Load(),
 		JobsQueued:  ps.JobsQueued.Load(),
 		JobsRunning: ps.JobsRunning.Load(),
 		JobsDone:    ps.JobsDone.Load(),

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"peak/internal/opt"
 )
@@ -189,5 +190,81 @@ func TestServeLoneJobBorrowsIdleLane(t *testing.T) {
 				t.Errorf("%s: trace differs from the %s run", spec, name)
 			}
 		}
+	}
+}
+
+// TestServeLoneJobGainsLateHelper: on a -workers 1 -jobs 2 server a job's
+// rounds start without helpers while the other slot's lane is held, as it
+// is while a neighbouring job runs. When that hold ends in the middle of
+// a round, the freed lane joins the round at once instead of idling until
+// the next one (pool.late_helpers). The test holds the lane itself, the
+// way dispatch does around a job, and ends the hold in the middle of a
+// round. The job's result, report and trace are byte-identical to the
+// same job on a -jobs 1 (serial) server.
+func TestServeLoneJobGainsLateHelper(t *testing.T) {
+	req := Request{Bench: "EQUAKE", Machine: "sparc2", Method: "CBR"}
+	s := New(Options{Workers: 1, Jobs: 2})
+	neighbour := s.pool.Hold()
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+
+	res, code := post(t, ts.URL, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%s)", code, res.Error)
+	}
+	// End the hold while a round runs on the job's own goroutine alone
+	// and has ratings no goroutine has taken yet; if the job takes them
+	// first, hold again and retry.
+	ps := s.pool.Stats()
+	for ps.LateHelpers.Load() == 0 {
+		if j, ok := s.Job(res.ID); !ok || terminalState(j.State) {
+			break
+		}
+		running := ps.JobsRunning.Load()
+		if running != 1 || ps.JobsQueued.Load()-ps.JobsDone.Load()-running < 1 {
+			time.Sleep(50 * time.Microsecond)
+			continue
+		}
+		neighbour()
+		if ps.LateHelpers.Load() > 0 {
+			neighbour = func() {}
+			break
+		}
+		neighbour = s.pool.Hold()
+	}
+	neighbour()
+	lent := collect(t, ts.URL, []string{res.ID})
+	var st Stats
+	if err := json.Unmarshal(get(t, ts.URL+"/stats", http.StatusOK), &st); err != nil {
+		t.Fatalf("decode /stats: %v", err)
+	}
+	if st.Pool.LateHelpers < 1 || st.Pool.Helpers < st.Pool.LateHelpers {
+		t.Errorf("pool helpers/late_helpers = %d/%d, want at least one late helper, counted among the helpers",
+			st.Pool.Helpers, st.Pool.LateHelpers)
+	}
+
+	serial, sst := runHeld(t, Options{Workers: 1, Jobs: 1}, []Request{req})
+	if sst.Pool.Helpers != 0 || sst.Pool.LateHelpers != 0 {
+		t.Errorf("-jobs 1 pool helpers/late_helpers = %d/%d, want 0/0", sst.Pool.Helpers, sst.Pool.LateHelpers)
+	}
+	for spec, a := range lent {
+		b, ok := serial[spec]
+		if !ok {
+			t.Fatalf("spec %s missing from the -jobs 1 run", spec)
+		}
+		if !bytes.Equal(a.body, b.body) {
+			t.Errorf("%s: result JSON differs from the -jobs 1 run:\n--- late helper\n%s\n--- -jobs 1\n%s", spec, a.body, b.body)
+		}
+		if !bytes.Equal(a.report, b.report) {
+			t.Errorf("%s: report differs from the -jobs 1 run", spec)
+		}
+		if !bytes.Equal(a.trace, b.trace) {
+			t.Errorf("%s: trace differs from the -jobs 1 run", spec)
+		}
+	}
+	if len(lent) != 1 {
+		t.Fatalf("finished %d jobs, want 1", len(lent))
 	}
 }

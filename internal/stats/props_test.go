@@ -240,3 +240,43 @@ func TestMeanCIHalfEdge(t *testing.T) {
 		t.Error("interval must shrink with sample count")
 	}
 }
+
+// tCritCacheLen is the number of memoized critical values.
+func tCritCacheLen() int {
+	tCritCache.Lock()
+	defer tCritCache.Unlock()
+	return len(tCritCache.m)
+}
+
+// clearTCritCache empties the memo table, so a test can count what it adds.
+func clearTCritCache() {
+	tCritCache.Lock()
+	defer tCritCache.Unlock()
+	tCritCache.m = nil
+}
+
+// TestTCriticalCacheOnlyOnMeanCIPath: MeanCIHalf memoizes its integer
+// degrees of freedom and returns exactly what TCritical computes, while
+// WelchSignificant — whose Welch–Satterthwaite df is fractional and
+// unbounded — leaves the table alone, even when its df is integral.
+func TestTCriticalCacheOnlyOnMeanCIPath(t *testing.T) {
+	const conf = 0.95
+	clearTCritCache()
+	// Equal variances and sizes give df = 2(n-1) = 18, an integer.
+	WelchSignificant(10, 4, 10, 11, 4, 10, conf)
+	WelchSignificant(10, 4, 10, 12, 9, 7, conf)
+	if got := tCritCacheLen(); got != 0 {
+		t.Fatalf("WelchSignificant put %d entries in the t-critical cache", got)
+	}
+	for _, n := range []int{2, 19, 1200, maxCachedDF + 2} {
+		want := TCritical(float64(n-1), conf) * math.Sqrt(4/float64(n))
+		for pass := 0; pass < 2; pass++ { // compute, then hit the table
+			if got := MeanCIHalf(4, n, conf); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d pass %d: MeanCIHalf = %v, want %v", n, pass, got, want)
+			}
+		}
+	}
+	if got := tCritCacheLen(); got != 3 {
+		t.Errorf("cache has %d entries after three cacheable dfs, want 3 (df above %d is not cached)", got, maxCachedDF)
+	}
+}

@@ -139,6 +139,67 @@ func RejectOutliers(xs []float64, k float64) (kept []float64, rejected int, aban
 	return kept, rejected, false
 }
 
+// RejectOutliersSorted is RejectOutliers for a caller that keeps its
+// samples in ascending order as well: sorted must hold exactly xs's
+// values, ordered as sort.Float64s orders them, and all of them finite.
+// The median is then a lookup and the median absolute deviation a merge
+// of the deviations on either side of the median, so the filter costs
+// O(n) with no sort. The survivors are appended to buf[:0] in xs's order
+// — all of xs when the filter keeps everything (fewer than 4 samples, a
+// zero spread, or a give-up) — so kept never aliases xs and the caller
+// can pass it back as the next call's buf. Results (kept values and their
+// order, rejected, abandoned) equal RejectOutliers(xs, k) bit for bit.
+func RejectOutliersSorted(xs, sorted []float64, k float64, buf []float64) (kept []float64, rejected int, abandoned bool) {
+	n := len(sorted)
+	if n < 4 {
+		return append(buf[:0], xs...), 0, false
+	}
+	med := sorted[n/2]
+	if n%2 == 0 {
+		med = (sorted[n/2-1] + sorted[n/2]) / 2
+	}
+	// Deviations grow outward from the median on both sides, so the two
+	// runs are each ascending and merging them yields the sorted
+	// deviations; only the lower half of the merge is needed.
+	dev := func(i int) float64 { return math.Abs(sorted[i] - med) }
+	left := sort.SearchFloat64s(sorted, med) // sorted[:left] < med
+	l, r := left-1, left
+	var prev, cur float64
+	for i := 0; i <= n/2; i++ {
+		prev = cur
+		if r >= n || (l >= 0 && dev(l) <= dev(r)) {
+			cur = dev(l)
+			l--
+		} else {
+			cur = dev(r)
+			r++
+		}
+	}
+	mad := cur
+	if n%2 == 0 {
+		mad = (prev + cur) / 2
+	}
+	if mad == 0 {
+		mad = math.Abs(med) * 1e-6
+		if mad == 0 {
+			return append(buf[:0], xs...), 0, false
+		}
+	}
+	sigma := 1.4826 * mad
+	kept = buf[:0]
+	for _, x := range xs {
+		if math.Abs(x-med) <= k*sigma {
+			kept = append(kept, x)
+		} else {
+			rejected++
+		}
+	}
+	if len(kept) < 2 {
+		return append(kept[:0], xs...), 0, true
+	}
+	return kept, rejected, false
+}
+
 // RatingError computes the paper's rating-error statistics (Eqs. 8–10) for
 // a vector of sampled ratings V_i. For CBR/MBR the error is X_i = V_i/mean−1
 // (ideal = the grand mean); for RBR the error is X_i = V_i − 1 (ideal = 1,

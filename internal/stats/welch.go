@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // This file implements the confidence-interval side of the rating
 // machinery, following Touati's critique of mean-based speedup comparison
@@ -52,7 +55,54 @@ func MeanCIHalf(v float64, n int, conf float64) float64 {
 	if n < 2 {
 		return math.Inf(1)
 	}
-	return TCritical(float64(n-1), conf) * math.Sqrt(v/float64(n))
+	return tCriticalN(n-1, conf) * math.Sqrt(v/float64(n))
+}
+
+// maxCachedDF bounds the degrees of freedom tCriticalN memoizes. The
+// raters' sample windows are bounded by the engine's per-version
+// invocation cap (1200 by default), so their intervals stay below it;
+// larger windows are computed directly rather than growing the table.
+const maxCachedDF = 4096
+
+// tCritCache memoizes TCritical for MeanCIHalf's integer degrees of
+// freedom: a convergence check asks for the same few values over and
+// over, and each costs a bisection over the incomplete beta function.
+// Entries are values of a pure function, so sharing the table across
+// tunes and goroutines changes no result. Welch's fractional degrees of
+// freedom (WelchSignificant) are not cached: a table keyed by them would
+// grow without bound in a long-running server.
+var tCritCache struct {
+	sync.Mutex
+	m map[tCritKey]float64
+}
+
+type tCritKey struct {
+	df   int
+	conf float64
+}
+
+// tCriticalN is TCritical for an integer df, memoized up to maxCachedDF
+// for confidence levels strictly between 0 and 1 (a NaN level would never
+// hit the table).
+func tCriticalN(df int, conf float64) float64 {
+	if df > maxCachedDF || !(conf > 0 && conf < 1) {
+		return TCritical(float64(df), conf)
+	}
+	k := tCritKey{df, conf}
+	tCritCache.Lock()
+	t, ok := tCritCache.m[k]
+	tCritCache.Unlock()
+	if ok {
+		return t
+	}
+	t = TCritical(float64(df), conf)
+	tCritCache.Lock()
+	if tCritCache.m == nil {
+		tCritCache.m = make(map[tCritKey]float64)
+	}
+	tCritCache.m[k] = t
+	tCritCache.Unlock()
+	return t
 }
 
 // TCritical returns the two-sided Student-t critical value t* with
