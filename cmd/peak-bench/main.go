@@ -61,8 +61,8 @@ type report struct {
 	CompileFlagSets   int     `json:"compile_flag_sets"`
 
 	// Simulator fast path: TS invocations per second and ns per invocation
-	// for the -O3 version of the selected benchmark on the default (fused
-	// superblock) engine, plus the same measurement on the reference
+	// for the -O3 version of the selected benchmark on the default
+	// (micro-op, sim.EngineFused) engine, plus the same measurement on the reference
 	// interpreter and their ratio. Both engines run interleaved in one
 	// process, alternating timed windows, so external load (hypervisor
 	// steal) hits both alike; the speedup is the ratio of the best windows.
@@ -113,8 +113,9 @@ type warmStartReport struct {
 	ServeSimCycles    int64 `json:"serve_sim_cycles"`
 }
 
-// microReport is one per-opcode-class engine microbenchmark: the fused and
-// reference engines executing the same synthetic kernel, interleaved.
+// microReport is one per-opcode-class engine microbenchmark: the default
+// micro-op engine (FusedNsOp, named after sim.EngineFused) and the reference
+// engines executing the same synthetic kernel, interleaved.
 type microReport struct {
 	Class        string  `json:"class"`
 	InstrsPerInv int64   `json:"instrs_per_invocation"`
@@ -230,7 +231,7 @@ func main() {
 	// Simulator throughput: repeated invocations of the -O3 version through
 	// one runner (plans decoded once, the tuning steady state). Both engines
 	// share the runner and alternate timed windows so external load cannot
-	// favour one; the headline numbers come from each engine's fused windows,
+	// favour one; the headline numbers come from the default engine's windows,
 	// the speedup from the ratio of the best windows (least-disturbed).
 	v, err := opt.Compile(b.Prog, b.TS, opt.O3(), m)
 	if err != nil {
@@ -356,7 +357,7 @@ func engineContrast(runner *sim.Runner, v *sim.Version, args []float64, minSecon
 }
 
 // microKernel builds one synthetic per-opcode-class kernel. Each stresses a
-// different micro-op population: straight-line fusible ALU chains, cache
+// different micro-op population: straight-line ALU chains, cache
 // accesses, data-dependent branches, or call dispatch.
 func microKernel(class string) (*ir.Program, *ir.Func, []float64) {
 	prog := ir.NewProgram()
@@ -365,8 +366,8 @@ func microKernel(class string) (*ir.Program, *ir.Func, []float64) {
 	var args []float64
 	switch class {
 	case "alu_superblock":
-		// Long straight-line int+FP arithmetic, no memory: the fused
-		// engine's best case (whole loop bodies collapse into traces).
+		// Long straight-line int+FP arithmetic, no memory: pure micro-op
+		// dispatch, with no cache model or predictor in the way.
 		b.ScalarParam("n", ir.I64).Local("s", ir.F64).Local("t", ir.I64).Local("u", ir.F64)
 		fn = b.Body(
 			b.Set(b.V("s"), b.F(1)),
@@ -384,7 +385,7 @@ func microKernel(class string) (*ir.Program, *ir.Func, []float64) {
 		args = []float64{256}
 	case "memory_bound":
 		// Streaming loads and stores over arrays larger than L1: dominated
-		// by the cache model, which no trace can fuse over.
+		// by the cache model.
 		prog.AddArray("x", ir.F64, 4096)
 		prog.AddArray("y", ir.F64, 4096)
 		b.ScalarParam("n", ir.I64).Local("s", ir.F64)
@@ -397,8 +398,7 @@ func microKernel(class string) (*ir.Program, *ir.Func, []float64) {
 		)
 		args = []float64{4096}
 	case "branch_heavy":
-		// Short blocks, data-dependent branches: predictor-bound, traces
-		// stay below the fusion gate.
+		// Short blocks, data-dependent branches: predictor-bound.
 		b.ScalarParam("n", ir.I64).Local("s", ir.I64)
 		fn = b.Body(
 			b.For("i", b.I(0), b.V("n"), 1,

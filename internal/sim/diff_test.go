@@ -1,4 +1,4 @@
-// Differential tests proving the fused superblock engine (exec.go)
+// Differential tests proving the micro-op engine (exec.go)
 // bit-identical to the reference interpreter (ref.go) in every observable:
 // return value, Cycles, Instrs, Counters, BlockCounts, WriteLog, memory
 // contents, and every error path — including the exact step at which a fault
@@ -8,7 +8,8 @@
 // (real code shapes, cache and predictor evolution across invocations), and
 // randomized LIR programs built directly as CFGs (adversarial shapes the
 // compiler never emits: irreducible loops, dead registers, faulting
-// memory ops, unknown callees, step-limit runaways).
+// memory ops, unknown callees, step-limit runaways). FuzzEngineDifferential
+// drives the random-program battery from the fuzzer.
 package sim_test
 
 import (
@@ -175,9 +176,9 @@ var (
 )
 
 // binaryOps is the opcode pool for random three-address instructions,
-// weighted toward the fusible ALU set so superblock traces actually form;
-// LDiv/LMod appear but rarely, so most programs survive past their first
-// faultable op.
+// weighted toward the pure-ALU kinds so straight-line runs of dependent
+// arithmetic are common; LDiv/LMod appear but rarely, so most programs
+// survive past their first faultable op.
 var binaryOps = []ir.Opcode{
 	ir.LAdd, ir.LAdd, ir.LSub, ir.LSub, ir.LMul, ir.LMul,
 	ir.LFAdd, ir.LFAdd, ir.LFSub, ir.LFMul, ir.LFMul, ir.LFDiv,
@@ -261,7 +262,7 @@ func randomLFunc(rng *rand.Rand, name string) *ir.LFunc {
 			for k := 0; k < nregs/2; k++ {
 				blk.Instrs = append(blk.Instrs, ir.Instr{
 					Op: ir.LMovI, Dst: ir.Reg(rng.Intn(nregs)),
-					A:  ir.NoReg, B: ir.NoReg, Src: ir.NoReg,
+					A: ir.NoReg, B: ir.NoReg, Src: ir.NoReg,
 					Imm: int64(rng.Intn(15) + 1)})
 			}
 		}
@@ -322,7 +323,7 @@ func randomVersion(rng *rand.Rand, lf *ir.LFunc, m *machine.Machine, leaf *sim.V
 }
 
 // compileLeaf builds the fixed user-callee random programs may call.
-func compileLeaf(t *testing.T, prog *ir.Program, m *machine.Machine) *sim.Version {
+func compileLeaf(t testing.TB, prog *ir.Program, m *machine.Machine) *sim.Version {
 	t.Helper()
 	b := irbuild.NewFunc("leaf")
 	b.ScalarParam("u", ir.F64).ScalarParam("w", ir.F64)
@@ -341,6 +342,81 @@ func compileLeaf(t *testing.T, prog *ir.Program, m *machine.Machine) *sim.Versio
 	}
 }
 
+// randomEnv is the fixed world random programs run in: two arrays and,
+// per machine, the compiled leaf callee.
+type randomEnv struct {
+	prog     *ir.Program
+	machines []*machine.Machine
+	leaves   []*sim.Version
+}
+
+func newRandomEnv(t testing.TB) *randomEnv {
+	prog := ir.NewProgram()
+	prog.AddArray("a", ir.F64, 19)
+	prog.AddArray("b", ir.F64, 8)
+	machines := []*machine.Machine{machine.SPARCII(), machine.PentiumIV()}
+	return &randomEnv{
+		prog:     prog,
+		machines: machines,
+		leaves: []*sim.Version{
+			compileLeaf(t, prog, machines[0]),
+			compileLeaf(t, prog, machines[1]),
+		},
+	}
+}
+
+// programRand returns the random source that generates random program number seed.
+func programRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed*7919 + 3)) }
+
+// diffRandomProgram generates random program seed for machine mi, runs it on
+// both engines for up to two invocations (stopping after the first error),
+// and compares every observation. It returns the last micro-op engine
+// observation and whether all of them matched the reference.
+func (e *randomEnv) diffRandomProgram(t *testing.T, seed int64, mi int) (observation, bool) {
+	t.Helper()
+	rng := programRand(seed)
+	m := e.machines[mi]
+	lf := randomLFunc(rng, fmt.Sprintf("rand%d", seed))
+	v := randomVersion(rng, lf, m, e.leaves[mi], lf.Name)
+
+	memF, memR := sim.NewMemory(e.prog), sim.NewMemory(e.prog)
+	for _, name := range []string{"a", "b"} {
+		dst, src := memF.Get(name).Data, memR.Get(name).Data
+		for i := range dst {
+			dst[i] = rng.NormFloat64() * 4
+			src[i] = dst[i]
+		}
+	}
+	rF := sim.NewRunner(m, memF, 7)
+	rR := sim.NewRunner(m, memR, 7)
+	rR.Engine = sim.EngineRef
+	rF.MaxSteps, rR.MaxSteps = 2000, 2000
+	rF.CollectBlockCounts, rR.CollectBlockCounts = true, true
+	rF.RecordWrites, rR.RecordWrites = true, true
+
+	var oF observation
+	for inv := 0; inv < 2; inv++ {
+		args := make([]float64, len(lf.ParamRegs))
+		for i := range args {
+			args[i] = rng.NormFloat64() * 10
+		}
+		if rng.Intn(8) == 0 {
+			args = args[:0] // fewer args than params: params stay zero
+		}
+		oF = observe(rF, memF, v, args)
+		oR := observe(rR, memR, v, args)
+		ok := compareObs(t, fmt.Sprintf("seed %d inv %d (%s)", seed, inv, m.Name),
+			oF, oR, lf.String)
+		if !ok {
+			return oF, false
+		}
+		if oF.ErrText != "" {
+			break
+		}
+	}
+	return oF, true
+}
+
 // TestDifferentialRandomLIR feeds both engines 1200 randomized LIR programs
 // (two invocations each, so predictor and cache state carries over) under a
 // tight step limit, asserting bit-identical observations — including faults
@@ -351,58 +427,17 @@ func TestDifferentialRandomLIR(t *testing.T) {
 		numProgs = 150
 	}
 
-	prog := ir.NewProgram()
-	prog.AddArray("a", ir.F64, 19)
-	prog.AddArray("b", ir.F64, 8)
-	machines := []*machine.Machine{machine.SPARCII(), machine.PentiumIV()}
-	leaves := []*sim.Version{
-		compileLeaf(t, prog, machines[0]),
-		compileLeaf(t, prog, machines[1]),
-	}
-
+	env := newRandomEnv(t)
 	errored, limited := 0, 0
 	for seed := 0; seed < numProgs; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)*7919 + 3))
-		m := machines[seed%len(machines)]
-		lf := randomLFunc(rng, fmt.Sprintf("rand%d", seed))
-		v := randomVersion(rng, lf, m, leaves[seed%len(machines)], lf.Name)
-
-		memF, memR := sim.NewMemory(prog), sim.NewMemory(prog)
-		for _, name := range []string{"a", "b"} {
-			dst, src := memF.Get(name).Data, memR.Get(name).Data
-			for i := range dst {
-				dst[i] = rng.NormFloat64() * 4
-				src[i] = dst[i]
-			}
+		oF, ok := env.diffRandomProgram(t, int64(seed), seed%len(env.machines))
+		if !ok {
+			return
 		}
-		rF := sim.NewRunner(m, memF, 7)
-		rR := sim.NewRunner(m, memR, 7)
-		rR.Engine = sim.EngineRef
-		rF.MaxSteps, rR.MaxSteps = 2000, 2000
-		rF.CollectBlockCounts, rR.CollectBlockCounts = true, true
-		rF.RecordWrites, rR.RecordWrites = true, true
-
-		for inv := 0; inv < 2; inv++ {
-			args := make([]float64, len(lf.ParamRegs))
-			for i := range args {
-				args[i] = rng.NormFloat64() * 10
-			}
-			if rng.Intn(8) == 0 {
-				args = args[:0] // fewer args than params: params stay zero
-			}
-			oF := observe(rF, memF, v, args)
-			oR := observe(rR, memR, v, args)
-			ok := compareObs(t, fmt.Sprintf("seed %d inv %d (%s)", seed, inv, m.Name),
-				oF, oR, lf.String)
-			if !ok {
-				return
-			}
-			if oF.ErrText != "" {
-				errored++
-				if oF.Instrs > 0 && oF.Instrs >= 2000 {
-					limited++
-				}
-				break
+		if oF.ErrText != "" {
+			errored++
+			if oF.Instrs > 0 && oF.Instrs >= 2000 {
+				limited++
 			}
 		}
 	}
@@ -415,4 +450,66 @@ func TestDifferentialRandomLIR(t *testing.T) {
 		t.Error("no random program hit ErrStepLimit; generator too tame")
 	}
 	t.Logf("random programs: %d total, %d errored (%d at the step limit)", numProgs, errored, limited)
+}
+
+// FuzzEngineDifferential is TestDifferentialRandomLIR driven by the fuzzer:
+// any (seed, machine) pair names one random program, which must observe
+// exactly the same execution on both engines. Seed n with machine n%2 is
+// the battery's program n. The committed corpus (testdata/fuzz) pins
+// programs that reach each fault path and the step limit, most of them
+// with an operand still in flight, so an engine that reports the wrong
+// cycle or step at a fault fails it.
+func FuzzEngineDifferential(f *testing.F) {
+	env := newRandomEnv(f)
+	f.Add(int64(0), byte(0))
+	f.Fuzz(func(t *testing.T, seed int64, machine byte) {
+		if stepFreeCycle(randomLFunc(programRand(seed), "")) {
+			t.Skip("loop of instruction-free blocks: no engine ever reaches the step limit")
+		}
+		env.diffRandomProgram(t, seed, int(machine)%len(env.machines))
+	})
+}
+
+// stepFreeCycle reports whether lf has a loop of blocks holding no
+// instruction but counter bumps and nops. Neither engine counts those or
+// terminators as steps, so such a loop never reaches Runner.MaxSteps and
+// the reference itself runs it forever.
+func stepFreeCycle(lf *ir.LFunc) bool {
+	free := make([]bool, len(lf.Blocks))
+	for i, b := range lf.Blocks {
+		free[i] = true
+		for _, in := range b.Instrs {
+			if in.Op != ir.LCount && in.Op != ir.LNop {
+				free[i] = false
+				break
+			}
+		}
+	}
+	// Depth-first search over the step-free blocks for a back edge.
+	const onStack, done = 1, 2
+	state := make([]uint8, len(lf.Blocks))
+	var visit func(int) bool
+	visit = func(i int) bool {
+		state[i] = onStack
+		var succ []int
+		switch t := lf.Blocks[i].Term; t.Kind {
+		case ir.TermJump:
+			succ = []int{t.Then}
+		case ir.TermBranch:
+			succ = []int{t.Then, t.Else}
+		}
+		for _, s := range succ {
+			if free[s] && (state[s] == onStack || state[s] == 0 && visit(s)) {
+				return true
+			}
+		}
+		state[i] = done
+		return false
+	}
+	for i := range lf.Blocks {
+		if free[i] && state[i] == 0 && visit(i) {
+			return true
+		}
+	}
+	return false
 }

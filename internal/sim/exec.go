@@ -8,8 +8,8 @@ import (
 	"peak/internal/ir"
 )
 
-// This file is the fused superblock execution engine, the Runner's default.
-// It executes the compact pre-decoded micro-op tables built by plan.go:
+// This file is the micro-op execution engine, the Runner's default. It
+// executes the compact pre-decoded micro-op tables built by plan.go:
 //
 //   - Every LIR instruction is decoded to one fixed-shape micro-op (uop):
 //     operand-shape branching (use lists, def presence, immediate kinds,
@@ -19,22 +19,11 @@ import (
 //     read-dummy register whose ready time is always zero; absent
 //     destinations point at a write-dummy register nothing reads.
 //
-//   - Straight-line runs of statically-scheduled micro-ops (ALU ops,
-//     stores, integer div/mod, counter bumps — everything but loads and
-//     calls, whose latency is dynamic) are fused into superblock traces.
-//     Their issue/ready dataflow is resolved once, at decode time: the
-//     schedule is built from max and + alone, so it is (max,+)-linear in
-//     the entry cycle and the live-in ready times, and its only observable
-//     outputs — the final cycle and the live-out ready times — are each a
-//     max of "input + precomputed longest-path weight" terms evaluated at
-//     trace entry. The replay loop then computes values only. Faults inside
-//     a trace (store bounds, div by zero) re-derive the exact reference
-//     step and cycle on a cold path, preserving bit-identical behaviour.
-//
-//   - Step/instruction accounting is hoisted out of the inner loop: blocks
-//     pre-check the step limit and count steps in bulk, switching to a
-//     per-op checked mode only within striking distance of Runner.MaxSteps
-//     so ErrStepLimit still fires at the exact same step as the reference.
+//   - The step-limit decision is hoisted out of the inner loop: a block
+//     whose steps all fit under Runner.MaxSteps runs its per-op step
+//     checks against an unreachable limit, and only a block within
+//     striking distance checks against MaxSteps itself, so ErrStepLimit
+//     still fires at the exact same step as the reference.
 //
 // The reference interpreter (ref.go) defines the semantics; this engine is
 // bit-identical to it in every observable output, enforced by the
@@ -46,8 +35,7 @@ import (
 type ukind uint8
 
 const (
-	// Pure-ALU kinds (traceable: no faults, fully static latency). Keep
-	// uConst..uSelect contiguous — traceable() tests the range.
+	// Pure-ALU kinds: no faults, fully static latency.
 	uConst ukind = iota // dst = consts[aux] (LMovI pre-converted to float64, LMovF)
 	uMov                // dst = a
 	uAdd                // LAdd, LFAdd
@@ -70,7 +58,7 @@ const (
 	uSelect // dst = a != 0 ? b : c
 
 	// Faulting / dynamic-latency kinds.
-	uDiv  // LDiv (divide-by-zero fault splits traces)
+	uDiv  // LDiv (faults on divide by zero)
 	uMod  // LMod
 	uLoad // aux indexes vplan.mems
 	uStore
@@ -78,13 +66,9 @@ const (
 	uCallUser
 	uCallBad // unresolved callee: runtime error on execution
 
-	// Pseudo-ops: no step accounting, no issue machinery.
+	// Pseudo-op: no step accounting, no issue machinery.
 	uCount // counter bump
-	uTrace // fused-trace head
 )
-
-// traceable reports whether k may be fused into a superblock trace.
-func traceable(k ukind) bool { return k <= uSelect }
 
 // uop is one decoded micro-op. Fixed 3-slot operand shape: unused operand
 // slots alias the plan's read-dummy register (ready pinned at 0), absent
@@ -96,8 +80,8 @@ type uop struct {
 	c   int32
 
 	// aux indexes the plan's side tables by kind: consts for uConst,
-	// mems for uLoad/uStore, calls for the call kinds, traces for uTrace,
-	// and the counter index for uCount (-1: out of range, drop).
+	// mems for uLoad/uStore, calls for the call kinds, and the counter
+	// index for uCount (-1: out of range, drop).
 	aux int32
 
 	// readyCost = static issue cost + result latency; cycleCost = static
@@ -126,49 +110,11 @@ type callInfo struct {
 	fn     string
 }
 
-// traceInfo is one fused superblock trace: tr.n micro-ops following the
-// uTrace head whose schedule was resolved at decode time.
-//
-// The schedule is (max,+)-linear in its inputs — the entry cycle C and the
-// live-in ready times — so every observable it produces is a max of
-// "input + precomputed longest-path weight" terms. Only two kinds of
-// observables exist: the trace's final cycle, and the post-trace ready
-// times of the registers whose ready anything later actually reads (the
-// outs; the liveness pass in buildFused filters dead ones). Both are
-// resolved at entry, before replay: the replay loop itself computes values
-// only and carries no issue/ready machinery at all.
-type traceInfo struct {
-	n     int32 // micro-op count (the replay span)
-	stepN int32 // dynamic instruction count (counter bumps excluded)
-	// liveIn lists the registers read before definition inside the trace.
-	// A live-in whose ready is ≤ C at entry cannot gate anything (the cycle
-	// chain threads C through every op), so only live-ins pending at entry
-	// contribute max-terms: their absolute ready plus the weights below.
-	liveIn []int32
-	// wCycle[q] is the longest dependence path from live-in q to the final
-	// cycle; noPath marks absent paths.
-	wCycle []int16
-	// cycleDelta is the final-cycle offset from C with no pending live-ins.
-	cycleDelta int64
-	// The outs: for each live-out definition o, outDst[o] is its register,
-	// outW0[o] its static ready offset from C, and outW[o*len(liveIn)+q]
-	// the longest dependence path from live-in q to its ready (noPath if
-	// none; row-major). All five slices are sub-slices of plan-wide flat
-	// arrays (see compactTraces) so one entry touches contiguous memory.
-	outDst []int32
-	outW0  []int16
-	outW   []int16
-}
-
-// noPath marks a (live-in, op) pair with no dependence path in a trace's
-// weight tables.
-const noPath = int16(-1) << 15
-
-// fBlock is one basic block in fused form.
+// fBlock is one basic block in micro-op form.
 type fBlock struct {
 	uops []uop
-	// steps is the block's dynamic-instruction count (uCount and uTrace
-	// pseudo-ops excluded), used for bulk step accounting.
+	// steps is the block's dynamic-instruction count (uCount pseudo-ops
+	// excluded), used to decide whether its per-op step checks can trip.
 	steps  int64
 	origin int
 
@@ -180,47 +126,7 @@ type fBlock struct {
 	val      int32 // return register (-1 when absent)
 }
 
-// traceFaultAt recomputes the exact reference accounting for a fault at
-// uops[j] inside the trace headed at uops[head]: the number of dynamic
-// instructions from the trace start through the faulting op inclusive, and
-// the absolute cycle at the fault, re-derived by symbolic replay from the
-// entry cycle and the pending live-in readies (the reference reports the
-// cycle before the faulting op advances it). Cold path: faults inside
-// traces are exceptional, so clarity beats speed here.
-func traceFaultAt(uops []uop, head, j int, base int64, pendReg []int32, pendReady []int64) (int64, int64) {
-	rel := make(map[int32]int64)
-	for q, reg := range pendReg {
-		rel[reg] = pendReady[q] - base
-	}
-	var c, n int64
-	for k := head + 1; k <= j; k++ {
-		v := &uops[k]
-		if v.kind == uCount {
-			continue
-		}
-		n++
-		if k == j {
-			break
-		}
-		issue := c
-		if t := rel[v.a]; t > issue {
-			issue = t
-		}
-		if t := rel[v.b]; t > issue {
-			issue = t
-		}
-		if t := rel[v.c]; t > issue {
-			issue = t
-		}
-		if v.kind != uStore {
-			rel[v.dst] = issue + int64(v.readyCost)
-		}
-		c = issue + int64(v.cycleCost)
-	}
-	return n, base + c
-}
-
-// execFused executes plan p on the fused engine. It mirrors execRef's
+// execFused executes plan p on the micro-op engine. It mirrors execRef's
 // observable behaviour exactly; see the file comment for the contract.
 func (ex *execState) execFused(p *vplan, args []float64, depth int) (float64, int64, error) {
 	if depth > maxCallDepth {
@@ -296,161 +202,6 @@ func (ex *execState) execFused(p *vplan, args []float64, depth int) (float64, in
 					counters[u.aux]++
 				}
 				i++
-				continue
-			case uTrace:
-				// Guarded entry to a fused superblock trace.
-				tr := &p.traces[u.aux]
-				if blockLimit != math.MaxInt64 {
-					// Near the step limit: per-op checked path instead.
-					i++
-					continue
-				}
-				// Resolve the whole schedule at entry. Scan the live-ins
-				// for any still in flight; each pending one contributes
-				// its delay as max-terms over the precomputed path weights
-				// ((max,+)-linearity, see buildTraces). The only schedule
-				// outputs anything can observe — the final cycle and the
-				// live-out ready times — are written here, so the replay
-				// loop below computes values only.
-				base := cycle
-				np := 0
-				for idx, li := range tr.liveIn {
-					if t := rf[int(li)&mask].ready; t > base {
-						ex.pIdx[np] = int32(idx)
-						ex.pReg[np] = li
-						ex.pReady[np] = t
-						np++
-					}
-				}
-				fin := base + tr.cycleDelta
-				if np == 0 {
-					for o, dst := range tr.outDst {
-						rf[int(dst)&mask].ready = base + int64(tr.outW0[o])
-					}
-				} else {
-					nli := len(tr.liveIn)
-					for o, dst := range tr.outDst {
-						rdy := base + int64(tr.outW0[o])
-						row := tr.outW[o*nli:]
-						for q := 0; q < np; q++ {
-							if w := row[ex.pIdx[q]]; w != noPath {
-								if c := ex.pReady[q] + int64(w); c > rdy {
-									rdy = c
-								}
-							}
-						}
-						rf[int(dst)&mask].ready = rdy
-					}
-					for q := 0; q < np; q++ {
-						if w := tr.wCycle[ex.pIdx[q]]; w != noPath {
-							if c := ex.pReady[q] + int64(w); c > fin {
-								fin = c
-							}
-						}
-					}
-				}
-				end := i + 1 + int(tr.n)
-				for j := i + 1; j < end; j++ {
-					v := &uops[j]
-					var val float64
-					switch v.kind {
-					case uCount:
-						if v.aux >= 0 {
-							counters[v.aux]++
-						}
-						continue
-					case uStore:
-						mi := &mems[int(v.aux)&memMask]
-						arr := mi.arr
-						if arr == nil {
-							n, c := traceFaultAt(uops, i, j, base, ex.pReg[:np], ex.pReady[:np])
-							ex.steps = steps + n
-							return 0, c, fmt.Errorf("%w: unknown array %q", ErrRuntime, mi.name)
-						}
-						i64 := int64(rf[int(v.a)&mask].val)
-						if uint64(i64) >= uint64(len(arr.Data)) {
-							n, c := traceFaultAt(uops, i, j, base, ex.pReg[:np], ex.pReady[:np])
-							ex.steps = steps + n
-							return 0, c, fmt.Errorf("%w: %s[%d] out of range [0,%d) in %s",
-								ErrRuntime, mi.name, i64, len(arr.Data), p.name)
-						}
-						if recordWrites {
-							r.WriteLog = append(r.WriteLog, WriteRec{Arr: mi.name, Idx: i64, Old: arr.Data[i64]})
-						}
-						arr.Data[i64] = rf[int(v.c)&mask].val
-						addr := arr.Base + uint64(i64)*8
-						if hier.AccessLine(mi.hint, addr) < 0 {
-							_, mi.hint = hier.AccessMiss(addr)
-						}
-						continue
-					case uDiv:
-						d := int64(rf[int(v.b)&mask].val)
-						if d == 0 {
-							n, c := traceFaultAt(uops, i, j, base, ex.pReg[:np], ex.pReady[:np])
-							ex.steps = steps + n
-							return 0, c, fmt.Errorf("%w: integer division by zero in %s", ErrRuntime, p.name)
-						}
-						val = float64(int64(rf[int(v.a)&mask].val) / d)
-					case uMod:
-						d := int64(rf[int(v.b)&mask].val)
-						if d == 0 {
-							n, c := traceFaultAt(uops, i, j, base, ex.pReg[:np], ex.pReady[:np])
-							ex.steps = steps + n
-							return 0, c, fmt.Errorf("%w: integer modulo by zero in %s", ErrRuntime, p.name)
-						}
-						val = float64(int64(rf[int(v.a)&mask].val) % d)
-					case uConst:
-						val = consts[int(v.aux)&constMask]
-					case uMov:
-						val = rf[int(v.a)&mask].val
-					case uAdd:
-						val = rf[int(v.a)&mask].val + rf[int(v.b)&mask].val
-					case uSub:
-						val = rf[int(v.a)&mask].val - rf[int(v.b)&mask].val
-					case uMul:
-						val = rf[int(v.a)&mask].val * rf[int(v.b)&mask].val
-					case uFDiv:
-						val = rf[int(v.a)&mask].val / rf[int(v.b)&mask].val
-					case uAnd:
-						val = float64(int64(rf[int(v.a)&mask].val) & int64(rf[int(v.b)&mask].val))
-					case uOr:
-						val = float64(int64(rf[int(v.a)&mask].val) | int64(rf[int(v.b)&mask].val))
-					case uXor:
-						val = float64(int64(rf[int(v.a)&mask].val) ^ int64(rf[int(v.b)&mask].val))
-					case uShl:
-						val = float64(int64(rf[int(v.a)&mask].val) << (uint64(int64(rf[int(v.b)&mask].val)) & 63))
-					case uShr:
-						val = float64(int64(rf[int(v.a)&mask].val) >> (uint64(int64(rf[int(v.b)&mask].val)) & 63))
-					case uNeg:
-						val = -rf[int(v.a)&mask].val
-					case uNot:
-						if rf[int(v.a)&mask].val == 0 {
-							val = 1
-						}
-					case uCmpEq:
-						val = b2f(rf[int(v.a)&mask].val == rf[int(v.b)&mask].val)
-					case uCmpNe:
-						val = b2f(rf[int(v.a)&mask].val != rf[int(v.b)&mask].val)
-					case uCmpLt:
-						val = b2f(rf[int(v.a)&mask].val < rf[int(v.b)&mask].val)
-					case uCmpLe:
-						val = b2f(rf[int(v.a)&mask].val <= rf[int(v.b)&mask].val)
-					case uCmpGt:
-						val = b2f(rf[int(v.a)&mask].val > rf[int(v.b)&mask].val)
-					case uCmpGe:
-						val = b2f(rf[int(v.a)&mask].val >= rf[int(v.b)&mask].val)
-					case uSelect:
-						if rf[int(v.a)&mask].val != 0 {
-							val = rf[int(v.b)&mask].val
-						} else {
-							val = rf[int(v.c)&mask].val
-						}
-					}
-					rf[int(v.dst)&mask].val = val
-				}
-				steps += int64(tr.stepN)
-				cycle = fin
-				i = end
 				continue
 			case uConst:
 				if steps++; steps > blockLimit {

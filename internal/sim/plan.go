@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"peak/internal/cache"
 	"peak/internal/ir"
 )
@@ -81,20 +79,19 @@ type dBlock struct {
 
 // vplan is the decoded form of one Version for one Runner. It carries two
 // parallel decodings: the dInstr tables the reference engine walks, and the
-// fused micro-op tables (fblocks/mems/calls/traces) the default superblock
-// engine executes (exec.go).
+// micro-op tables (fblocks/mems/calls) the default engine executes
+// (exec.go).
 type vplan struct {
 	v      *Version
 	name   string
 	blocks []dBlock
 
-	// Fused-engine tables (built by buildFused from the dInstr decode).
+	// Micro-op engine tables (built by buildFused from the dInstr decode).
 	fblocks []fBlock
 	consts  []float64
 	mems    []memInfo
 	calls   []callInfo
-	traces  []traceInfo
-	// nregs is the fused register-file size: LF.NumRegs plus the read- and
+	// nregs is the micro-op register-file size: LF.NumRegs plus the read- and
 	// write-dummy registers backing absent operand slots.
 	nregs int
 
@@ -248,10 +245,10 @@ func (r *Runner) decode(v *Version) *vplan {
 	return p
 }
 
-// buildFused lowers the dInstr decode into the fused engine's micro-op
-// tables: fixed-shape uops (absent operands aliased to the read dummy,
-// absent destinations to the write dummy), pre-resolved memory and call
-// bindings, folded costs, and fused superblock traces over pure-ALU runs.
+// buildFused lowers the dInstr decode into the micro-op engine's tables:
+// fixed-shape uops (absent operands aliased to the read dummy, absent
+// destinations to the write dummy), pre-resolved memory and call bindings,
+// folded costs, and each block's step count for the step-limit check.
 func (p *vplan) buildFused() {
 	lf := p.v.LF
 	readDummy := int32(lf.NumRegs)
@@ -391,33 +388,12 @@ func (p *vplan) buildFused() {
 				}
 			}
 			uops = append(uops, u)
-		}
-		fb.uops = uops
-	}
-
-	// Ready-liveness: a register's ready time is observable only where the
-	// engine actually reads it — operand gating in the generic loop, call
-	// argument gating, and branch-condition gating. The flow-sensitive
-	// backward dataflow over the raw micro-ops tells buildTraces exactly
-	// which definitions are live past each fused run, so a trace carries
-	// only the outs something later can observe. Scratch register state is
-	// invisible to the reference contract, so this cannot change any
-	// observable.
-	liveOut := p.readyLiveness()
-	for bi := range p.fblocks {
-		fb := &p.fblocks[bi]
-		liveEnd := append(regSet(nil), liveOut[bi]...)
-		if fb.termKind == ir.TermBranch {
-			liveEnd.set(fb.cond)
-		}
-		fb.uops = p.buildTraces(fb.uops, readDummy, liveEnd)
-		for i := range fb.uops {
-			if k := fb.uops[i].kind; k != uCount && k != uTrace {
+			if u.kind != uCount {
 				fb.steps++
 			}
 		}
+		fb.uops = uops
 	}
-	p.compactTraces()
 
 	// Pad mems and consts to power-of-two lengths so the interpreter can
 	// index them as table[aux&(len(table)-1)] with the bounds check elided;
@@ -437,413 +413,6 @@ func (p *vplan) buildFused() {
 	for len(p.consts) < constLen {
 		p.consts = append(p.consts, 0)
 	}
-}
-
-// regSet is a register bitset for the ready-liveness dataflow.
-type regSet []uint64
-
-func newRegSet(n int) regSet { return make(regSet, (n+63)/64) }
-
-func (s regSet) has(r int32) bool { return s[r>>6]&(1<<(uint32(r)&63)) != 0 }
-func (s regSet) set(r int32)      { s[r>>6] |= 1 << (uint32(r) & 63) }
-func (s regSet) clear(r int32)    { s[r>>6] &^= 1 << (uint32(r) & 63) }
-
-// uopDefsReady reports whether executing a micro-op of kind k on the generic
-// path writes its destination's ready time (i.e. kills the prior one).
-// Stores and counters define nothing, uTrace is a pseudo-op, and uCallBad
-// errors out before writing.
-func uopDefsReady(k ukind) bool {
-	switch k {
-	case uStore, uCount, uTrace, uCallBad:
-		return false
-	}
-	return true
-}
-
-// uopReadyUses calls f for every register whose ready time gates the issue
-// of micro-op u on the generic path. Dummy operand slots alias the
-// read-dummy register, whose ready is pinned at zero — including it is
-// harmless (it is never defined, so it never becomes an out).
-func (p *vplan) uopReadyUses(u *uop, f func(int32)) {
-	switch u.kind {
-	case uConst, uCount, uTrace, uCallBad:
-	case uCallIntr, uCallUser:
-		for _, ar := range p.calls[u.aux].args {
-			f(ar)
-		}
-	default:
-		f(u.a)
-		f(u.b)
-		f(u.c)
-	}
-}
-
-// readyLiveness runs a backward may-liveness dataflow over the raw micro-op
-// CFG for ready times: a register is ready-live at a point if some path from
-// there reads its ready (operand gating, call-argument gating, or
-// branch-condition gating) before redefining it. buildTraces uses the result
-// to keep only the trace outs something can actually observe.
-func (p *vplan) readyLiveness() []regSet {
-	n := len(p.fblocks)
-	use := make([]regSet, n)
-	kill := make([]regSet, n)
-	liveIn := make([]regSet, n)
-	liveOut := make([]regSet, n)
-	for bi := range p.fblocks {
-		fb := &p.fblocks[bi]
-		u := newRegSet(p.nregs)
-		k := newRegSet(p.nregs)
-		addUse := func(r int32) {
-			if !k.has(r) {
-				u.set(r)
-			}
-		}
-		for i := range fb.uops {
-			op := &fb.uops[i]
-			p.uopReadyUses(op, addUse)
-			if uopDefsReady(op.kind) {
-				k.set(op.dst)
-			}
-		}
-		if fb.termKind == ir.TermBranch {
-			addUse(fb.cond)
-		}
-		use[bi], kill[bi] = u, k
-		liveIn[bi] = newRegSet(p.nregs)
-		liveOut[bi] = newRegSet(p.nregs)
-	}
-	for changed := true; changed; {
-		changed = false
-		for bi := n - 1; bi >= 0; bi-- {
-			fb := &p.fblocks[bi]
-			lo := liveOut[bi]
-			switch fb.termKind {
-			case ir.TermJump:
-				for w, v := range liveIn[fb.thenIdx] {
-					lo[w] |= v
-				}
-			case ir.TermBranch:
-				for w, v := range liveIn[fb.thenIdx] {
-					lo[w] |= v
-				}
-				for w, v := range liveIn[fb.elseIdx] {
-					lo[w] |= v
-				}
-			}
-			li := liveIn[bi]
-			for w := range li {
-				nv := use[bi][w] | (lo[w] &^ kill[bi][w])
-				if nv != li[w] {
-					li[w] = nv
-					changed = true
-				}
-			}
-		}
-	}
-	return liveOut
-}
-
-// compactTraces re-packs every trace's metadata slices into two plan-wide
-// flat arrays (one int32, one int16) and re-points the traces at sub-slices,
-// so the entry path walks a handful of contiguous cache lines instead of the
-// scattered per-trace allocations decode produced.
-func (p *vplan) compactTraces() {
-	var n32, n16 int
-	for ti := range p.traces {
-		tr := &p.traces[ti]
-		n32 += len(tr.liveIn) + len(tr.outDst)
-		n16 += len(tr.wCycle) + len(tr.outW0) + len(tr.outW)
-	}
-	flat32 := make([]int32, 0, n32)
-	flat16 := make([]int16, 0, n16)
-	sub32 := func(s []int32) []int32 {
-		at := len(flat32)
-		flat32 = append(flat32, s...)
-		return flat32[at:len(flat32):len(flat32)]
-	}
-	sub16 := func(s []int16) []int16 {
-		at := len(flat16)
-		flat16 = append(flat16, s...)
-		return flat16[at:len(flat16):len(flat16)]
-	}
-	for ti := range p.traces {
-		tr := &p.traces[ti]
-		tr.liveIn = sub32(tr.liveIn)
-		tr.outDst = sub32(tr.outDst)
-		tr.wCycle = sub16(tr.wCycle)
-		tr.outW0 = sub16(tr.outW0)
-		tr.outW = sub16(tr.outW)
-	}
-}
-
-// Trace fusion bounds. A trace's entry cost is proportional to its
-// interface — the live-in scan plus the out-ready writes — while its payoff
-// is proportional to its body (per-op work the values-only replay avoids),
-// so fusion is gated on the interface/body economics: a run is fused only
-// when traceGainPerOp per dynamic instruction covers the fixed entry
-// overhead plus the per-live-in scan and per-out fold costs (all in the same
-// arbitrary cost unit). maxTraceLiveIn additionally bounds the pending
-// buffers in execState.
-const (
-	minTraceLen    = 3
-	maxTraceLiveIn = 12
-
-	traceGainPerOp = 3
-	traceFixedCost = 8
-	traceScanCost  = 2
-	traceOutCost   = 3
-)
-
-// fusible reports whether k may be included in a superblock trace: every
-// cycle it contributes to the schedule is static. Pure ALU ops qualify.
-// So do integer div/mod (static latency; the divide-by-zero path re-derives
-// the exact reference accounting), stores (they define no register and
-// charge no latency, so their cache side effects are order-only and the
-// shift argument is untouched), and counter bumps (no schedule contribution
-// at all). Loads stay out: their latency is dynamic.
-func fusible(k ukind) bool {
-	return k <= uSelect || k == uDiv || k == uMod || k == uStore || k == uCount
-}
-
-// buildTraces finds maximal runs of fusible micro-ops, resolves their
-// schedule once, and splices uTrace heads in front of them.
-//
-// Exactness: within a fusible run every issue time is max(cycle, ready of
-// operands) and every cost is static — no cache latencies, no callee
-// cycles. Replaying the run symbolically from cycle 0 with all live-in
-// readies at 0 yields offsets o such that, entering at cycle C with no
-// live-in ready past C, the real value is exactly C + o, because max and +
-// shift uniformly: max(C+x, C+y) = C + max(x, y). The uTrace guard extends
-// this one step further: if pending live-ins exist but each one gates the
-// run's first op, that op's issue absorbs the largest delay D and the whole
-// schedule shifts by D (the cycle chain passes through every op, so the
-// shift propagates uniformly; every other live-in ready is ≤ C + D by the
-// same max). Entries not matching either condition fall back to the generic
-// per-op loop, so fused execution is bit-identical in every case. Faulting
-// ops inside a trace (store bounds, div by zero) recompute the exact
-// reference step and cycle on the cold path (traceFaultAt).
-func (p *vplan) buildTraces(uops []uop, readDummy int32, liveEnd regSet) []uop {
-	out := make([]uop, 0, len(uops))
-	readySim := make([]int64, p.nregs)
-
-	// liveAfter[k] is the set of registers whose ready time some path reads
-	// after uops[k] executes, from the flow-sensitive dataflow seeded with
-	// the block's live-out set (plus its branch condition). A fused run's
-	// outs are exactly its last definitions in liveAfter at the run's end.
-	liveAfter := make([]regSet, len(uops))
-	cur := append(regSet(nil), liveEnd...)
-	for k := len(uops) - 1; k >= 0; k-- {
-		liveAfter[k] = append(regSet(nil), cur...)
-		op := &uops[k]
-		if uopDefsReady(op.kind) {
-			cur.clear(op.dst)
-		}
-		p.uopReadyUses(op, func(r int32) { cur.set(r) })
-	}
-
-	for i := 0; i < len(uops); {
-		if !fusible(uops[i].kind) {
-			out = append(out, uops[i])
-			i++
-			continue
-		}
-		j := i
-		for j < len(uops) && fusible(uops[j].kind) {
-			j++
-		}
-		run := uops[i:j]
-		stepN := int32(0)
-		for k := range run {
-			if run[k].kind != uCount {
-				stepN++
-			}
-		}
-		if stepN < minTraceLen {
-			out = append(out, run...)
-			i = j
-			continue
-		}
-
-		// Live-ins: registers read before they are defined in the run.
-		var liveIn []int32
-		seen := make(map[int32]bool, len(run))
-		defd := make(map[int32]bool, len(run))
-		for k := range run {
-			u := &run[k]
-			for _, op := range [3]int32{u.a, u.b, u.c} {
-				if op != readDummy && !defd[op] && !seen[op] {
-					seen[op] = true
-					liveIn = append(liveIn, op)
-				}
-			}
-			defd[u.dst] = true
-		}
-		if len(liveIn) > maxTraceLiveIn {
-			out = append(out, run...)
-			i = j
-			continue
-		}
-
-		// Outs: only a register's last in-trace definition is observable
-		// after the trace (earlier defs of the same register are shadowed),
-		// and only if its ready is still live past the run's end.
-		defAt := make(map[int32]int, len(run))
-		for k := range run {
-			u := &run[k]
-			if u.kind != uCount && u.kind != uStore {
-				defAt[u.dst] = k
-			}
-		}
-		lastDef := make([]int, 0, len(defAt))
-		for k := range run {
-			if da, ok := defAt[run[k].dst]; ok && da == k && liveAfter[j-1].has(run[k].dst) {
-				lastDef = append(lastDef, k)
-			}
-		}
-
-		// Interface economics: fuse only when the replay gain over the run's
-		// body covers the entry cost of scanning the live-ins and writing
-		// the out readies.
-		if int(stepN)*traceGainPerOp < traceFixedCost+len(liveIn)*traceScanCost+len(lastDef)*traceOutCost {
-			out = append(out, run...)
-			i = j
-			continue
-		}
-
-		// Resolve the schedule once: symbolic replay from cycle 0 with all
-		// live-in readies at 0 (a live-in ready ≤ the entry cycle can gate
-		// nothing — the cycle chain threads the entry cycle through every
-		// op — and pinning it at exactly 0 models that inactive gate). The
-		// weights are int16, so refuse to fuse a run whose offsets overflow
-		// (costs are per-op pipeline latencies, so this needs a ~32k-cycle
-		// straight-line run — not seen in practice, but cost mods make it
-		// reachable).
-		for k := range readySim {
-			readySim[k] = 0
-		}
-		staticRdy := make([]int64, len(run))
-		var cycle int64
-		overflow := false
-		for k := range run {
-			u := &run[k]
-			if u.kind == uCount {
-				continue
-			}
-			issue := cycle
-			if t := readySim[u.a]; t > issue {
-				issue = t
-			}
-			if t := readySim[u.b]; t > issue {
-				issue = t
-			}
-			if t := readySim[u.c]; t > issue {
-				issue = t
-			}
-			if u.kind == uStore {
-				// Stores define nothing and charge no latency.
-				cycle = issue + int64(u.cycleCost)
-				continue
-			}
-			rdy := issue + int64(u.readyCost)
-			readySim[u.dst] = rdy
-			if rdy > math.MaxInt16 {
-				overflow = true
-				break
-			}
-			staticRdy[k] = rdy
-			cycle = issue + int64(u.cycleCost)
-		}
-		// Path weights: the schedule is (max,+)-linear in its inputs (it is
-		// built from max and + alone), so one more symbolic replay per
-		// live-in — that live-in's ready pinned at 0, every other input at
-		// -inf — yields the longest dependence path from it to each op's
-		// ready and to the final cycle. At run time a live-in pending with
-		// delay d contributes max-terms d + weight; no path means the
-		// sentinel noPath and no term.
-		const negInf = int64(-1) << 40
-		wRows := make([][]int16, len(liveIn))
-		wCycle := make([]int16, len(liveIn))
-		for li := 0; li < len(liveIn) && !overflow; li++ {
-			wr := make([]int16, len(run))
-			c := negInf
-			for k := range readySim {
-				readySim[k] = negInf
-			}
-			readySim[liveIn[li]] = 0
-			for k := range run {
-				u := &run[k]
-				wr[k] = noPath
-				if u.kind == uCount {
-					continue
-				}
-				issue := c
-				if t := readySim[u.a]; t > issue {
-					issue = t
-				}
-				if t := readySim[u.b]; t > issue {
-					issue = t
-				}
-				if t := readySim[u.c]; t > issue {
-					issue = t
-				}
-				if u.kind == uStore {
-					c = issue + int64(u.cycleCost)
-					continue
-				}
-				rdy := issue + int64(u.readyCost)
-				readySim[u.dst] = rdy
-				if rdy > math.MaxInt16 {
-					overflow = true
-					break
-				}
-				if rdy > negInf/2 {
-					wr[k] = int16(rdy)
-				}
-				c = issue + int64(u.cycleCost)
-			}
-			if c > math.MaxInt16 {
-				overflow = true
-			}
-			wCycle[li] = noPath
-			if !overflow && c > negInf/2 {
-				wCycle[li] = int16(c)
-			}
-			wRows[li] = wr
-		}
-		for k := range readySim {
-			readySim[k] = 0
-		}
-		if overflow {
-			out = append(out, run...)
-			i = j
-			continue
-		}
-
-		// Fold the per-op rows into the outs: one entry per live last
-		// definition, its static ready offset plus its per-live-in path
-		// weights (row-major).
-		outDst := make([]int32, len(lastDef))
-		outW0 := make([]int16, len(lastDef))
-		outW := make([]int16, 0, len(lastDef)*len(liveIn))
-		for o, k := range lastDef {
-			outDst[o] = run[k].dst
-			outW0[o] = int16(staticRdy[k])
-			for li := range liveIn {
-				outW = append(outW, wRows[li][k])
-			}
-		}
-
-		out = append(out, uop{kind: uTrace, aux: int32(len(p.traces)),
-			dst: readDummy, a: readDummy, b: readDummy, c: readDummy})
-		p.traces = append(p.traces, traceInfo{
-			n: int32(len(run)), stepN: stepN,
-			liveIn: liveIn, wCycle: wCycle, cycleDelta: cycle,
-			outDst: outDst, outW0: outW0, outW: outW,
-		})
-		out = append(out, run...)
-		i = j
-	}
-	return out
 }
 
 // predictorImage builds the cold 2-bit predictor state for v: weakly

@@ -118,9 +118,8 @@ type Engine int
 // predictor and cache evolution); the differential tests in diff_test.go
 // enforce the equivalence.
 const (
-	// EngineFused is the superblock micro-op engine (exec.go): compact
-	// pre-decoded micro-ops with fused straight-line ALU traces. The
-	// default.
+	// EngineFused is the micro-op engine (exec.go): compact pre-decoded
+	// fixed-shape micro-ops with bulk step accounting. The default.
 	EngineFused Engine = iota
 	// EngineRef is the original per-instruction reference interpreter
 	// (ref.go), kept as semantic ground truth for differential testing.
@@ -193,7 +192,7 @@ func (r *Runner) frame(depth, n int) ([]float64, []int64) {
 	return regs, ready
 }
 
-// regState is one fused-engine register slot: the value and its ready time
+// regState is one micro-op engine register slot: the value and its ready time
 // interleaved, so touching an operand's value and readiness costs one cache
 // line instead of two.
 type regState struct {
@@ -201,7 +200,7 @@ type regState struct {
 	ready int64
 }
 
-// frameFused returns a zeroed register frame for the fused engine at a call
+// frameFused returns a zeroed register frame for the micro-op engine at a call
 // depth. The frame is padded to a power-of-two length so the interpreter
 // can index it as rf[i&(len(rf)-1)] — the mask is a no-op for the valid
 // indices decode produces (all < n) and lets the compiler elide every
@@ -273,8 +272,8 @@ var ErrStepLimit = fmt.Errorf("%w: step limit exceeded", ErrRuntime)
 // return value (NaN if none) and execution statistics.
 //
 // The first Run of a version on this runner decodes it into a dispatch
-// plan (plan.go): flat micro-op tables with fused superblock traces for the
-// default engine, plus the dInstr tables the reference engine walks.
+// plan (plan.go): flat micro-op tables for the default engine, plus the
+// dInstr tables the reference engine walks.
 // Subsequent Runs reuse the plan, so the execution loop performs no map
 // lookups or operand re-decoding per invocation.
 func (r *Runner) Run(v *Version, args []float64) (float64, RunStats, error) {
@@ -302,7 +301,7 @@ func (r *Runner) Run(v *Version, args []float64) (float64, RunStats, error) {
 		// The reference engine counts stats.Instrs incrementally.
 		ret, cycles, err = ex.execRef(p, args, 0)
 	} else {
-		// The fused engine counts steps in bulk; steps and Instrs are
+		// The micro-op engine counts only steps; steps and Instrs are
 		// incremented in lockstep by the reference, so the final step
 		// count IS the dynamic instruction count.
 		ret, cycles, err = ex.execFused(p, args, 0)
@@ -318,16 +317,6 @@ type execState struct {
 	stats    *RunStats
 	steps    int64
 	maxSteps int64
-
-	// Pending live-ins at the current trace entry: their index in the
-	// trace's liveIn list, register number, and absolute ready time, kept
-	// here so the hot entry path writes into persistent storage instead of
-	// freshly zeroed stack arrays. Traces never nest, so one set per
-	// execState suffices. pReg feeds only the cold in-trace fault path
-	// (exec.go traceFaultAt).
-	pIdx   [maxTraceLiveIn]int32
-	pReg   [maxTraceLiveIn]int32
-	pReady [maxTraceLiveIn]int64
 }
 
 const maxCallDepth = 16

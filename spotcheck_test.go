@@ -57,12 +57,10 @@ func TestPeakTunesOnChosenDataset(t *testing.T) {
 	}
 }
 
-// TestTable1SpotCheck enforces the Table-1 spot-check: for each machine,
-// peak-experiments -table1 must print results_table1_<machine>.txt byte
-// for byte at one worker and at eight, and -regime baseline (the
-// machine's default noise model, named) must print the same bytes as no
-// regime.
-func TestTable1SpotCheck(t *testing.T) {
+// buildExperiments builds cmd/peak-experiments into a temporary directory
+// and returns the binary's path.
+func buildExperiments(t *testing.T) string {
+	t.Helper()
 	goBin := goTool(t)
 	bin := filepath.Join(t.TempDir(), "peak-experiments")
 	build := exec.Command(goBin, "build", "-o", bin, "./cmd/peak-experiments")
@@ -70,6 +68,16 @@ func TestTable1SpotCheck(t *testing.T) {
 	if err := build.Run(); err != nil {
 		t.Fatalf("build peak-experiments: %v", err)
 	}
+	return bin
+}
+
+// TestTable1SpotCheck enforces the Table-1 spot-check: for each machine,
+// peak-experiments -table1 must print results_table1_<machine>.txt byte
+// for byte at one worker and at eight, and -regime baseline (the
+// machine's default noise model, named) must print the same bytes as no
+// regime.
+func TestTable1SpotCheck(t *testing.T) {
+	bin := buildExperiments(t)
 	run := func(args ...string) []byte {
 		t.Helper()
 		cmd := exec.Command(bin, append([]string{"-table1"}, args...)...)
@@ -97,5 +105,54 @@ func TestTable1SpotCheck(t *testing.T) {
 	}
 	if got := run("-machine", "sparc2", "-regime", "baseline"); !bytes.Equal(got, want) {
 		t.Errorf("-regime baseline differs from the default-noise table:\n%s", got)
+	}
+}
+
+// sparc2Half returns the sparc2 section of a two-machine results file:
+// everything before the blank line that opens the p4 section, whose header
+// line is the file's first line with the machine renamed.
+func sparc2Half(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := bytes.Cut(data, []byte("\n"))
+	p4 := bytes.Replace(first, []byte(" on sparc2 "), []byte(" on p4 "), 1)
+	i := bytes.Index(data, append([]byte("\n\n"), p4...))
+	if i < 0 {
+		t.Fatalf("%s: no p4 section after the sparc2 one", name)
+	}
+	return data[:i+1]
+}
+
+// TestResultsSpotCheck enforces the noise and fault spot-checks on sparc2:
+// peak-experiments -noise must print the sparc2 half of results_noise.txt
+// byte for byte at two workers and at one worker with the compile cache
+// off, and -faults must print the sparc2 half of results_faults.txt. Both
+// reports are built from simulated cycle counts, so any change to the
+// simulator's accounting shows up here.
+func TestResultsSpotCheck(t *testing.T) {
+	bin := buildExperiments(t)
+	noise := sparc2Half(t, "results_noise.txt")
+	faults := sparc2Half(t, "results_faults.txt")
+	for _, c := range []struct {
+		want []byte
+		file string
+		args []string
+	}{
+		{noise, "results_noise.txt", []string{"-noise", "-machine", "sparc2", "-workers", "2"}},
+		{noise, "results_noise.txt", []string{"-noise", "-machine", "sparc2", "-workers", "1", "-nocache"}},
+		{faults, "results_faults.txt", []string{"-faults", "-machine", "sparc2", "-workers", "2"}},
+	} {
+		cmd := exec.Command(bin, c.args...)
+		cmd.Stderr = os.Stderr
+		got, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("peak-experiments %v: %v", c.args, err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("peak-experiments %v differs from the sparc2 half of %s:\n%s", c.args, c.file, got)
+		}
 	}
 }
