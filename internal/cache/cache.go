@@ -9,28 +9,36 @@ package cache
 
 import "peak/internal/machine"
 
-// A Line is one cache line slot. It stores the full line address plus one
+// A line is one cache line slot. It stores the full line address plus one
 // (so key 0 means "invalid") rather than a tag/valid pair: two line
 // addresses that map to the same set have equal tags iff they are equal, so
 // comparing whole keys is equivalent to comparing tags — and it removes the
-// tag division from the hot path. The type is exported only as an opaque
-// MRU hint token for AccessLine/AccessMiss; its fields are not.
+// tag division from the hot path.
 //
 // The lru stamp and the level's tick are 64-bit on purpose: long tuning
 // runs reuse one Hierarchy across billions of accesses, and a 32-bit tick
 // wraps after ~4.3e9 — after which fresh lines would stamp *small* values
 // and be evicted as if least-recently used, silently degrading LRU to
 // near-random replacement. See TestLRUTickWraparound.
-type Line struct {
+type line struct {
 	key uint64 // lineAddr+1; 0 = invalid
 	lru uint64
 }
 
+// A Hint names one L1 line slot by index: a caller-held MRU guess for
+// AccessLine. The zero Hint is slot 0, a permanently invalid sentinel that
+// matches no address, so a zero-valued hint needs no seeding. Hints are
+// plain integers, so storing one costs no GC write barrier.
+type Hint uint32
+
 type level struct {
-	geom     machine.CacheGeometry
-	sets     [][]Line
-	backing  []Line // the sets' shared storage, set i at [i*Assoc, (i+1)*Assoc)
-	last     *Line  // most recently touched line; self-validating fast path
+	geom machine.CacheGeometry
+	// lines holds every way of every set in one slice: slot 0 is the
+	// invalid sentinel (key 0, never written) and set s occupies
+	// [1+s*assoc, 1+(s+1)*assoc).
+	lines    []line
+	last     Hint // most recently touched slot; self-validating fast path
+	assoc    int
 	numSets  int
 	setMask  uint64 // numSets-1 when numSets is a power of two, else 0
 	lineBits uint
@@ -58,29 +66,19 @@ func newLevel(g machine.CacheGeometry) *level {
 	if numSets&(numSets-1) == 0 {
 		setMask = uint64(numSets - 1)
 	}
-	sets := make([][]Line, numSets)
-	backing := make([]Line, numSets*g.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*g.Assoc : (i+1)*g.Assoc]
-	}
-	return &level{geom: g, sets: sets, backing: backing, last: &invalidLine,
-		numSets: numSets, setMask: setMask, lineBits: lineBits,
+	return &level{geom: g, lines: make([]line, 1+numSets*g.Assoc),
+		assoc: g.Assoc, numSets: numSets, setMask: setMask, lineBits: lineBits,
 		dm: g.Assoc == 1 && (setMask != 0 || numSets == 1)}
 }
-
-// invalidLine is a shared sentinel for levels with no MRU line yet: key 0
-// matches no address (keys are lineAddr+1 ≥ 1), and since the MRU path only
-// writes to a line it matched, the sentinel is never written.
-var invalidLine = Line{}
 
 // access returns true on hit, installing the line otherwise.
 func (l *level) access(addr uint64) bool {
 	l.tick++
 	// MRU fast path: repeated hits to the last-touched line skip the set
-	// walk. The pointer self-validates — if the line was since evicted its
-	// key changed, so a stale pointer can never produce a false hit, and a
+	// walk. The slot self-validates — if the line was since evicted its
+	// key changed, so a stale hint can never produce a false hit, and a
 	// true hit here touches exactly the line the set walk would have.
-	if last := l.last; last.key == (addr>>l.lineBits)+1 {
+	if last := &l.lines[l.last]; last.key == (addr>>l.lineBits)+1 {
 		last.lru = l.tick
 		l.hits++
 		return true
@@ -93,21 +91,20 @@ func (l *level) access(addr uint64) bool {
 
 // walk1 is walk specialized for direct-mapped power-of-two levels: addr's
 // set holds exactly one line, so the scan and victim selection collapse to
-// a single compare. backing[i*1] is set i, and len(backing) == numSets is a
-// power of two, so the masked index needs no bounds check.
+// a single compare.
 func (l *level) walk1(addr uint64) bool {
 	lineAddr := addr >> l.lineBits
 	key := lineAddr + 1
-	b := l.backing
-	ln := &b[lineAddr&uint64(len(b)-1)]
-	l.last = ln
+	slot := 1 + lineAddr&l.setMask
+	ln := &l.lines[slot]
+	l.last = Hint(slot)
 	if ln.key == key {
 		ln.lru = l.tick
 		l.hits++
 		return true
 	}
 	l.misses++
-	*ln = Line{key: key, lru: l.tick}
+	*ln = line{key: key, lru: l.tick}
 	return false
 }
 
@@ -116,18 +113,20 @@ func (l *level) walk1(addr uint64) bool {
 func (l *level) walk(addr uint64) bool {
 	lineAddr := addr >> l.lineBits
 	key := lineAddr + 1
-	var set []Line
+	var s uint64
 	if l.setMask != 0 || l.numSets == 1 {
-		set = l.sets[lineAddr&l.setMask]
+		s = lineAddr & l.setMask
 	} else {
-		set = l.sets[lineAddr%uint64(l.numSets)]
+		s = lineAddr % uint64(l.numSets)
 	}
+	base := 1 + int(s)*l.assoc
+	set := l.lines[base : base+l.assoc]
 	victim := 0
 	for i := range set {
 		if set[i].key == key {
 			set[i].lru = l.tick
 			l.hits++
-			l.last = &set[i]
+			l.last = Hint(base + i)
 			return true
 		}
 		if set[i].key == 0 {
@@ -137,18 +136,14 @@ func (l *level) walk(addr uint64) bool {
 		}
 	}
 	l.misses++
-	set[victim] = Line{key: key, lru: l.tick}
-	l.last = &set[victim]
+	set[victim] = line{key: key, lru: l.tick}
+	l.last = Hint(base + victim)
 	return false
 }
 
 func (l *level) reset() {
-	for i := range l.sets {
-		for j := range l.sets[i] {
-			l.sets[i][j] = Line{}
-		}
-	}
-	l.last = &invalidLine
+	clear(l.lines)
+	l.last = 0
 	l.tick, l.hits, l.misses = 0, 0, 0
 }
 
@@ -175,76 +170,41 @@ func NewHierarchy(m *machine.Machine) *Hierarchy {
 }
 
 // Access simulates a data access to addr (byte address) and returns its
-// latency in cycles. Writes are modeled write-allocate, same latency.
+// latency in cycles. Writes are modeled write-allocate, same latency. The
+// L1 level's own last-touched slot serves as the hint.
 func (h *Hierarchy) Access(addr uint64) int64 {
-	if lat := h.AccessFast(addr); lat >= 0 {
+	if lat := h.AccessLine(h.l1.last, addr); lat >= 0 {
 		return lat
 	}
-	return h.AccessSlow(addr)
+	lat, _ := h.AccessMiss(addr)
+	return lat
 }
 
-// AccessFast is the inline-friendly half of Access: it advances the L1
-// clock and resolves a hit on the most-recently-touched L1 line, returning
-// -1 when that fast path does not apply. A -1 return MUST be followed by an
-// AccessSlow call with the same address — the pair performs exactly one
-// access. Hot interpreter loops call the pair directly so the dominant case
-// (consecutive hits to one line) inlines.
-func (h *Hierarchy) AccessFast(addr uint64) int64 {
-	l1 := h.l1
-	l1.tick++
-	if last := l1.last; last.key == (addr>>l1.lineBits)+1 {
-		last.lru = l1.tick
-		l1.hits++
-		return h.l1Lat
-	}
-	return -1
-}
-
-// AccessSlow completes an access whose AccessFast returned -1: walk the L1
-// set (the tick was already advanced), then L2 on an L1 miss.
-func (h *Hierarchy) AccessSlow(addr uint64) int64 {
-	l1 := h.l1
-	var hit bool
-	if l1.dm {
-		hit = l1.walk1(addr)
-	} else {
-		hit = l1.walk(addr)
-	}
-	if hit {
-		return h.l1Lat
-	}
-	if h.l2.access(addr) {
-		return h.l2Lat
-	}
-	return h.missLat
-}
-
-// NoLine seeds stream-local MRU hints: it matches no address and, because
-// AccessLine only writes to a line it matched, is never written.
-var NoLine = &invalidLine
-
-// AccessLine resolves an access against a caller-held candidate L1 line —
+// AccessLine resolves an access against a caller-held candidate L1 slot —
 // typically a per-load-site MRU hint, which survives level-wide hint
 // thrashing when a loop interleaves several array streams. It returns the
-// L1 hit latency when ln currently holds addr's line and -1 otherwise; the
-// hint self-validates exactly like the level MRU pointer (an evicted slot's
+// L1 hit latency when slot ln currently holds addr's line and -1 otherwise;
+// the hint self-validates exactly like the level's own (an evicted slot's
 // key changed, a reset zeroed it). A -1 return MUST be followed by an
 // AccessMiss call with the same address — the pair is exactly one access.
-func (h *Hierarchy) AccessLine(ln *Line, addr uint64) int64 {
+// Hot interpreter loops call the pair directly so the dominant case
+// (consecutive hits to one line) inlines.
+func (h *Hierarchy) AccessLine(ln Hint, addr uint64) int64 {
 	l1 := h.l1
 	l1.tick++
-	if ln.key == (addr>>l1.lineBits)+1 {
-		ln.lru = l1.tick
+	if s := &l1.lines[ln]; s.key == (addr>>l1.lineBits)+1 {
+		s.lru = l1.tick
 		l1.hits++
 		return h.l1Lat
 	}
 	return -1
 }
 
-// AccessMiss completes an access whose AccessLine hint missed. It returns
-// the access latency and the L1 line now holding addr — the caller's next
-// hint. The L1 tick was already advanced by AccessLine.
-func (h *Hierarchy) AccessMiss(addr uint64) (int64, *Line) {
+// AccessMiss completes an access whose AccessLine hint missed: walk the L1
+// set (the tick was already advanced), then L2 on an L1 miss. It returns
+// the access latency and the L1 slot now holding addr — the caller's next
+// hint.
+func (h *Hierarchy) AccessMiss(addr uint64) (int64, Hint) {
 	l1 := h.l1
 	var hit bool
 	if l1.dm {
@@ -253,13 +213,13 @@ func (h *Hierarchy) AccessMiss(addr uint64) (int64, *Line) {
 		hit = l1.walk(addr)
 	}
 	if hit {
-		return h.l1Lat, h.l1.last
+		return h.l1Lat, l1.last
 	}
-	ln := h.l1.last // the walk installed addr's line on its miss path
+	// The walk installed addr's line on its miss path.
 	if h.l2.access(addr) {
-		return h.l2Lat, ln
+		return h.l2Lat, l1.last
 	}
-	return h.missLat, ln
+	return h.missLat, l1.last
 }
 
 // Reset invalidates all lines and clears statistics.

@@ -100,6 +100,10 @@ func TestLRUTickWraparound(t *testing.T) {
 	if l.tick != uint64(math.MaxUint32)+1 {
 		t.Fatalf("tick = %d, want %d (no wrap)", l.tick, uint64(math.MaxUint32)+1)
 	}
+	// b's slot, which the level's MRU hint now names, holds the full stamp.
+	if got := l.lines[l.last].lru; l.last == 0 || got != l.tick {
+		t.Fatalf("MRU slot %d stamped %d, want %d", l.last, got, l.tick)
+	}
 	// a is the least recently used line, so c must evict a — under the
 	// wrapped 32-bit tick, b (lru stamp 0) was the false victim.
 	l.access(c)

@@ -168,12 +168,12 @@ func (c *cseState) rewriteStmts(list []ir.Stmt) []ir.Stmt {
 			switch lhs := st.Lhs.(type) {
 			case *ir.ArrayRef:
 				lhs.Index = c.replace(lhs.Index, insert)
-				if analyzeExpr(st.Rhs).hasUserCall || analyzeExpr(lhs.Index).hasUserCall {
+				if hasUserCall(st.Rhs) || hasUserCall(lhs.Index) {
 					c.killCalls()
 				}
 				c.killStore(lhs.Name)
 			case *ir.VarRef:
-				if analyzeExpr(st.Rhs).hasUserCall {
+				if hasUserCall(st.Rhs) {
 					c.killCalls()
 				}
 				c.killVar(lhs.Name)
@@ -181,7 +181,7 @@ func (c *cseState) rewriteStmts(list []ir.Stmt) []ir.Stmt {
 			out = append(out, st)
 		case *ir.If:
 			st.Cond = c.replace(st.Cond, insert)
-			if analyzeExpr(st.Cond).hasUserCall {
+			if hasUserCall(st.Cond) {
 				c.killCalls()
 			}
 			st.Then = c.rewriteNested(st.Then)
@@ -274,7 +274,7 @@ func regionHasUserCall(list []ir.Stmt) bool {
 	found := false
 	var walk func(list []ir.Stmt)
 	check := func(e ir.Expr) {
-		if e != nil && analyzeExpr(e).hasUserCall {
+		if e != nil && hasUserCall(e) {
 			found = true
 		}
 	}

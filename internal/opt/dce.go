@@ -71,7 +71,7 @@ func removeDead(list []ir.Stmt, fn *ir.Func, prog *ir.Program, reads map[string]
 					(fn.IsParam(vr.Name)) // params are by-value: writes are local too
 				notGlobal := lower.GlobalIndex(prog, vr.Name) < 0 || fn.IsLocal(vr.Name) || fn.IsParam(vr.Name)
 				if isLocalScalar && notGlobal && reads[vr.Name] == 0 &&
-					!analyzeExpr(st.Rhs).hasUserCall {
+					!hasUserCall(st.Rhs) {
 					*removed = true
 					continue
 				}

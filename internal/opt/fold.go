@@ -261,7 +261,7 @@ func propagateSegment(list []ir.Stmt) {
 			st.Rhs = substitute(st.Rhs)
 			// User calls may write global scalars; drop every fact (we
 			// cannot distinguish locals from globals here).
-			hadCall := analyzeExpr(st.Rhs).hasUserCall
+			hadCall := hasUserCall(st.Rhs)
 			if hadCall {
 				vals = map[string]ir.Expr{}
 			}

@@ -231,6 +231,31 @@ func analyzeExpr(e ir.Expr) exprProps {
 	return p
 }
 
+// hasUserCall reports whether e calls a user (non-intrinsic) function:
+// analyzeExpr(e).hasUserCall without building the load and variable maps.
+func hasUserCall(e ir.Expr) bool {
+	switch ex := e.(type) {
+	case *ir.ArrayRef:
+		return hasUserCall(ex.Index)
+	case *ir.Unary:
+		return hasUserCall(ex.X)
+	case *ir.Binary:
+		return hasUserCall(ex.X) || hasUserCall(ex.Y)
+	case *ir.CallExpr:
+		if _, ok := ir.IsIntrinsic(ex.Fn); !ok {
+			return true
+		}
+		for _, a := range ex.Args {
+			if hasUserCall(a) {
+				return true
+			}
+		}
+	case *ir.Select:
+		return hasUserCall(ex.Cond) || hasUserCall(ex.X) || hasUserCall(ex.Y)
+	}
+	return false
+}
+
 // exprSize counts operator/reference nodes (a rough cost proxy).
 func exprSize(e ir.Expr) int {
 	n := 0

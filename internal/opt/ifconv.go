@@ -60,7 +60,7 @@ func tryConvert(st *ir.If, fn *ir.Func, prog *ir.Program, opts ifConvOpts, namer
 	if !opts.basic || st.Guard {
 		return nil, false
 	}
-	if analyzeExpr(st.Cond).hasUserCall {
+	if hasUserCall(st.Cond) {
 		return nil, false
 	}
 	thenAssigns, ok := scalarAssigns(st.Then)

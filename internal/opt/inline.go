@@ -125,7 +125,7 @@ func inlinable(callee *ir.Func) bool {
 			if _, ok := st.Lhs.(*ir.VarRef); !ok {
 				return false // stores would need alias bookkeeping
 			}
-			if analyzeExpr(st.Rhs).hasUserCall {
+			if hasUserCall(st.Rhs) {
 				return false
 			}
 			size += 1 + exprSize(st.Rhs)
@@ -134,7 +134,7 @@ func inlinable(callee *ir.Func) bool {
 				return false
 			}
 			if st.Value != nil {
-				if analyzeExpr(st.Value).hasUserCall {
+				if hasUserCall(st.Value) {
 					return false
 				}
 				size += exprSize(st.Value)

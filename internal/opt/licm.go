@@ -131,13 +131,13 @@ func hoistLoop(loop ir.Stmt, fn *ir.Func, prog *ir.Program, opts licmOpts, namer
 		body = l.Body
 		loopVar = l.Var
 		guardCond = &ir.Binary{Op: ir.OpLt, Typ: ir.I64, X: l.From.Clone(), Y: l.To.Clone()}
-		if analyzeExpr(l.From).hasUserCall || analyzeExpr(l.To).hasUserCall {
+		if hasUserCall(l.From) || hasUserCall(l.To) {
 			return loop
 		}
 	case *ir.While:
 		body = l.Body
 		guardCond = l.Cond.Clone()
-		if analyzeExpr(l.Cond).hasUserCall {
+		if hasUserCall(l.Cond) {
 			return loop
 		}
 	default:

@@ -44,7 +44,7 @@ func reduceStrengthFor(st *ir.For, fn *ir.Func, prog *ir.Program, expensive bool
 	// From must be pure (it is evaluated a second time in the preheader).
 	bodyAssigned := map[string]bool{}
 	assignedVars(st.Body, bodyAssigned)
-	if bodyAssigned[st.Var] || analyzeExpr(st.From).hasUserCall {
+	if bodyAssigned[st.Var] || hasUserCall(st.From) {
 		return []ir.Stmt{st}
 	}
 

@@ -93,7 +93,7 @@ func unrollFor(st *ir.For, fn *ir.Func, prog *ir.Program, namer *tempNamer) []ir
 func unrollable(st *ir.For, prog *ir.Program) bool {
 	// Bound and start must be pure; the bound must also be invariant,
 	// because the unrolled loop tests it once per group of iterations.
-	if analyzeExpr(st.From).hasUserCall || analyzeExpr(st.To).hasUserCall {
+	if hasUserCall(st.From) || hasUserCall(st.To) {
 		return false
 	}
 	info := summarizeLoop(st.Body, st.Var, prog)

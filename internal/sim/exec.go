@@ -19,11 +19,12 @@ import (
 //     read-dummy register whose ready time is always zero; absent
 //     destinations point at a write-dummy register nothing reads.
 //
-//   - The step-limit decision is hoisted out of the inner loop: a block
-//     whose steps all fit under Runner.MaxSteps runs its per-op step
-//     checks against an unreachable limit, and only a block within
-//     striking distance checks against MaxSteps itself, so ErrStepLimit
-//     still fires at the exact same step as the reference.
+//   - Steps are charged per block, not per op: entering a block charges
+//     all its steps at once, and a block that would cross Runner.MaxSteps
+//     runs only up to the op that takes step MaxSteps+1, so ErrStepLimit
+//     still fires at the exact same step as the reference. Faults and user
+//     calls, which need the exact count mid-block, recover it from the
+//     op's position (stepsAt).
 //
 // The reference interpreter (ref.go) defines the semantics; this engine is
 // bit-identical to it in every observable output, enforced by the
@@ -36,7 +37,7 @@ type ukind uint8
 
 const (
 	// Pure-ALU kinds: no faults, fully static latency.
-	uConst ukind = iota // dst = consts[aux] (LMovI pre-converted to float64, LMovF)
+	uConst ukind = iota // dst = float64 from the IEEE bits in b (low) and c (high); LMovI, LMovF
 	uMov                // dst = a
 	uAdd                // LAdd, LFAdd
 	uSub                // LSub, LFSub
@@ -79,9 +80,9 @@ type uop struct {
 	b   int32
 	c   int32
 
-	// aux indexes the plan's side tables by kind: consts for uConst,
-	// mems for uLoad/uStore, calls for the call kinds, and the counter
-	// index for uCount (-1: out of range, drop).
+	// aux indexes the plan's side tables by kind: mems for uLoad/uStore,
+	// calls for the call kinds, and the counter index for uCount (-1: out
+	// of range, drop).
 	aux int32
 
 	// readyCost = static issue cost + result latency; cycleCost = static
@@ -95,11 +96,12 @@ type uop struct {
 
 // memInfo is the memory fast path of one load/store site: the array pointer
 // is pre-resolved at decode (re-resolved by vplan.sync when Memory moves),
-// so the hot loop performs no name lookups, and hint caches the L1 line the
-// site touched last (self-validating; see cache.AccessLine).
+// so the hot loop performs no name lookups, and hint names the L1 slot the
+// site touched last (self-validating; see cache.AccessLine). The hint is a
+// slot index, not a pointer, so updating it costs no GC write barrier.
 type memInfo struct {
 	arr  *Array // nil if the name is unknown (reported at execution time)
-	hint *cache.Line
+	hint cache.Hint
 	name string
 }
 
@@ -108,13 +110,16 @@ type callInfo struct {
 	args   []int32
 	callee *vplan // nil for intrinsics and unresolved names
 	fn     string
+	// tail is the number of steps the call's block takes after the call,
+	// so a user call recovers its exact step count without a scan.
+	tail int64
 }
 
 // fBlock is one basic block in micro-op form.
 type fBlock struct {
 	uops []uop
 	// steps is the block's dynamic-instruction count (uCount pseudo-ops
-	// excluded), used to decide whether its per-op step checks can trip.
+	// excluded), charged on block entry.
 	steps  int64
 	origin int
 
@@ -136,35 +141,39 @@ func (ex *execState) execFused(p *vplan, args []float64, depth int) (float64, in
 	p.sync(r)
 	lf := p.v.LF
 	rf := r.frameFused(depth, p.nregs)
-	// mask is a no-op for the register indices decode emits (all < nregs ≤
-	// len(rf), a power of two); its sole purpose is bounds-check elision.
-	mask := len(rf) - 1
-	ai := 0
+	mems := p.mems
+	if len(rf) == 0 || len(mems) == 0 {
+		// Unreachable (nregs ≥ 2, mems is padded to ≥ 1 entry), but the
+		// guard lets the compiler prove every masked index below in range.
+		panic("sim: empty register file or memory table")
+	}
+	// The masks are no-ops for the indices decode emits (all below the
+	// unpadded lengths; both tables are power-of-two padded). Indexing as
+	// t[uint(uint32(x))&mask] keeps the index unsigned and ≤ len(t)-1, so
+	// the compiler drops the bounds checks.
+	mask := uint(len(rf) - 1)
+	memMask := uint(len(mems) - 1)
+	var ai uint
 	for i, prm := range lf.Params {
 		if prm.IsArray {
 			continue
 		}
-		if ai < len(args) && lf.ParamRegs[i] != ir.NoReg {
-			rf[lf.ParamRegs[i]].val = args[ai]
+		if reg := lf.ParamRegs[i]; ai < uint(len(args)) && reg != ir.NoReg {
+			rf[uint(uint32(reg))&mask].val = args[ai]
 		}
 		ai++
 	}
 
 	var (
 		fblocks       = p.fblocks
-		mems          = p.mems
-		memMask       = len(p.mems) - 1 // mems is power-of-two padded
-		consts        = p.consts
-		constMask     = len(p.consts) - 1 // consts is power-of-two padded
 		pred          = p.pred
 		perBlockFetch = p.perBlockFetch
-		stats         = ex.stats
-		counters      = stats.Counters
 		hier          = r.Cache
-		recordWrites  = r.RecordWrites
-		countBlocks   = depth == 0 && len(stats.BlockCounts) > 0
-		steps         = ex.steps
-		maxSteps      = ex.maxSteps
+		countBlocks   = depth == 0 && len(ex.stats.BlockCounts) > 0
+		// steps counts through the end of run, the current block's ops up
+		// to any step-limit trip (stepsAt recovers the exact count).
+		steps    = ex.steps
+		maxSteps = ex.maxSteps
 
 		cycle        int64
 		fetchPenalty float64
@@ -173,337 +182,261 @@ func (ex *execState) execFused(p *vplan, args []float64, depth int) (float64, in
 	cur := 0 // slice index of current block
 	for {
 		bl := &fblocks[cur]
-		if countBlocks && bl.origin >= 0 && bl.origin < len(stats.BlockCounts) {
-			stats.BlockCounts[bl.origin]++
+		if countBlocks && bl.origin >= 0 && bl.origin < len(ex.stats.BlockCounts) {
+			ex.stats.BlockCounts[bl.origin]++
 		}
 		fetchPenalty += perBlockFetch
 
-		// Bulk step accounting: when the whole block fits under the step
-		// limit, the inner loop runs unchecked (blockLimit is never hit);
-		// otherwise per-op checks trip at the exact reference step.
-		blockLimit := int64(math.MaxInt64)
-		if steps+bl.steps > maxSteps {
-			blockLimit = maxSteps
-		}
-
+		// Charge the block's steps on entry. A block that crosses the limit
+		// runs only its ops before the one taking step maxSteps+1.
 		uops := bl.uops
-		i := 0
-		for i < len(uops) {
-			u := &uops[i]
+		steps += bl.steps
+		run := uops
+		if steps > maxSteps {
+			run = untilTrip(uops, maxSteps-(steps-bl.steps))
+			steps = maxSteps
+		}
+		for i := 0; i < len(run); i++ {
+			u := &run[i]
 			// Issue: stall until the operands are ready. Gating lives inside
-			// each case so an op only loads the ready slots it actually uses,
-			// and each real op opens with its step-limit check (pseudo-ops
-			// take no step).
+			// each case so an op only loads the ready slots it actually uses.
 			issue := cycle
 			var val float64
 			switch u.kind {
 			case uCount:
 				if u.aux >= 0 {
-					counters[u.aux]++
+					ex.stats.Counters[u.aux]++
 				}
-				i++
 				continue
 			case uConst:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				val = consts[int(u.aux)&constMask]
+				val = math.Float64frombits(uint64(uint32(u.b)) | uint64(uint32(u.c))<<32)
 			case uMov:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				val = rf[int(u.a)&mask].val
+				val = rf[uint(uint32(u.a))&mask].val
 			case uAdd:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = rf[int(u.a)&mask].val + rf[int(u.b)&mask].val
+				val = rf[uint(uint32(u.a))&mask].val + rf[uint(uint32(u.b))&mask].val
 			case uSub:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = rf[int(u.a)&mask].val - rf[int(u.b)&mask].val
+				val = rf[uint(uint32(u.a))&mask].val - rf[uint(uint32(u.b))&mask].val
 			case uMul:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = rf[int(u.a)&mask].val * rf[int(u.b)&mask].val
+				val = rf[uint(uint32(u.a))&mask].val * rf[uint(uint32(u.b))&mask].val
 			case uFDiv:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = rf[int(u.a)&mask].val / rf[int(u.b)&mask].val
+				val = rf[uint(uint32(u.a))&mask].val / rf[uint(uint32(u.b))&mask].val
 			case uAnd:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = float64(int64(rf[int(u.a)&mask].val) & int64(rf[int(u.b)&mask].val))
+				val = float64(int64(rf[uint(uint32(u.a))&mask].val) & int64(rf[uint(uint32(u.b))&mask].val))
 			case uOr:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = float64(int64(rf[int(u.a)&mask].val) | int64(rf[int(u.b)&mask].val))
+				val = float64(int64(rf[uint(uint32(u.a))&mask].val) | int64(rf[uint(uint32(u.b))&mask].val))
 			case uXor:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = float64(int64(rf[int(u.a)&mask].val) ^ int64(rf[int(u.b)&mask].val))
+				val = float64(int64(rf[uint(uint32(u.a))&mask].val) ^ int64(rf[uint(uint32(u.b))&mask].val))
 			case uShl:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = float64(int64(rf[int(u.a)&mask].val) << (uint64(int64(rf[int(u.b)&mask].val)) & 63))
+				val = float64(int64(rf[uint(uint32(u.a))&mask].val) << (uint64(int64(rf[uint(uint32(u.b))&mask].val)) & 63))
 			case uShr:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = float64(int64(rf[int(u.a)&mask].val) >> (uint64(int64(rf[int(u.b)&mask].val)) & 63))
+				val = float64(int64(rf[uint(uint32(u.a))&mask].val) >> (uint64(int64(rf[uint(uint32(u.b))&mask].val)) & 63))
 			case uNeg:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				val = -rf[int(u.a)&mask].val
+				val = -rf[uint(uint32(u.a))&mask].val
 			case uNot:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if rf[int(u.a)&mask].val == 0 {
+				if rf[uint(uint32(u.a))&mask].val == 0 {
 					val = 1
 				}
 			case uCmpEq:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = b2f(rf[int(u.a)&mask].val == rf[int(u.b)&mask].val)
+				val = b2f(rf[uint(uint32(u.a))&mask].val == rf[uint(uint32(u.b))&mask].val)
 			case uCmpNe:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = b2f(rf[int(u.a)&mask].val != rf[int(u.b)&mask].val)
+				val = b2f(rf[uint(uint32(u.a))&mask].val != rf[uint(uint32(u.b))&mask].val)
 			case uCmpLt:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = b2f(rf[int(u.a)&mask].val < rf[int(u.b)&mask].val)
+				val = b2f(rf[uint(uint32(u.a))&mask].val < rf[uint(uint32(u.b))&mask].val)
 			case uCmpLe:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = b2f(rf[int(u.a)&mask].val <= rf[int(u.b)&mask].val)
+				val = b2f(rf[uint(uint32(u.a))&mask].val <= rf[uint(uint32(u.b))&mask].val)
 			case uCmpGt:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = b2f(rf[int(u.a)&mask].val > rf[int(u.b)&mask].val)
+				val = b2f(rf[uint(uint32(u.a))&mask].val > rf[uint(uint32(u.b))&mask].val)
 			case uCmpGe:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				val = b2f(rf[int(u.a)&mask].val >= rf[int(u.b)&mask].val)
+				val = b2f(rf[uint(uint32(u.a))&mask].val >= rf[uint(uint32(u.b))&mask].val)
 			case uSelect:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.c)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.c))&mask].ready; t > issue {
 					issue = t
 				}
-				if rf[int(u.a)&mask].val != 0 {
-					val = rf[int(u.b)&mask].val
+				if rf[uint(uint32(u.a))&mask].val != 0 {
+					val = rf[uint(uint32(u.b))&mask].val
 				} else {
-					val = rf[int(u.c)&mask].val
+					val = rf[uint(uint32(u.c))&mask].val
 				}
 			case uDiv:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				d := int64(rf[int(u.b)&mask].val)
+				d := int64(rf[uint(uint32(u.b))&mask].val)
 				if d == 0 {
-					ex.steps = steps
+					ex.steps = stepsAt(steps, run, i)
 					return 0, cycle, fmt.Errorf("%w: integer division by zero in %s", ErrRuntime, p.name)
 				}
-				val = float64(int64(rf[int(u.a)&mask].val) / d)
+				val = float64(int64(rf[uint(uint32(u.a))&mask].val) / d)
 			case uMod:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.b)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.b))&mask].ready; t > issue {
 					issue = t
 				}
-				d := int64(rf[int(u.b)&mask].val)
+				d := int64(rf[uint(uint32(u.b))&mask].val)
 				if d == 0 {
-					ex.steps = steps
+					ex.steps = stepsAt(steps, run, i)
 					return 0, cycle, fmt.Errorf("%w: integer modulo by zero in %s", ErrRuntime, p.name)
 				}
-				val = float64(int64(rf[int(u.a)&mask].val) % d)
+				val = float64(int64(rf[uint(uint32(u.a))&mask].val) % d)
 			case uLoad:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				mi := &mems[int(u.aux)&memMask]
+				mi := &mems[uint(uint32(u.aux))&memMask]
 				arr := mi.arr
 				if arr == nil {
-					ex.steps = steps
+					ex.steps = stepsAt(steps, run, i)
 					return 0, cycle, fmt.Errorf("%w: unknown array %q", ErrRuntime, mi.name)
 				}
-				i64 := int64(rf[int(u.a)&mask].val)
+				i64 := int64(rf[uint(uint32(u.a))&mask].val)
 				if uint64(i64) >= uint64(len(arr.Data)) {
-					ex.steps = steps
+					ex.steps = stepsAt(steps, run, i)
 					return 0, cycle, fmt.Errorf("%w: %s[%d] out of range [0,%d) in %s",
 						ErrRuntime, mi.name, i64, len(arr.Data), p.name)
 				}
-				rf[int(u.dst)&mask].val = arr.Data[i64]
+				rf[uint(uint32(u.dst))&mask].val = arr.Data[i64]
 				addr := arr.Base + uint64(i64)*8
 				lat := hier.AccessLine(mi.hint, addr)
 				if lat < 0 {
 					lat, mi.hint = hier.AccessMiss(addr)
 				}
-				rf[int(u.dst)&mask].ready = issue + int64(u.readyCost) + lat
+				rf[uint(uint32(u.dst))&mask].ready = issue + int64(u.readyCost) + lat
 				cycle = issue + int64(u.cycleCost)
-				i++
 				continue
 			case uStore:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				if t := rf[int(u.a)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.a))&mask].ready; t > issue {
 					issue = t
 				}
-				if t := rf[int(u.c)&mask].ready; t > issue {
+				if t := rf[uint(uint32(u.c))&mask].ready; t > issue {
 					issue = t
 				}
-				mi := &mems[int(u.aux)&memMask]
+				mi := &mems[uint(uint32(u.aux))&memMask]
 				arr := mi.arr
 				if arr == nil {
-					ex.steps = steps
+					ex.steps = stepsAt(steps, run, i)
 					return 0, cycle, fmt.Errorf("%w: unknown array %q", ErrRuntime, mi.name)
 				}
-				i64 := int64(rf[int(u.a)&mask].val)
-				if uint64(i64) >= uint64(len(arr.Data)) {
-					ex.steps = steps
+				data := arr.Data
+				i64 := int64(rf[uint(uint32(u.a))&mask].val)
+				if uint64(i64) >= uint64(len(data)) {
+					ex.steps = stepsAt(steps, run, i)
 					return 0, cycle, fmt.Errorf("%w: %s[%d] out of range [0,%d) in %s",
-						ErrRuntime, mi.name, i64, len(arr.Data), p.name)
+						ErrRuntime, mi.name, i64, len(data), p.name)
 				}
-				if recordWrites {
-					r.WriteLog = append(r.WriteLog, WriteRec{Arr: mi.name, Idx: i64, Old: arr.Data[i64]})
+				if r.RecordWrites {
+					r.WriteLog = append(r.WriteLog, WriteRec{Arr: mi.name, Idx: i64, Old: data[i64]})
 				}
-				arr.Data[i64] = rf[int(u.c)&mask].val
+				data[i64] = rf[uint(uint32(u.c))&mask].val
 				// Store completion can overlap with later work: the access
 				// updates cache state but charges no latency here.
 				addr := arr.Base + uint64(i64)*8
@@ -511,68 +444,70 @@ func (ex *execState) execFused(p *vplan, args []float64, depth int) (float64, in
 					_, mi.hint = hier.AccessMiss(addr)
 				}
 				cycle = issue + int64(u.cycleCost)
-				i++
 				continue
 			case uCallIntr:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
 				ci := &p.calls[u.aux]
 				cargs := ci.args
 				callArgs := r.callBuf(depth, len(cargs))
 				for j, ar := range cargs {
-					if t := rf[int(ar)&mask].ready; t > issue {
+					if t := rf[uint(uint32(ar))&mask].ready; t > issue {
 						issue = t
 					}
-					callArgs[j] = rf[int(ar)&mask].val
+					callArgs[j] = rf[uint(uint32(ar))&mask].val
 				}
 				iv, err := intrinsic(ci.fn, callArgs)
 				if err != nil {
-					ex.steps = steps
+					ex.steps = stepsAt(steps, run, i)
 					return 0, cycle, err
 				}
 				val = iv
 			case uCallUser:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
 				ci := &p.calls[u.aux]
 				cargs := ci.args
 				callArgs := r.callBuf(depth, len(cargs))
 				for j, ar := range cargs {
-					if t := rf[int(ar)&mask].ready; t > issue {
+					if t := rf[uint(uint32(ar))&mask].ready; t > issue {
 						issue = t
 					}
-					callArgs[j] = rf[int(ar)&mask].val
+					callArgs[j] = rf[uint(uint32(ar))&mask].val
 				}
-				ex.steps = steps
+				// The callee counts on from the exact step; afterwards,
+				// rebase the block's charge on top of the callee's steps
+				// and, if the rest of the block now crosses the limit, stop
+				// where it trips.
+				tail := ci.tail
+				if len(run) < len(uops) {
+					// The block trips before its end: steps counts only
+					// through run.
+					tail = realOps(run[i+1:])
+				}
+				ex.steps = steps - tail
 				rv, ccycles, err := ex.execFused(ci.callee, callArgs, depth+1)
-				steps = ex.steps
 				if err != nil {
 					return 0, cycle, err
 				}
-				// The callee consumed step budget: re-arm per-op checking
-				// if the rest of the block could now cross the limit.
-				if blockLimit == math.MaxInt64 && steps+bl.steps > maxSteps {
-					blockLimit = maxSteps
+				steps = ex.steps + tail
+				if steps > maxSteps {
+					run = run[:i+1+len(untilTrip(run[i+1:], maxSteps-ex.steps))]
+					steps = maxSteps
 				}
-				rf[int(u.dst)&mask].val = rv
-				rf[int(u.dst)&mask].ready = issue + int64(u.readyCost) + ccycles
+				rf[uint(uint32(u.dst))&mask].val = rv
+				rf[uint(uint32(u.dst))&mask].ready = issue + int64(u.readyCost) + ccycles
 				cycle = issue + int64(u.cycleCost) + ccycles
-				i++
 				continue
 			case uCallBad:
-				if steps++; steps > blockLimit {
-					goto stepLimit
-				}
-				ex.steps = steps
+				ex.steps = stepsAt(steps, run, i)
 				return 0, cycle, fmt.Errorf("%w: unresolved call to %q", ErrRuntime, p.calls[u.aux].fn)
 			}
 
-			rf[int(u.dst)&mask].val = val
-			rf[int(u.dst)&mask].ready = issue + int64(u.readyCost)
+			rf[uint(uint32(u.dst))&mask].val = val
+			rf[uint(uint32(u.dst))&mask].ready = issue + int64(u.readyCost)
 			cycle = issue + int64(u.cycleCost)
-			i++
+		}
+		if len(run) < len(uops) {
+			// The op after run takes step maxSteps+1.
+			ex.steps = maxSteps + 1
+			return 0, cycle, fmt.Errorf("%w in %s", ErrStepLimit, p.name)
 		}
 
 		// Terminator — identical to the reference engine.
@@ -581,7 +516,7 @@ func (ex *execState) execFused(p *vplan, args []float64, depth int) (float64, in
 			ex.steps = steps
 			total := cycle + int64(fetchPenalty)
 			if bl.val >= 0 {
-				return rf[int(bl.val)&mask].val, total, nil
+				return rf[uint(uint32(bl.val))&mask].val, total, nil
 			}
 			return math.NaN(), total, nil
 		case ir.TermJump:
@@ -591,11 +526,11 @@ func (ex *execState) execFused(p *vplan, args []float64, depth int) (float64, in
 			}
 			cur = next
 		case ir.TermBranch:
-			if t := rf[int(bl.cond)&mask].ready; t > cycle {
+			if t := rf[uint(uint32(bl.cond))&mask].ready; t > cycle {
 				cycle = t
 			}
 			cycle += bl.condCost
-			taken := rf[int(bl.cond)&mask].val != 0
+			taken := rf[uint(uint32(bl.cond))&mask].val != 0
 			state := pred[cur]
 			predTaken := state >= 2
 			if predTaken != taken {
@@ -620,10 +555,38 @@ func (ex *execState) execFused(p *vplan, args []float64, depth int) (float64, in
 			cur = next
 		}
 	}
+}
 
-	// Reached only by goto from a per-op step check: the checked path is
-	// armed (blockLimit == maxSteps) and this op crossed the limit.
-stepLimit:
-	ex.steps = steps
-	return 0, cycle, fmt.Errorf("%w in %s", ErrStepLimit, p.name)
+// untilTrip returns the prefix of uops before the op that takes step
+// budget+1 of the block: the op that trips the step limit. The caller
+// guarantees uops takes more than budget steps.
+func untilTrip(uops []uop, budget int64) []uop {
+	for i := range uops {
+		if uops[i].kind == uCount {
+			continue
+		}
+		if budget == 0 {
+			return uops[:i]
+		}
+		budget--
+	}
+	return uops
+}
+
+// realOps counts the steps uops take (uCount pseudo-ops take none).
+func realOps(uops []uop) int64 {
+	var n int64
+	for i := range uops {
+		if uops[i].kind != uCount {
+			n++
+		}
+	}
+	return n
+}
+
+// stepsAt recovers the exact step count just after run[i] from charged,
+// which counts through the end of run: the ops after i have not yet taken
+// their steps.
+func stepsAt(charged int64, run []uop, i int) int64 {
+	return charged - realOps(run[i+1:])
 }

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"peak/internal/cache"
+	"math"
+
 	"peak/internal/ir"
 )
 
@@ -88,7 +89,6 @@ type vplan struct {
 
 	// Micro-op engine tables (built by buildFused from the dInstr decode).
 	fblocks []fBlock
-	consts  []float64
 	mems    []memInfo
 	calls   []callInfo
 	// nregs is the micro-op register-file size: LF.NumRegs plus the read- and
@@ -294,11 +294,11 @@ func (p *vplan) buildFused() {
 			}
 			switch d.op {
 			case ir.LMovI:
-				u.kind, u.aux = uConst, int32(len(p.consts))
-				p.consts = append(p.consts, float64(d.imm))
+				u.kind = uConst
+				u.b, u.c = constBits(float64(d.imm))
 			case ir.LMovF:
-				u.kind, u.aux = uConst, int32(len(p.consts))
-				p.consts = append(p.consts, d.fimm)
+				u.kind = uConst
+				u.b, u.c = constBits(d.fimm)
 			case ir.LMov:
 				u.kind, u.a = uMov, use(d.a)
 			case ir.LAdd, ir.LFAdd:
@@ -344,11 +344,11 @@ func (p *vplan) buildFused() {
 			case ir.LLoad:
 				u.kind, u.a = uLoad, use(d.a)
 				u.aux = int32(len(p.mems))
-				p.mems = append(p.mems, memInfo{arr: d.arr, hint: cache.NoLine, name: d.arrName})
+				p.mems = append(p.mems, memInfo{arr: d.arr, name: d.arrName})
 			case ir.LStore:
 				u.kind, u.a, u.c = uStore, use(d.a), use(d.src)
 				u.aux = int32(len(p.mems))
-				p.mems = append(p.mems, memInfo{arr: d.arr, hint: cache.NoLine, name: d.arrName})
+				p.mems = append(p.mems, memInfo{arr: d.arr, name: d.arrName})
 			case ir.LCall:
 				ci := callInfo{fn: d.fn, callee: d.callee}
 				ci.args = make([]int32, len(d.callArgs))
@@ -393,26 +393,36 @@ func (p *vplan) buildFused() {
 			}
 		}
 		fb.uops = uops
+		// Each user call records the steps its block takes after it.
+		tail := fb.steps
+		for _, u := range uops {
+			if u.kind != uCount {
+				tail--
+			}
+			if u.kind == uCallUser {
+				p.calls[u.aux].tail = tail
+			}
+		}
 	}
 
-	// Pad mems and consts to power-of-two lengths so the interpreter can
-	// index them as table[aux&(len(table)-1)] with the bounds check elided;
-	// real aux values are all below the unpadded length, so the mask never
-	// changes them and the padding entries are never touched.
+	// Pad mems to a power-of-two length so the interpreter can index it
+	// as mems[aux&(len(mems)-1)] with the bounds check elided; real aux
+	// values are all below the unpadded length, so the mask never changes
+	// them and the padding entries are never touched.
 	memLen := 1
 	for memLen < len(p.mems) {
 		memLen <<= 1
 	}
 	for len(p.mems) < memLen {
-		p.mems = append(p.mems, memInfo{hint: cache.NoLine})
+		p.mems = append(p.mems, memInfo{})
 	}
-	constLen := 1
-	for constLen < len(p.consts) {
-		constLen <<= 1
-	}
-	for len(p.consts) < constLen {
-		p.consts = append(p.consts, 0)
-	}
+}
+
+// constBits splits x's IEEE bits into a uConst's unused operand slots:
+// low word in b, high word in c.
+func constBits(x float64) (lo, hi int32) {
+	bits := math.Float64bits(x)
+	return int32(uint32(bits)), int32(uint32(bits >> 32))
 }
 
 // predictorImage builds the cold 2-bit predictor state for v: weakly

@@ -119,7 +119,7 @@ type Engine int
 // enforce the equivalence.
 const (
 	// EngineFused is the micro-op engine (exec.go): compact pre-decoded
-	// fixed-shape micro-ops with bulk step accounting. The default.
+	// fixed-shape micro-ops with per-block step accounting. The default.
 	EngineFused Engine = iota
 	// EngineRef is the original per-instruction reference interpreter
 	// (ref.go), kept as semantic ground truth for differential testing.
@@ -202,9 +202,12 @@ type regState struct {
 
 // frameFused returns a zeroed register frame for the micro-op engine at a call
 // depth. The frame is padded to a power-of-two length so the interpreter
-// can index it as rf[i&(len(rf)-1)] — the mask is a no-op for the valid
-// indices decode produces (all < n) and lets the compiler elide every
-// bounds check in the hot loop.
+// can index it as rf[uint(uint32(i))&mask] with mask = uint(len(rf)-1)
+// taken after a len(rf) > 0 guard: the mask is a no-op for the valid
+// indices decode produces (all < n), and because the masked index is
+// unsigned and at most len(rf)-1 the compiler drops the register file's
+// bounds checks. (A signed int mask does not suffice: the compiler cannot
+// rule out a mask of -1.)
 func (r *Runner) frameFused(depth, n int) []regState {
 	for len(r.scratchRF) <= depth {
 		r.scratchRF = append(r.scratchRF, nil)
