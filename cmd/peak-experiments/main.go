@@ -19,10 +19,10 @@
 // bar's winner compared against its fault-free twin.
 //
 // Long runs can checkpoint after every tuning round with -checkpoint; a
-// killed run is continued bit-for-bit with -resume (same flags otherwise).
-// On SIGINT the journal is synced and the resume command printed before
-// exiting with status 130. On any error the results computed so far are
-// still flushed before the nonzero exit.
+// killed run is continued bit-for-bit by running it again with the same
+// -checkpoint (same flags otherwise). On SIGINT the journal is synced and
+// the resume command printed before exiting with status 130. On any error
+// the results computed so far are still flushed before the nonzero exit.
 //
 // Usage:
 //
@@ -34,8 +34,7 @@
 //	peak-experiments -table1 -regime spikes          # Table 1 under a noise regime
 //	peak-experiments -noise           # rating error vs noise regime
 //	peak-experiments -faults          # tuning under injected faults
-//	peak-experiments -checkpoint run.jsonl   # journal every round
-//	peak-experiments -resume run.jsonl       # continue a killed run
+//	peak-experiments -checkpoint run.journal # journal every round; rerun to continue
 //	peak-experiments -trace fig7.jsonl       # record a trace (analyze: peak-trace)
 //	peak-experiments -metrics                # print the metrics table to stderr
 package main
@@ -66,8 +65,7 @@ func main() {
 	faultsRep := flag.Bool("faults", false, "regenerate the fault-injection robustness report instead of Figure 7")
 	faultRate := flag.Float64("faultrate", 0.05, "uniform fault rate for -faults (miscompiles injected at rate/10)")
 	faultSeed := flag.Int64("faultseed", 2023, "fault-injection seed for -faults")
-	checkpoint := flag.String("checkpoint", "", "checkpoint journal path: save resumable state after every tuning round")
-	resume := flag.String("resume", "", "resume from an existing checkpoint journal (pass the same other flags)")
+	checkpoint := flag.String("checkpoint", "", "checkpoint journal path: save resumable state after every tuning round, resuming from what the file already holds")
 	tracePath := flag.String("trace", "", "write a JSONL event trace to this file (analyze with peak-trace)")
 	metrics := flag.Bool("metrics", false, "print the metrics table to stderr after the run")
 	cacheDir := flag.String("cache-dir", "", "persistent warm-start store for -noise: grid cells memoize across runs (output identical either way)")
@@ -86,26 +84,19 @@ func main() {
 		machines = []*peak.Machine{m}
 	}
 
-	// -resume requires an existing journal; -checkpoint reuses one if the
-	// file already holds state (so a killed -checkpoint run can simply be
-	// re-invoked) and creates it otherwise.
-	journalPath := *checkpoint
-	if *resume != "" {
-		journalPath = *resume
-	}
+	// -checkpoint reuses the journal's state (so a killed run can simply
+	// be re-invoked) and creates the file when it is missing.
 	var journal *peak.Journal
-	if journalPath != "" {
+	if *checkpoint != "" {
 		var err error
-		if _, statErr := os.Stat(journalPath); statErr == nil {
-			journal, err = peak.OpenJournal(journalPath)
-		} else if *resume != "" {
-			err = fmt.Errorf("-resume %s: %w", journalPath, statErr)
-		} else {
-			journal, err = peak.NewJournal(journalPath)
-		}
-		if err != nil {
+		if journal, err = peak.OpenJournal(*checkpoint); err != nil {
 			fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
 			os.Exit(1)
+		}
+		// Say when recovery dropped anything: a torn tail, or a whole
+		// journal of another format, which this run then redoes.
+		if rec := journal.Recovery(); rec.DroppedBytes > 0 {
+			fmt.Fprintf(os.Stderr, "peak-experiments: %s\n", rec)
 		}
 	}
 
@@ -123,8 +114,8 @@ func main() {
 			return
 		}
 		journal.Sync()
-		fmt.Fprintf(os.Stderr, "\npeak-experiments: interrupted; checkpoint journal %s synced\n", journalPath)
-		fmt.Fprintf(os.Stderr, "peak-experiments: continue with: peak-experiments -resume %s (plus the same flags)\n", journalPath)
+		fmt.Fprintf(os.Stderr, "\npeak-experiments: interrupted; checkpoint journal %s synced\n", *checkpoint)
+		fmt.Fprintf(os.Stderr, "peak-experiments: continue with: peak-experiments -checkpoint %s (plus the same flags)\n", *checkpoint)
 	})
 	finish := func(code int) {
 		stopProgress()
@@ -137,7 +128,7 @@ func main() {
 			journal.Sync()
 			journal.Close()
 			if code != 0 {
-				fmt.Fprintf(os.Stderr, "peak-experiments: continue with: peak-experiments -resume %s (plus the same flags)\n", journalPath)
+				fmt.Fprintf(os.Stderr, "peak-experiments: continue with: peak-experiments -checkpoint %s (plus the same flags)\n", *checkpoint)
 			}
 		}
 		// A partial trace of a failed run is still a valid trace.

@@ -10,12 +10,13 @@
 //
 // On SIGINT/SIGTERM the server drains gracefully: running jobs stop at
 // their next tuning-round boundary, queued jobs are set aside, and — with
-// -journal — every completed round is checkpointed, so re-POSTing an
-// interrupted job's request to a restarted server resumes it
-// byte-identically. The drain prints one resume command per interrupted
-// job. The journal is crash-safe beyond the graceful path: records are
-// CRC-framed, so a SIGKILL mid-write loses at most the torn final record,
-// which the restart detects, drops and reports.
+// -cache-dir — every completed round is checkpointed in the directory's
+// journal, so re-POSTing an interrupted job's request to a server
+// restarted on the same directory resumes it byte-identically. The drain
+// prints one resume command per interrupted job. The journal is
+// crash-safe beyond the graceful path: records are CRC-framed, so a
+// SIGKILL mid-write loses at most the torn final record, which the
+// restart detects, drops and reports.
 //
 // The resilience knobs (all off by default) bound how badly a job or a
 // failure storm can hurt the service: -deadline caps any job's wall time
@@ -29,7 +30,7 @@
 //
 //	peak-serve -addr :8080                      # serve
 //	peak-serve -jobs 4 -workers 8 -queue 32     # 4 concurrent jobs on 8 lanes
-//	peak-serve -journal serve.jsonl             # checkpoint + resume
+//	peak-serve -cache-dir peak-cache            # warm start, checkpoint + resume
 //	peak-serve -deadline 2m -watchdog 30s       # per-job wall-clock bounds
 //	peak-serve -breaker-failures 5              # shed load after 5 straight failures
 //	peak-serve -smoke MGRID/sparc2              # one job end to end, report on stdout
@@ -51,11 +52,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"peak"
 	"peak/internal/serve"
 	"peak/internal/store"
 )
@@ -67,8 +68,7 @@ func main() {
 		jobs     = flag.Int("jobs", 2, "jobs allowed to run concurrently")
 		queueCap = flag.Int("queue", 16, "job queue capacity (full queue refuses with 429 + Retry-After)")
 		noCache  = flag.Bool("nocache", false, "private per-job compile caches, profiles and measurements instead of the shared ones (results identical either way)")
-		journal  = flag.String("journal", "", "checkpoint journal path: jobs checkpoint every round and resume across restarts")
-		cacheDir = flag.String("cache-dir", "", "persistent warm-start store directory: compile cache, rating memos and finished jobs survive restarts (results identical either way)")
+		cacheDir = flag.String("cache-dir", "", "persistent state directory: compile cache, rating memos and finished jobs survive restarts, and jobs checkpoint every round and resume across restarts (results identical either way)")
 		smoke    = flag.String("smoke", "", `run one job end to end and print its report ("BENCH/machine", e.g. "MGRID/sparc2"); with -cache-dir, also drain, reboot from the store and assert the re-served artifacts are byte-identical`)
 
 		deadline = flag.Duration("deadline", 0, "default per-job wall-clock deadline (0 = none; a request's deadline_ms overrides it)")
@@ -88,44 +88,34 @@ func main() {
 		Jobs:            *jobs,
 		Queue:           *queueCap,
 		NoSharedCache:   *noCache,
-		JournalPath:     *journal,
 		Deadline:        *deadline,
 		WatchdogStall:   *watchdog,
 		BreakerFailures: *brkFails,
 		BreakerCooldown: *brkCool,
 		QuarantineStorm: *quarStrm,
 	}
-	if *journal != "" {
-		var j *peak.Journal
-		var err error
-		if _, statErr := os.Stat(*journal); statErr == nil {
-			j, err = peak.OpenJournal(*journal)
-		} else {
-			j, err = peak.NewJournal(*journal)
-		}
-		if err != nil {
-			fatalf("%v", err)
-		}
-		// Surface what recovery found: after a SIGKILL the journal may have
-		// lost its torn tail record — say so, and say it was repaired.
-		if rec := j.Recovery(); rec.Records > 0 || rec.DroppedBytes > 0 {
-			fmt.Fprintf(os.Stderr, "peak-serve: %s\n", rec.String())
-		}
-		opts.Journal = j
-		defer j.Close()
-	}
+	journalPath := filepath.Join(*cacheDir, store.JournalFile)
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		// Like the journal, say what recovery repaired (a SIGKILL mid-flush
-		// loses at most the torn tail; corrupt records are dropped).
+		// Say what recovery repaired (a SIGKILL mid-write loses at most
+		// the torn tail; corrupt records are dropped).
 		if rec := st.Recovery(); rec.TornTail || rec.HeaderInvalid || rec.DroppedBodies > 0 || rec.DroppedAliases > 0 {
 			fmt.Fprintf(os.Stderr, "peak-serve: store recovery: %d records kept, %d bytes dropped (torn=%v header_invalid=%v bodies_dropped=%d aliases_dropped=%d)\n",
 				rec.Records, rec.DroppedBytes, rec.TornTail, rec.HeaderInvalid, rec.DroppedBodies, rec.DroppedAliases)
 		}
 		opts.Store = st
+		j, err := store.OpenJournal(journalPath)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if rec := j.Recovery(); rec.Records > 0 || rec.DroppedBytes > 0 {
+			fmt.Fprintf(os.Stderr, "peak-serve: %s\n", rec.String())
+		}
+		opts.Journal = j
+		defer j.Close()
 	}
 
 	s := serve.New(opts)
@@ -169,9 +159,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "peak-serve: job %s %s (%s)\n", r.ID, r.State, r.Spec)
 			fmt.Fprintf(os.Stderr, "peak-serve:   resume with: curl -X POST <addr>/tune -d '%s'\n", string(r.Request))
 		}
-		if *journal != "" && len(interrupted) > 0 {
-			fmt.Fprintf(os.Stderr, "peak-serve: checkpoint journal %s synced; restart with -journal %s to resume from the last completed round\n",
-				*journal, *journal)
+		if opts.Journal != nil && len(interrupted) > 0 {
+			fmt.Fprintf(os.Stderr, "peak-serve: checkpoint journal %s synced; restart with -cache-dir %s to resume from the last completed round\n",
+				journalPath, *cacheDir)
 		}
 		httpSrv.Close()
 	}()

@@ -30,9 +30,9 @@ import (
 	"strings"
 	"time"
 
-	"peak/internal/fault"
 	"peak/internal/opt"
 	"peak/internal/serve"
+	"peak/internal/store"
 )
 
 // Config parameterizes a chaos run.
@@ -73,7 +73,7 @@ type Report struct {
 	// phase.
 	TearsInjected    int
 	RecoveredRecords int
-	DroppedBytes     int64
+	DroppedBytes     int
 	BreakerOpens     int64
 	BreakerShed503   int
 
@@ -201,30 +201,25 @@ func terminal(state string) bool {
 }
 
 // tearJournal damages the journal file the way a SIGKILL mid-write would:
-// either truncating the final record's tail (torn write, no newline) or
-// flipping one byte inside it (media corruption the CRC must catch).
-// Returns false when the file holds no complete record to damage.
+// either truncating the final record's frame (torn write) or flipping one
+// byte inside it (media corruption the CRC must catch). Returns false when
+// the file holds no complete record to damage.
 func tearJournal(path string, rng *rand.Rand) (bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false, err
 	}
-	trimmed := bytes.TrimRight(data, "\n")
-	if len(trimmed) == 0 {
+	b := store.JournalBoundaries(data)
+	if len(b) < 2 {
 		return false, nil
 	}
-	lastStart := bytes.LastIndexByte(trimmed, '\n') + 1
-	lineLen := len(trimmed) - lastStart
-	if lineLen < 2 {
-		return false, nil
-	}
+	lastStart, frameLen := b[len(b)-2], b[len(b)-1]-b[len(b)-2]
 	if rng.Intn(2) == 0 {
-		// Torn write: keep a strict prefix of the last line, no newline.
-		cut := lastStart + 1 + rng.Intn(lineLen-1)
-		data = data[:cut]
+		// Torn write: keep a strict, nonempty prefix of the last frame.
+		data = data[:lastStart+1+rng.Intn(frameLen-1)]
 	} else {
-		// Bit rot: flip one byte inside the last record's line.
-		pos := lastStart + rng.Intn(lineLen)
+		// Bit rot: flip one byte inside the last record's frame.
+		pos := lastStart + rng.Intn(frameLen)
 		data = append([]byte(nil), data...)
 		data[pos] ^= 0x20
 	}
@@ -271,8 +266,8 @@ func Run(cfg Config) (*Report, error) {
 
 	// Chaos epochs: each is one server "process lifetime" over the shared
 	// journal file. Specs keep being resubmitted until they settle.
-	journalPath := filepath.Join(dir, "chaos-journal.jsonl")
-	j, err := fault.NewJournal(journalPath)
+	journalPath := filepath.Join(dir, store.JournalFile)
+	j, err := store.NewJournal(journalPath)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +289,7 @@ func Run(cfg Config) (*Report, error) {
 
 		h := startHarness(serve.Options{
 			Workers: 4, Jobs: 2, Queue: len(specs) + 4,
-			Journal: j, JournalPath: journalPath,
+			Journal:       j,
 			WatchdogStall: 10 * time.Second,
 		})
 		ids := make(map[string]string, len(pending))
@@ -396,7 +391,7 @@ func Run(cfg Config) (*Report, error) {
 				logf("chaos: epoch %d tore the journal", epoch)
 			}
 		}
-		j, err = fault.OpenJournal(journalPath)
+		j, err = store.OpenJournal(journalPath)
 		if err != nil {
 			return nil, err
 		}

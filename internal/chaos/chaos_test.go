@@ -5,8 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"peak/internal/fault"
 	"peak/internal/serve"
+	"peak/internal/store"
 )
 
 // TestGenSpecsDistinct: the pool generator must never hand the server two
@@ -35,13 +35,13 @@ func TestGenSpecsDistinct(t *testing.T) {
 // reports dropped bytes and whose surviving records still load.
 func TestTearJournalDamagesTail(t *testing.T) {
 	for _, mode := range []string{"truncate", "flip"} {
-		path := filepath.Join(t.TempDir(), "j.jsonl")
-		j, err := fault.NewJournal(path)
+		path := filepath.Join(t.TempDir(), "j.journal")
+		j, err := store.NewJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if err := j.Append(fault.Record{ID: "id", Round: i + 1,
+			if err := j.Append(store.Record{ID: "id", Round: i + 1,
 				State: []byte(`{"x":1}`)}); err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestTearJournalDamagesTail(t *testing.T) {
 		if err != nil || !torn {
 			t.Fatalf("%s: tearJournal = %v, %v", mode, torn, err)
 		}
-		j2, err := fault.OpenJournal(path)
+		j2, err := store.OpenJournal(path)
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", mode, err)
 		}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"peak/internal/fault"
 	"peak/internal/opt"
+	"peak/internal/store"
 	"peak/internal/trace"
 )
 
@@ -107,7 +107,7 @@ func (e *engine) checkpoint(round int, current opt.FlagSet, candidates []opt.Fla
 	if err != nil {
 		return fmt.Errorf("tune %s: marshal checkpoint: %w", e.t.Bench.Name, err)
 	}
-	if err := e.journal.Append(fault.Record{
+	if err := e.journal.Append(store.Record{
 		Kind: "tune", ID: e.ckptID, Round: round, Stopped: stopped, State: b,
 	}); err != nil {
 		return err

@@ -100,7 +100,7 @@ type Tuner struct {
 	// record for that ID — resumes from it, producing a TuneResult
 	// byte-identical to an uninterrupted run. CheckpointID defaults to
 	// "bench/machine/method/dataset".
-	Journal      *fault.Journal
+	Journal      *store.Journal
 	CheckpointID string
 
 	// Trace, when set, records the tuning process as structured events
@@ -219,7 +219,7 @@ type engine struct {
 	// flag sets a previous process had already compiled and accounted.
 	faults    *fault.Plan
 	golden    *goldenRef
-	journal   *fault.Journal
+	journal   *store.Journal
 	ckptID    string
 	restoring bool
 	// Engine-level fault ledger, guarded by mu and folded into res when

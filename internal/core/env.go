@@ -1,7 +1,6 @@
 package core
 
 import (
-	"peak/internal/fault"
 	"peak/internal/sched"
 	"peak/internal/store"
 	"peak/internal/trace"
@@ -25,7 +24,7 @@ type Env struct {
 	Store *store.Store
 	// Journal checkpoints every Iterative Elimination round and resumes
 	// from recorded state; see Tuner.Journal.
-	Journal *fault.Journal
+	Journal *store.Journal
 	// Trace records the structured event stream; see Tuner.Trace.
 	Trace *trace.Buffer
 	// Metrics accumulates each finished tune's counters

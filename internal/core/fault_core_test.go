@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"peak/internal/fault"
@@ -13,11 +12,12 @@ import (
 	"peak/internal/opt"
 	"peak/internal/profiling"
 	"peak/internal/sched"
+	"peak/internal/store"
 )
 
 // faultTune runs one tune of the tiny benchmark under plan, with the given
 // pool/cache/journal configuration, and returns the result.
-func faultTune(t *testing.T, plan *fault.Plan, workers int, noCache bool, j *fault.Journal, mutate ...func(*Config)) (*TuneResult, error) {
+func faultTune(t *testing.T, plan *fault.Plan, workers int, noCache bool, j *store.Journal, mutate ...func(*Config)) (*TuneResult, error) {
 	t.Helper()
 	b := tinyBenchmark()
 	m := machine.SPARCII()
@@ -147,8 +147,8 @@ func TestResumeIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	full := filepath.Join(dir, "full.jsonl")
-	j, err := fault.NewJournal(full)
+	full := filepath.Join(dir, "full.journal")
+	j, err := store.NewJournal(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,16 +165,17 @@ func TestResumeIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("journal has %d records, need ≥2 to test resume", len(lines))
+	b := store.JournalBoundaries(data)
+	records := len(b) - 1
+	if records < 3 {
+		t.Fatalf("journal has %d records, need ≥3 to test resume", records)
 	}
-	for k := 1; k <= len(lines); k++ {
-		cut := filepath.Join(dir, "cut.jsonl")
-		if err := os.WriteFile(cut, []byte(strings.Join(lines[:k], "")), 0o644); err != nil {
+	for k := 1; k <= records; k++ {
+		cut := filepath.Join(dir, "cut.journal")
+		if err := os.WriteFile(cut, data[:b[k]], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rj, err := fault.OpenJournal(cut)
+		rj, err := store.OpenJournal(cut)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -189,12 +190,12 @@ func TestResumeIdentical(t *testing.T) {
 	}
 
 	// A torn final record (the crash hit mid-write) must also resume
-	// cleanly: OpenJournal drops the partial line.
-	torn := filepath.Join(dir, "torn.jsonl")
-	if err := os.WriteFile(torn, []byte(strings.Join(lines[:2], "")+lines[2][:len(lines[2])/2]), 0o644); err != nil {
+	// cleanly: OpenJournal drops the partial frame.
+	torn := filepath.Join(dir, "torn.journal")
+	if err := os.WriteFile(torn, data[:(b[2]+b[3])/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tj, err := fault.OpenJournal(torn)
+	tj, err := store.OpenJournal(torn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"peak/internal/fault"
 	"peak/internal/machine"
 	"peak/internal/sched"
+	"peak/internal/store"
 	"peak/internal/vcache"
 )
 
@@ -71,8 +72,8 @@ func TestFigure7JournaledResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "fig7.jsonl")
-	j, err := fault.NewJournal(path)
+	path := filepath.Join(t.TempDir(), "fig7.journal")
+	j, err := store.NewJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestFigure7JournaledResumes(t *testing.T) {
 
 	// Resume from the completed journal: every tune restores its final
 	// (stopped) checkpoint instead of re-searching.
-	j2, err := fault.OpenJournal(path)
+	j2, err := store.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

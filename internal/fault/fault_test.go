@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -137,7 +138,7 @@ func TestPlanFingerprint(t *testing.T) {
 }
 
 func TestJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	path := filepath.Join(t.TempDir(), "peak.journal")
 	j, err := NewJournal(path)
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +175,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// A journal truncated mid-line (the kill-during-write case) must load every
+// A journal truncated mid-record (the kill-during-write case) must load every
 // intact record and accept appends cleanly afterwards.
 func TestJournalTruncatedTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	path := filepath.Join(t.TempDir(), "peak.journal")
 	j, err := NewJournal(path)
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +186,18 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if err := j.Append(Record{Kind: "round", ID: "A", Round: 3}); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a torn write: a partial JSON line with no newline.
-	if _, err := j.f.WriteString(`{"kind":"round","id":"A","rou`); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
+	// Simulate a torn write: the first bytes of a record frame.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("\x04\x40\x00\x00\x00{\"kind\":\"round\",\"id\":\"A\",\"rou"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,329 +1,24 @@
 package fault
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
+import "peak/internal/store"
 
-	"peak/internal/trace"
+// The checkpoint journal lives in internal/store, beside the store file
+// whose record format it shares. These names keep callers of the earlier
+// fault journal compiling; new code uses the store names.
+type (
+	// Journal is store.Journal.
+	Journal = store.Journal
+	// Record is store.Record.
+	Record = store.Record
+	// RecoveryReport is store.JournalRecovery.
+	RecoveryReport = store.JournalRecovery
 )
 
-// Record is one journal entry: a completed unit of work identified by a
-// stable checkpoint ID (for a tune: "bench/machine/method/dataset"), the
-// round it closed, and an opaque state snapshot sufficient to continue from
-// the next round. Stopped marks the final record of a unit — the search
-// ended and State is the finished state.
-type Record struct {
-	Kind    string          `json:"kind"`
-	ID      string          `json:"id"`
-	Round   int             `json:"round"`
-	Stopped bool            `json:"stopped,omitempty"`
-	State   json.RawMessage `json:"state,omitempty"`
-}
+// NewJournal is store.NewJournal.
+func NewJournal(path string) (*Journal, error) { return store.NewJournal(path) }
 
-// framedRecord is the on-disk line format: the record's JSON plus a CRC32
-// (Castagnoli) of exactly those bytes. A torn or bit-flipped line fails the
-// checksum and recovery keeps only the valid prefix before it, so a SIGKILL
-// mid-write — or a disk scribble — loses at most the damaged record and its
-// successors, never the journal.
-type framedRecord struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
+// OpenJournal is store.OpenJournal.
+func OpenJournal(path string) (*Journal, error) { return store.OpenJournal(path) }
 
-// crcTable is the Castagnoli polynomial table used for record checksums
-// (hardware-accelerated on amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// RecoveryReport describes what OpenJournal found: how many records (and
-// distinct checkpoint IDs) survived, how many were legacy unchecksummed
-// lines, and what was dropped. DroppedBytes > 0 means the file held a torn
-// or corrupt tail; Rewritten reports that the valid prefix was rewritten
-// in place via an atomic rename.
-type RecoveryReport struct {
-	// Records is the number of intact records loaded; IDs the distinct
-	// checkpoint IDs among them.
-	Records int `json:"records"`
-	IDs     int `json:"ids"`
-	// Legacy counts records accepted from the pre-CRC journal format
-	// (bare JSON lines without a checksum frame).
-	Legacy int `json:"legacy,omitempty"`
-	// DroppedRecords / DroppedBytes describe the invalid suffix removed on
-	// open: a torn final line (TornTail) and anything after the first
-	// checksum or parse failure.
-	DroppedRecords int   `json:"dropped_records,omitempty"`
-	DroppedBytes   int64 `json:"dropped_bytes,omitempty"`
-	TornTail       bool  `json:"torn_tail,omitempty"`
-	// Rewritten reports that recovery rewrote the journal (valid prefix to
-	// a temp file, then an atomic rename over the original).
-	Rewritten bool `json:"rewritten,omitempty"`
-}
-
-// String formats the report as a one-line operator summary.
-func (r RecoveryReport) String() string {
-	s := fmt.Sprintf("journal recovery: %d record(s) over %d id(s) loaded", r.Records, r.IDs)
-	if r.Legacy > 0 {
-		s += fmt.Sprintf(", %d legacy unchecksummed", r.Legacy)
-	}
-	if r.DroppedBytes > 0 {
-		s += fmt.Sprintf("; dropped %d byte(s)/%d record(s) of torn or corrupt tail", r.DroppedBytes, r.DroppedRecords)
-	} else {
-		s += "; no damage"
-	}
-	return s
-}
-
-// Journal is an append-only JSON-lines checkpoint journal. Every line is a
-// CRC32-framed record written (and flushed to the OS) in one call, so a
-// killed process loses at most the line being written; OpenJournal detects
-// the torn tail by checksum, keeps the valid prefix via an atomic
-// rename-on-write, and reports what it dropped. A Journal is safe for
-// concurrent use — experiment drivers and the serve daemon share one
-// journal across parallel tunes, keyed by Record.ID.
-type Journal struct {
-	mu     sync.Mutex
-	f      *os.File // nil for an in-memory journal
-	latest map[string]Record
-	// appends counts records written by this process (loaded records do
-	// not count); appendBytes their serialized size. Both feed the
-	// "journal." metrics.
-	appends     int64
-	appendBytes int64
-	// recovery is what OpenJournal found (zero value for a fresh or
-	// in-memory journal).
-	recovery RecoveryReport
-}
-
-// NewJournal creates (truncating) the journal file at path.
-func NewJournal(path string) (*Journal, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("fault: create journal: %w", err)
-	}
-	return &Journal{f: f, latest: map[string]Record{}}, nil
-}
-
-// OpenJournal opens an existing journal for resume: it loads every record
-// whose checksum verifies (bare pre-CRC lines are accepted as legacy
-// records), stopping at the first torn, corrupt or malformed line — which a
-// killed writer legitimately leaves behind. When anything was dropped, the
-// valid prefix is rewritten to a temp file and atomically renamed over the
-// original, so a crash during recovery can never lose intact records.
-// Recovery() reports what was found.
-func OpenJournal(path string) (*Journal, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fault: open journal: %w", err)
-	}
-	j := &Journal{latest: map[string]Record{}}
-	var goodBytes int64
-	rest := data
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			// A final fragment without its newline is a torn write even if
-			// the bytes happen to parse: the '\n' is part of the record's
-			// single atomic write.
-			break
-		}
-		rec, legacy, ok := decodeLine(rest[:nl])
-		if !ok {
-			break
-		}
-		goodBytes += int64(nl) + 1
-		rest = rest[nl+1:]
-		j.latest[rec.ID] = rec
-		j.recovery.Records++
-		if legacy {
-			j.recovery.Legacy++
-		}
-	}
-	j.recovery.IDs = len(j.latest)
-
-	if dropped := int64(len(data)) - goodBytes; dropped > 0 {
-		j.recovery.DroppedBytes = dropped
-		j.recovery.TornTail = true
-		tail := bytes.TrimRight(data[goodBytes:], "\n")
-		j.recovery.DroppedRecords = 1 + bytes.Count(tail, []byte("\n"))
-		// Atomic rename-on-write: the valid prefix lands under a temp name
-		// first, so a crash mid-recovery leaves either the old journal or
-		// the recovered one — never a half-truncated file.
-		if err := j.rewriteLocked(path, data[:goodBytes]); err != nil {
-			return nil, err
-		}
-		j.recovery.Rewritten = true
-		return j, nil
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("fault: open journal: %w", err)
-	}
-	if _, err := f.Seek(goodBytes, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fault: seek journal: %w", err)
-	}
-	j.f = f
-	return j, nil
-}
-
-// rewriteLocked replaces the journal file at path with the given contents
-// via temp-file + fsync + atomic rename, and installs the new file as j.f
-// positioned at its end. The caller must not yet have published j.
-func (j *Journal) rewriteLocked(path string, contents []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".recover-*")
-	if err != nil {
-		return fmt.Errorf("fault: recover journal: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(contents); err != nil {
-		cleanup()
-		return fmt.Errorf("fault: recover journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("fault: recover journal: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		cleanup()
-		return fmt.Errorf("fault: recover journal: %w", err)
-	}
-	j.f = tmp
-	return nil
-}
-
-// decodeLine parses one journal line, accepting both the CRC-framed format
-// and the legacy bare-record format, and reports whether the line is intact.
-func decodeLine(line []byte) (rec Record, legacy, ok bool) {
-	var fr framedRecord
-	if err := json.Unmarshal(line, &fr); err == nil && fr.Rec != nil {
-		if crc32.Checksum(fr.Rec, crcTable) != fr.CRC {
-			return Record{}, false, false
-		}
-		if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-			return Record{}, false, false
-		}
-		return rec, false, true
-	}
-	// Legacy pre-CRC journals framed records as bare JSON objects. They
-	// carry no checksum, so only a JSON parse failure reveals damage.
-	if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" {
-		return Record{}, false, false
-	}
-	return rec, true, true
-}
-
-// NewMemoryJournal returns a journal that keeps records in memory only
-// (tests and callers that want checkpoint semantics without a file).
-func NewMemoryJournal() *Journal {
-	return &Journal{latest: map[string]Record{}}
-}
-
-// Append writes one CRC-framed record in a single write and flushes it to
-// the OS.
-func (j *Journal) Append(rec Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("fault: marshal record: %w", err)
-	}
-	line, err := json.Marshal(framedRecord{CRC: crc32.Checksum(b, crcTable), Rec: b})
-	if err != nil {
-		return fmt.Errorf("fault: frame record: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.latest[rec.ID] = rec
-	j.appends++
-	j.appendBytes += int64(len(line)) + 1
-	if j.f == nil {
-		return nil
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("fault: append record: %w", err)
-	}
-	return nil
-}
-
-// Recovery returns what OpenJournal found when this journal was opened
-// (the zero report for a fresh or in-memory journal).
-func (j *Journal) Recovery() RecoveryReport {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recovery
-}
-
-// FillMetrics folds the journal's counters into a metrics registry under
-// the "journal." prefix: records appended by this process, their
-// serialized bytes, and the resident checkpoint-ID count as a gauge.
-// No-op when m is nil.
-func (j *Journal) FillMetrics(m *trace.Metrics) {
-	if m == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	m.Add("journal.appends", j.appends)
-	m.Add("journal.append_bytes", j.appendBytes)
-	m.Gauge("journal.ids", int64(len(j.latest)))
-}
-
-// Latest returns the most recent record for the checkpoint ID, if any.
-func (j *Journal) Latest(id string) (Record, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec, ok := j.latest[id]
-	return rec, ok
-}
-
-// IDs returns every checkpoint ID with at least one record, sorted. The
-// serve daemon prints them on drain so an operator can see which tunes
-// hold resumable state.
-func (j *Journal) IDs() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ids := make([]string, 0, len(j.latest))
-	for id := range j.latest {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Len returns the number of checkpoint IDs with at least one record.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.latest)
-}
-
-// Sync forces journal contents to stable storage (SIGINT handlers call this
-// before printing the resume command).
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	return j.f.Sync()
-}
-
-// Close syncs and closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
+// NewMemoryJournal is store.NewMemoryJournal.
+func NewMemoryJournal() *Journal { return store.NewMemoryJournal() }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"peak/internal/fault"
 	"peak/internal/store"
 )
 
@@ -39,7 +38,7 @@ type Stats struct {
 	JournalIDs *int `json:"journal_ids,omitempty"`
 	// JournalRecovery summarizes what OpenJournal found on disk (absent
 	// without a journal): torn tails truncated, corrupt records dropped.
-	JournalRecovery *fault.RecoveryReport `json:"journal_recovery,omitempty"`
+	JournalRecovery *store.JournalRecovery `json:"journal_recovery,omitempty"`
 	// Store is the persistent warm-start store's snapshot/flush side
 	// (absent without -cache-dir).
 	Store *StoreStats `json:"store,omitempty"`

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"peak/internal/fault"
 	"peak/internal/opt"
+	"peak/internal/store"
 )
 
 // waitState polls a job until it reaches want (fatal on failed-when-not-
@@ -145,7 +145,7 @@ func TestServeDeadlineTimeoutAndResume(t *testing.T) {
 	deadlined := req
 	deadlined.DeadlineMS = 1
 
-	s := New(Options{Workers: 1, Jobs: 1, Journal: fault.NewMemoryJournal()})
+	s := New(Options{Workers: 1, Jobs: 1, Journal: store.NewMemoryJournal()})
 	s.roundGate = make(chan struct{})
 	s.Start()
 	defer s.Drain()
@@ -382,13 +382,13 @@ func TestServeQuarantineStormTripsBreaker(t *testing.T) {
 func TestServeConcurrentDrainResumeSharedJournal(t *testing.T) {
 	all := opt.AllFlags()
 	reqs := []Request{subsetReq("BZIP2", all[0:3]), subsetReq("BZIP2", all[3:6])}
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := fault.NewJournal(path)
+	path := filepath.Join(t.TempDir(), store.JournalFile)
+	j, err := store.NewJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s := New(Options{Workers: 2, Jobs: 2, Journal: j, JournalPath: path})
+	s := New(Options{Workers: 2, Jobs: 2, Journal: j})
 	s.roundGate = make(chan struct{})
 	s.Start()
 	for i, req := range reqs {
@@ -427,7 +427,7 @@ func TestServeConcurrentDrainResumeSharedJournal(t *testing.T) {
 
 	// "Restart": reopen the journal file — every surviving record passes
 	// its CRC — and run both specs to completion on a fresh server.
-	j2, err := fault.OpenJournal(path)
+	j2, err := store.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,6 @@ import (
 
 	"peak/internal/cli"
 	"peak/internal/core"
-	"peak/internal/fault"
 	"peak/internal/opt"
 	"peak/internal/profiling"
 	"peak/internal/sched"
@@ -73,9 +72,10 @@ type Options struct {
 	NoSharedCache bool
 	// Journal, when non-nil, checkpoints every job after each completed
 	// tuning round, keyed by "serve/" + canonical spec, and resumes jobs
-	// whose spec already has journaled state. JournalPath is echoed in
-	// drain messages ("" for an in-memory journal).
-	Journal     *fault.Journal
+	// whose spec already has journaled state (cmd/peak-serve keeps it in
+	// its -cache-dir). JournalPath is ignored; it is kept only so older
+	// callers compile.
+	Journal     *store.Journal
 	JournalPath string
 
 	// Deadline is the default per-job wall-clock budget (0 = none); a
@@ -121,7 +121,7 @@ type Server struct {
 	opts    Options
 	pool    sched.Pool
 	cache   *vcache.Cache // nil when NoSharedCache
-	journal *fault.Journal
+	journal *store.Journal
 	store   *store.Store // nil without -cache-dir
 
 	// profiles and measures are the single-flight tables for the two pure
@@ -648,7 +648,8 @@ func (s *Server) runJob(j *job) {
 		fail(err)
 		return
 	}
-	t := &core.Tuner{
+	env := core.Env{Pool: s.pool, Cache: s.cache, Store: s.store, Journal: s.journal, Trace: buf, Metrics: mx}
+	res, err := env.Tune(core.Tuner{
 		Bench:        sp.bench,
 		Mach:         sp.mach,
 		Dataset:      ds,
@@ -658,14 +659,8 @@ func (s *Server) runJob(j *job) {
 		Candidates:   sp.candidates,
 		Interrupt:    interrupt,
 		OnRound:      func(int) { j.noteProgress() },
-		Pool:         s.pool,
-		Cache:        s.cache,
-		Store:        s.store,
-		Journal:      s.journal,
 		CheckpointID: sp.checkpointID(),
-		Trace:        buf,
-	}
-	res, err := t.Tune()
+	})
 	if err != nil {
 		fail(err)
 		return
@@ -690,7 +685,6 @@ func (s *Server) runJob(j *job) {
 		fail(err)
 		return
 	}
-	res.FillMetrics(mx)
 
 	var tb bytes.Buffer
 	tr := trace.NewTracer(&tb)

@@ -12,11 +12,11 @@ import (
 
 	"peak/internal/cli"
 	"peak/internal/core"
-	"peak/internal/fault"
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/profiling"
 	"peak/internal/sched"
+	"peak/internal/store"
 	"peak/internal/workloads"
 )
 
@@ -342,7 +342,7 @@ func TestServeValidation(t *testing.T) {
 // cleanly — json.Marshal rejects NaN, so this is the regression test for
 // the zero-lookup cache hit rate and zero-wall pool utilization.
 func TestServeStatsFresh(t *testing.T) {
-	s := New(Options{Workers: 2, Jobs: 3, Queue: 5, Journal: fault.NewMemoryJournal()})
+	s := New(Options{Workers: 2, Jobs: 3, Queue: 5, Journal: store.NewMemoryJournal()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -376,7 +376,7 @@ func TestServeStatsFresh(t *testing.T) {
 // server sharing the journal runs the resubmitted request to a result
 // byte-identical to a never-interrupted run.
 func TestServeDrainAndResume(t *testing.T) {
-	journal := fault.NewMemoryJournal()
+	journal := store.NewMemoryJournal()
 	req := subsetReq("BZIP2", opt.AllFlags()[:3])
 
 	s := New(Options{Workers: 1, Jobs: 1, Journal: journal})

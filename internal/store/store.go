@@ -1,7 +1,8 @@
 // Package store persists tuning state across process restarts: a
 // content-addressed snapshot of the compile cache (internal/vcache) and a
 // memo table of finished rating work, both in one CRC-32C-framed file
-// written atomically (temp + fsync + rename).
+// written atomically (temp + fsync + rename), and the checkpoint journal
+// (journal.go), an append-only file in the same record format.
 //
 // The store is the disk tier of the two-tier cache. The memory tier — the
 // vcache — answers repeat compilations within a process; the store carries
@@ -22,7 +23,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,8 +34,19 @@ import (
 	"peak/internal/vcache"
 )
 
-// storeFile is the single data file inside the store directory.
-const storeFile = "peak.store"
+// storeFile is the store's data file inside its directory; storeMagic
+// opens its header.
+const (
+	storeFile  = "peak.store"
+	storeMagic = "PEAKSTR1"
+)
+
+// Store record kinds.
+const (
+	recVersionBody byte = 1 // FP128 + encoded sim.Version
+	recAlias       byte = 2 // vcache.Key -> FP128 (+ shared bit)
+	recMemo        byte = 3 // memo kind + key + payload
+)
 
 // memoKey identifies one memo record: Kind partitions the namespaces
 // ("rate", "cell", "job", ...), Key is the caller's full identity string.
@@ -69,19 +80,11 @@ type Stats struct {
 	FlushedBytes int64 `json:"flushed_bytes"`
 }
 
-// RecoveryReport describes what Open found on disk, mirroring the fault
-// journal's recovery contract: the valid prefix is kept, everything after
-// the first torn or corrupt frame is dropped and counted.
+// RecoveryReport describes what Open found on disk: the valid prefix is
+// kept, everything after the first torn or corrupt frame is dropped and
+// counted (FileRecovery), and records that decode badly are counted here.
 type RecoveryReport struct {
-	// Records is the number of intact frames read.
-	Records int `json:"records"`
-	// DroppedBytes is the size of the torn/corrupt suffix discarded;
-	// TornTail is set when one existed.
-	DroppedBytes int  `json:"dropped_bytes"`
-	TornTail     bool `json:"torn_tail"`
-	// HeaderInvalid is set when the file existed but its magic or format
-	// version did not match; the store then opens empty.
-	HeaderInvalid bool `json:"header_invalid"`
+	FileRecovery
 	// DroppedBodies counts version bodies rejected at load: payload
 	// decode failure, a dangling callee reference, or — the integrity
 	// backstop — a body whose re-computed 128-bit fingerprint does not
@@ -134,13 +137,8 @@ func Open(dir string) (*Store, error) {
 
 // load parses the file contents into the frozen read set.
 func (s *Store) load(data []byte) {
-	recs, dropped, torn, headerInvalid := parseFile(data)
-	s.recovery = RecoveryReport{
-		Records:       len(recs),
-		DroppedBytes:  dropped,
-		TornTail:      torn,
-		HeaderInvalid: headerInvalid,
-	}
+	recs, rep := parseFile(data, storeMagic)
+	s.recovery = RecoveryReport{FileRecovery: rep}
 	type pendingBody struct {
 		v    *sim.Version
 		refs []calleeRef
@@ -302,9 +300,7 @@ func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, storeMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, storeVersion)
+	buf := appendHeader(make([]byte, 0, 1<<16), storeMagic)
 
 	sn := vcache.Snapshot{Versions: s.versions, Entries: s.entries}
 	if s.cache != nil {
@@ -379,26 +375,7 @@ func (s *Store) Flush() error {
 		buf = appendRecord(buf, recMemo, e.buf)
 	}
 
-	tmp, err := os.CreateTemp(s.dir, storeFile+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, storeFile)); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeFileAtomic(filepath.Join(s.dir, storeFile), buf); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.stats.Flushes++

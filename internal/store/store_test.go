@@ -206,7 +206,7 @@ func TestMemoFrozenReadSet(t *testing.T) {
 	}
 }
 
-// TestCorruptTailRecovery mirrors the fault journal's recovery contract:
+// TestCorruptTailRecovery mirrors the journal's recovery contract:
 // a file with a flipped bit mid-stream keeps its valid prefix and reports
 // the damage, and a truncated file keeps the records before the tear.
 func TestCorruptTailRecovery(t *testing.T) {
@@ -228,15 +228,11 @@ func TestCorruptTailRecovery(t *testing.T) {
 	}
 
 	// Flip a bit inside the third record's payload.
-	recs, _, _, _ := parseFile(data)
+	recs, _ := parseFile(data, storeMagic)
 	if len(recs) != 4 {
 		t.Fatalf("setup: %d records, want 4", len(recs))
 	}
-	header := len(storeMagic) + 4
-	off := header
-	for i := 0; i < 2; i++ {
-		off += 9 + int(binary.LittleEndian.Uint32(data[off+1:]))
-	}
+	off := recs[1].end
 	mutated := append([]byte(nil), data...)
 	mutated[off+7] ^= 0x40
 	if err := os.WriteFile(path, mutated, 0o644); err != nil {
@@ -304,7 +300,7 @@ func TestLowBitsCollisionRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, _, _ := parseFile(data)
+	recs, _ := parseFile(data, storeMagic)
 	var forged []byte
 	bodyCount := 0
 	for _, r := range recs {

@@ -12,9 +12,8 @@ import (
 // file order. Blank lines are skipped. A malformed *final* non-blank line
 // is tolerated and dropped — a crashed or interrupted writer tears the
 // tail of the file, and the events before it are still a valid partial
-// trace (the fault.Journal reader makes the same call). A malformed line
-// with well-formed lines after it is real corruption and aborts with an
-// error naming its line number.
+// trace. A malformed line with well-formed lines after it is real
+// corruption and aborts with an error naming its line number.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)

@@ -53,6 +53,7 @@ import (
 	"peak/internal/profiling"
 	"peak/internal/sched"
 	"peak/internal/sim"
+	"peak/internal/store"
 	"peak/internal/trace"
 	"peak/internal/vcache"
 	"peak/internal/workloads"
@@ -129,7 +130,7 @@ type (
 	// Journal is an append-only checkpoint journal: set one as Env.Journal
 	// to checkpoint every tuning process after each Iterative Elimination
 	// round and resume interrupted runs byte-identically.
-	Journal = fault.Journal
+	Journal = store.Journal
 	// FaultBar is one (benchmark, method) comparison of the fault report.
 	FaultBar = experiments.FaultBar
 	// TraceBuffer collects structured tuning events deterministically: the
@@ -321,11 +322,12 @@ func NoiseReport(m *Machine, cfg *Config, env Env) (string, error) {
 func UniformFaults(rate float64, seed int64) *FaultPlan { return fault.Uniform(rate, seed) }
 
 // NewJournal creates (truncating) a checkpoint journal at path.
-func NewJournal(path string) (*Journal, error) { return fault.NewJournal(path) }
+func NewJournal(path string) (*Journal, error) { return store.NewJournal(path) }
 
-// OpenJournal opens an existing checkpoint journal for resuming, dropping
-// a torn trailing record if the writer was killed mid-append.
-func OpenJournal(path string) (*Journal, error) { return fault.OpenJournal(path) }
+// OpenJournal opens the checkpoint journal at path for resuming, creating
+// it when missing and dropping a torn trailing record if the writer was
+// killed mid-append.
+func OpenJournal(path string) (*Journal, error) { return store.OpenJournal(path) }
 
 // FaultReport runs the robustness experiment on m: the Figure-7 tuning
 // protocol on the train dataset under the fault plan cfg.Faults, each bar's
