@@ -379,9 +379,14 @@ func Run(cfg Config) (*Report, error) {
 		// Crash half of the restart: between epochs, sometimes damage the
 		// journal the way a kill mid-write would. Reopen must detect the
 		// damage, drop only the broken tail, and resume from the previous
-		// checkpoint to identical bytes.
+		// checkpoint to identical bytes. A schedule whose draws tore nothing
+		// by its last chaos epoch — the configured last one, or an earlier
+		// one that settled every spec — tears it then, so every run
+		// exercises torn-journal recovery at least once (when the journal
+		// holds a complete record).
 		torn := false
-		if !cleanup && rng.Intn(2) == 0 {
+		lastChance := rep.TearsInjected == 0 && (epoch == cfg.Epochs || len(completed) == len(specs))
+		if !cleanup && (rng.Intn(2) == 0 || lastChance) {
 			torn, err = tearJournal(journalPath, rng)
 			if err != nil {
 				return nil, err

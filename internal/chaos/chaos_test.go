@@ -107,3 +107,20 @@ func TestChaosRunSmoke(t *testing.T) {
 		t.Errorf("breaker phase did not exercise shedding: %+v", rep)
 	}
 }
+
+// TestChaosTearsJournal: a schedule whose seeded draws would tear nothing
+// still tears the journal in its last chaos epoch, so every run exercises
+// torn-journal recovery; seed 1 over one epoch draws no tear of its own.
+func TestChaosTearsJournal(t *testing.T) {
+	rep, err := Run(Config{Jobs: 4, Seed: 1, Epochs: 1, Dir: t.TempDir(), Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log("\n" + rep.Format())
+	if len(rep.Violations) != 0 {
+		t.Fatalf("chaos violations:\n%s", rep.Format())
+	}
+	if rep.TearsInjected < 1 || rep.DroppedBytes == 0 {
+		t.Fatalf("%d tear(s) injected, %d byte(s) dropped; want at least one detected tear", rep.TearsInjected, rep.DroppedBytes)
+	}
+}

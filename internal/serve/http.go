@@ -96,7 +96,9 @@ type CacheStats struct {
 
 // ReuseStats is a /stats "profiles" or "measurements" block: Runs counts
 // the distinct keys computed, Hits the jobs that reused one of them —
-// including jobs that waited on another job's in-flight run.
+// including jobs that waited on another job's in-flight run. A key's
+// first lookup counts its run even when a prefetch started it; the
+// prefetches themselves count in neither.
 type ReuseStats struct {
 	Runs int64 `json:"runs"`
 	Hits int64 `json:"hits"`

@@ -30,11 +30,11 @@ type Request struct {
 	Bench   string `json:"bench"`
 	Machine string `json:"machine"`
 	// Method forces a rating method (CBR, MBR, RBR, AVG, WHL); empty
-	// leaves the choice to the consultant, which — exactly like cmd/peak
-	// without -method — profiles and tunes on the train dataset.
+	// leaves the choice to the consultant, exactly like cmd/peak without
+	// -method.
 	Method string `json:"method,omitempty"`
-	// Dataset is "train" (default) or "ref"; it applies to forced-method
-	// tunes (the consultant path always tunes on train, mirroring cmd/peak).
+	// Dataset is "train" (default) or "ref": the dataset the job profiles
+	// and tunes on, with or without a forced method (cmd/peak -dataset).
 	Dataset string `json:"dataset,omitempty"`
 	// Noise names a stress regime (baseline, gauss4x, spikes, drift,
 	// bursts); empty keeps the machine default.
@@ -115,12 +115,6 @@ func parseSpec(req Request) (spec, error) {
 		sp.dataset = b.Ref
 	default:
 		return sp, fmt.Errorf("unknown dataset %q (want \"train\" or \"ref\")", req.Dataset)
-	}
-	// The consultant path tunes on train regardless (mirroring cmd/peak,
-	// which ignores -dataset without -method); reject the contradiction
-	// instead of silently producing a job whose name lies about its data.
-	if sp.force == nil && sp.dataset != b.Train {
-		return sp, fmt.Errorf("dataset %q requires a forced method (the consultant path tunes on train)", req.Dataset)
 	}
 
 	noiseName := "default"

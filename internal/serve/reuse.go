@@ -15,34 +15,68 @@ import (
 // runs every call privately, which is how NoSharedCache servers behave.
 type onceTable[V any] struct {
 	mu    sync.Mutex
-	calls map[string]func() (V, error)
-	// runs counts keys computed; hits counts calls answered by an earlier
-	// or in-flight run.
+	calls map[string]*onceCall[V]
+	// runs counts keys a do call claimed first; hits counts do calls
+	// answered by an earlier claim's run, finished or in flight. Prefetches
+	// count in neither, so both keep their meaning whether or not a key's
+	// run began as a prefetch.
 	runs, hits atomic.Int64
 }
 
-func newOnceTable[V any]() *onceTable[V] {
-	return &onceTable[V]{calls: map[string]func() (V, error){}}
+// onceCall is one key's single run; claimed is set by the key's first do.
+type onceCall[V any] struct {
+	run     func() (V, error)
+	claimed bool
 }
 
-// do returns key's value, running f only if no earlier call claimed key.
+func newOnceTable[V any]() *onceTable[V] {
+	return &onceTable[V]{calls: map[string]*onceCall[V]{}}
+}
+
+// call returns key's entry, creating it around f when none exists (false).
+// Caller holds t.mu.
+func (t *onceTable[V]) call(key string, f func() (V, error)) (*onceCall[V], bool) {
+	c, ok := t.calls[key]
+	if !ok {
+		c = &onceCall[V]{run: sync.OnceValues(f)}
+		t.calls[key] = c
+	}
+	return c, ok
+}
+
+// do returns key's value, running f only if no earlier call or prefetch
+// started key, and waiting for that run otherwise.
 func (t *onceTable[V]) do(key string, f func() (V, error)) (V, error) {
 	if t == nil {
 		return f()
 	}
 	t.mu.Lock()
-	call, ok := t.calls[key]
-	if !ok {
-		call = sync.OnceValues(f)
-		t.calls[key] = call
-	}
+	c, _ := t.call(key, f)
+	first := !c.claimed
+	c.claimed = true
 	t.mu.Unlock()
-	if ok {
-		t.hits.Add(1)
-	} else {
+	if first {
 		t.runs.Add(1)
+	} else {
+		t.hits.Add(1)
 	}
-	return call()
+	return c.run()
+}
+
+// prefetch runs f for key on the calling goroutine unless key was already
+// started, in which case it returns at once instead of waiting. The value
+// is kept for key's do calls, which count as they would without the
+// prefetch. No-op on a nil table.
+func (t *onceTable[V]) prefetch(key string, f func() (V, error)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	c, started := t.call(key, f)
+	t.mu.Unlock()
+	if !started {
+		c.run()
+	}
 }
 
 // stats snapshots the counters for /stats (nil for a nil table).

@@ -61,6 +61,96 @@ func TestOnceTableSingleFlight(t *testing.T) {
 	}
 }
 
+// TestOnceTablePrefetch: a prefetch runs its key at most once, returns at
+// once when the key is already started instead of waiting, and counts in
+// neither total — the key's first do counts the run, later ones hits,
+// exactly as without the prefetch.
+func TestOnceTablePrefetch(t *testing.T) {
+	tab := newOnceTable[int]()
+	release := make(chan struct{})
+	var calls atomic.Int64
+	f := func() (int, error) {
+		calls.Add(1)
+		<-release
+		return 7, nil
+	}
+	prefetched := make(chan struct{})
+	go func() {
+		tab.prefetch("k", f)
+		close(prefetched)
+	}()
+	for calls.Load() == 0 {
+		runtime.Gosched()
+	}
+	returned := make(chan struct{})
+	go func() {
+		tab.prefetch("k", f)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("prefetch of an in-flight key waited for its run")
+	}
+	if st := tab.stats(); st.Runs != 0 || st.Hits != 0 {
+		t.Errorf("prefetches counted in /stats: %+v", *st)
+	}
+	close(release)
+	<-prefetched
+	for i := 0; i < 3; i++ {
+		if v, err := tab.do("k", f); v != 7 || err != nil {
+			t.Fatalf("do = %d, %v; want 7", v, err)
+		}
+	}
+	if st := tab.stats(); calls.Load() != 1 || st.Runs != 1 || st.Hits != 2 {
+		t.Errorf("f ran %d times, stats %+v; want 1 call, 1 run, 2 hits", calls.Load(), *st)
+	}
+	var nilTab *onceTable[int]
+	nilTab.prefetch("k", f)
+}
+
+// TestServeTwinPairOverlapsStages: two jobs of one (bench, machine) pair
+// share the profile run and the -O3 measurement. On a 2-lane server each
+// job starts both stages at once and skips whichever its twin is running;
+// every job's result, report, metrics and trace stay byte-identical to a
+// 1-lane server, where the stages run one after another, and /stats counts
+// the shared stages as before.
+func TestServeTwinPairOverlapsStages(t *testing.T) {
+	all := opt.AllFlags()
+	reqs := []Request{
+		{Bench: "GZIP", Machine: "sparc2", Flags: []string{all[0].String(), all[1].String(), all[2].String()}},
+		{Bench: "GZIP", Machine: "sparc2", Flags: []string{all[3].String(), all[4].String(), all[5].String()}},
+	}
+	serial := runAll(t, Options{Workers: 1, Jobs: 1}, reqs)
+	twin, st := runHeld(t, Options{Workers: 2, Jobs: 2, Queue: 2}, reqs)
+	if len(serial) != len(reqs) || len(twin) != len(reqs) {
+		t.Fatalf("finished %d serial / %d twin jobs, want %d", len(serial), len(twin), len(reqs))
+	}
+	measureKeys := map[string]bool{}
+	for spec, a := range serial {
+		b, ok := twin[spec]
+		if !ok {
+			t.Fatalf("spec %s missing from the 2-lane run", spec)
+		}
+		if !bytes.Equal(a.body, b.body) || !bytes.Equal(a.report, b.report) || !bytes.Equal(a.trace, b.trace) {
+			t.Errorf("spec %s: result, report or trace differs on 2 lanes:\n--- 1 lane\n%s\n--- 2 lanes\n%s", spec, a.body, b.body)
+		}
+		var res Result
+		if err := json.Unmarshal(b.body, &res); err != nil {
+			t.Fatal(err)
+		}
+		measureKeys[opt.O3().String()] = true
+		measureKeys[res.Result.Best.String()] = true
+	}
+	if got := st.Profiles; got == nil || got.Runs != 1 || got.Hits != 1 {
+		t.Errorf("profiles = %+v, want 1 run and 1 hit", got)
+	}
+	runs := int64(len(measureKeys))
+	if got := st.Measurements; got == nil || got.Runs != runs || got.Hits != 4-runs {
+		t.Errorf("measurements = %+v, want %d runs and %d hits", got, runs, 4-runs)
+	}
+}
+
 // TestServeReusesProfilesAndMeasurements is the acceptance check of the
 // single-flight tables: eight flag-subset jobs of one (bench, machine) pair
 // and both noise variants of a full tune on a second pair, released at

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"peak"
 	"peak/internal/cli"
 	"peak/internal/core"
 	"peak/internal/machine"
@@ -312,7 +313,6 @@ func TestServeValidation(t *testing.T) {
 		{"unknown machine", Request{Bench: "MGRID", Machine: "vax"}, "machine"},
 		{"unknown method", Request{Bench: "MGRID", Machine: "sparc2", Method: "XXX"}, "method"},
 		{"unknown dataset", Request{Bench: "MGRID", Machine: "sparc2", Dataset: "huge"}, "dataset"},
-		{"ref without method", Request{Bench: "MGRID", Machine: "sparc2", Dataset: "ref"}, "forced method"},
 		{"unknown noise", Request{Bench: "MGRID", Machine: "sparc2", Noise: "quiet"}, "noise"},
 		{"unknown flag", Request{Bench: "MGRID", Machine: "sparc2", Flags: []string{"warp-speed"}}, "flag"},
 	}
@@ -335,6 +335,41 @@ func TestServeValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServeConsultantRefParity: a consultant-path job on the ref dataset
+// profiles and tunes on ref, and its report is byte-identical to what
+// `peak -bench MGRID -machine sparc2 -dataset ref` prints — the facade
+// calls below are the ones cmd/peak makes.
+func TestServeConsultantRefParity(t *testing.T) {
+	got := runAll(t, Options{Workers: 2, Jobs: 1}, []Request{{Bench: "MGRID", Machine: "sparc2", Dataset: "ref"}})
+	a, ok := got["MGRID/sparc2/auto/ref/default/none/all"]
+	if !ok {
+		t.Fatalf("no job for the consultant ref spec; got %d job(s)", len(got))
+	}
+
+	b, _ := peak.BenchmarkByName("MGRID")
+	m, _ := peak.MachineByName("sparc2")
+	cfg := peak.DefaultConfig()
+	prof, err := peak.ProfileBenchmark(b, b.Ref, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := peak.Tune(b, m, b.Ref, prof, nil, &cfg, peak.Env{Pool: peak.NewPool(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := peak.Measure(b, b.Ref, m, peak.O3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, _, err := peak.Measure(b, b.Ref, m, res.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cli.FormatTuneReport(b, m, res, false, base, tuned); string(a.report) != want {
+		t.Errorf("serve report differs from cmd/peak -dataset ref:\n--- serve\n%s\n--- peak\n%s", a.report, want)
 	}
 }
 

@@ -224,3 +224,81 @@ func FuzzRecordFile(f *testing.F) {
 		}
 	})
 }
+
+// TestJournalCompactsSuperseded: a journal holding five rounds of three
+// checkpoint IDs reopens as one frame per ID — each ID's latest record, in
+// the order those records were written — with the same Latest for every
+// ID, reports the twelve superseded records, and reopens clean after that.
+func TestJournalCompactsSuperseded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFile)
+	j, err := NewJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"a", "b", "c"}
+	for round := 1; round <= 5; round++ {
+		for _, id := range ids {
+			rec := Record{Kind: "tune", ID: id, Round: round, Stopped: round == 5 && id == "b",
+				State: json.RawMessage(fmt.Sprintf(`{"round":%d,"id":%q}`, round, id))}
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := map[string]Record{}
+	for _, id := range ids {
+		want[id], _ = j.Latest(id)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := JournalBoundaries(data)
+
+	j, err = OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := j.Recovery()
+	if rep != (JournalRecovery{FileRecovery: FileRecovery{Records: 15}, IDs: 3, Superseded: 12, Rewritten: true}) {
+		t.Fatalf("recovery = %+v, want 15 records over 3 IDs, 12 superseded, rewritten", rep)
+	}
+	for _, id := range ids {
+		got, ok := j.Latest(id)
+		if !ok || !bytes.Equal(mustJSON(t, got), mustJSON(t, want[id])) {
+			t.Errorf("Latest(%s) = %+v, want %+v", id, got, want[id])
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last round's three frames, verbatim, behind a fresh header.
+	if wantFile := append(appendHeader(nil, journalMagic), data[b[12]:b[15]]...); !bytes.Equal(compacted, wantFile) {
+		t.Fatalf("compacted journal is %d bytes, want the header and the last 3 frames (%d bytes)", len(compacted), len(wantFile))
+	}
+
+	j, err = OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if rep := j.Recovery(); rep != (JournalRecovery{FileRecovery: FileRecovery{Records: 3}, IDs: 3}) {
+		t.Fatalf("reopen of the compacted journal = %+v, want 3 clean records", rep)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

@@ -36,20 +36,28 @@ type Record struct {
 }
 
 // JournalRecovery describes what OpenJournal found: the shared record-file
-// report, the distinct checkpoint IDs among the intact records, and
-// whether the file was rewritten to drop a damaged suffix or header.
+// report, the distinct checkpoint IDs among the intact records, how many
+// intact records a later record of the same ID superseded, and whether
+// the file was rewritten to drop them or a damaged suffix or header.
 type JournalRecovery struct {
 	FileRecovery
 	IDs int `json:"ids"`
-	// Rewritten reports that recovery replaced the file with its valid
-	// prefix (a bare header when the header itself was invalid) through
-	// an atomic rename.
+	// Superseded is the number of intact records compaction dropped
+	// because a later record of the same ID replaces them.
+	Superseded int `json:"superseded"`
+	// Rewritten reports that recovery replaced the file through an atomic
+	// rename: with one frame per ID when records were superseded, and
+	// without the damaged suffix (a bare header when the header itself was
+	// invalid).
 	Rewritten bool `json:"rewritten"`
 }
 
 // String formats the report as a one-line operator summary.
 func (r JournalRecovery) String() string {
 	s := fmt.Sprintf("journal recovery: %d record(s) over %d id(s) loaded", r.Records, r.IDs)
+	if r.Superseded > 0 {
+		s += fmt.Sprintf("; compacted away %d superseded record(s)", r.Superseded)
+	}
 	switch {
 	case r.HeaderInvalid:
 		s += fmt.Sprintf("; header invalid, dropped %d byte(s) and started empty", r.DroppedBytes)
@@ -100,12 +108,16 @@ func NewJournal(path string) (*Journal, error) {
 
 // OpenJournal opens the journal at path for appending, resuming from what
 // it holds. A missing or empty file starts a fresh journal. Otherwise
-// every record up to the first torn or corrupt frame is loaded; when
+// every record up to the first torn or corrupt frame is loaded. When
 // anything was dropped — including a whole file whose header is not a
-// journal's, such as the JSON-lines journal of earlier builds — the valid
-// prefix is rewritten atomically, so appends land after intact records.
-// Recovery() reports what was found. A resumed tune is byte-identical to a
-// fresh one, so dropping records costs only the time to redo them.
+// journal's, such as the JSON-lines journal of earlier builds — or when
+// some records were superseded by later ones of the same ID, the file is
+// rewritten atomically holding one frame per ID, that ID's latest record,
+// in the order those records appear; appends then land after intact
+// records, and a journal that has checkpointed many rounds reopens no
+// larger than one record per ID. Recovery() reports what was found. A
+// resumed tune is byte-identical to a fresh one, so dropping records costs
+// only the time to redo them.
 func OpenJournal(path string) (*Journal, error) {
 	data, err := os.ReadFile(path)
 	if len(data) == 0 && (err == nil || errors.Is(err, fs.ErrNotExist)) {
@@ -116,17 +128,28 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	recs, rep := parseFile(data, journalMagic)
 	j := &Journal{latest: map[string]Record{}, recovery: JournalRecovery{FileRecovery: rep}}
-	for _, r := range recs {
+	last := map[string]int{} // ID -> index in recs of its latest record
+	for i, r := range recs {
 		var rec Record
 		if r.kind == recCheckpoint && json.Unmarshal(r.payload, &rec) == nil {
 			j.latest[rec.ID] = rec
+			last[rec.ID] = i
 		}
 	}
 	j.recovery.IDs = len(j.latest)
-	if rep.DroppedBytes > 0 {
-		valid := data[:len(data)-rep.DroppedBytes]
-		if rep.HeaderInvalid {
-			valid = appendHeader(nil, journalMagic)
+	j.recovery.Superseded = len(recs) - len(last)
+	if rep.DroppedBytes > 0 || j.recovery.Superseded > 0 {
+		keep := make([]bool, len(recs))
+		for _, i := range last {
+			keep[i] = true
+		}
+		valid := appendHeader(nil, journalMagic)
+		start := headerLen
+		for i, r := range recs {
+			if keep[i] {
+				valid = append(valid, data[start:r.end]...)
+			}
+			start = r.end
 		}
 		if err := writeFileAtomic(path, valid); err != nil {
 			return nil, fmt.Errorf("store: recover journal: %w", err)

@@ -9,14 +9,21 @@
 // stores only one Version per distinct *generated code*: flag sets that
 // compile to identical LIR (by Fingerprint) share a single frozen Version.
 //
-// Determinism: compilation runs under the cache lock and the compiler
-// itself is deterministic, so the cache's contents — and its Misses/Shared
-// totals — depend only on the set of keys requested, never on request
-// order or worker count. Hits/Lookups totals are likewise
-// scheduling-independent because each tuning job performs a fixed sequence
-// of lookups. Cached versions are frozen before publication and never
-// mutated afterwards; per-runner state (decode plans, predictor counters)
-// lives in each job's sim.Runner, not in the shared Version.
+// Concurrency: compiles run outside the cache lock, one in flight per key.
+// A later request for a key that is compiling waits for that compile;
+// distinct keys compile in parallel. Prefetch compiles a key ahead of its
+// first Resolve and holds the result aside until that Resolve publishes
+// it, so entries — and their content-dedup aliasing — are installed in
+// Resolve order, exactly as if every compile had happened inside Resolve.
+//
+// Determinism: the compiler is deterministic, so the cache's contents —
+// and its Misses/Shared totals — depend only on the set of keys resolved,
+// never on request order, worker count or what was prefetched.
+// Hits/Lookups totals are likewise scheduling-independent because each
+// tuning job performs a fixed sequence of lookups. Cached versions are
+// frozen before publication and never mutated afterwards; per-runner state
+// (decode plans, predictor counters) lives in each job's sim.Runner, not
+// in the shared Version.
 package vcache
 
 import (
@@ -75,8 +82,12 @@ type entry struct {
 // Stats is a snapshot of the cache's counters. All totals are
 // scheduling-independent (see the package comment).
 type Stats struct {
-	// Lookups is the number of GetOrCompile calls; Hits the calls answered
-	// without compiling; Misses the compilations performed.
+	// Lookups is the number of Resolve calls; Hits the calls answered
+	// by an installed entry or by another call's compile they waited for;
+	// Misses the calls that installed a key's first entry, compiling it
+	// themselves or publishing a prefetched compile. A Prefetch is not a
+	// lookup. Each call counts its lookup together with its hit or miss,
+	// so every snapshot has Lookups = Hits + Misses.
 	Lookups int64
 	Hits    int64
 	Misses  int64
@@ -143,7 +154,23 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	byCode  map[codeKey]*entry
-	stats   Stats
+	// flight holds the keys compiling outside the lock, and prefetched
+	// results no Resolve has published yet.
+	flight map[Key]*call
+	stats  Stats
+}
+
+// call is one compile running outside the cache lock. claimed is set once
+// a Resolve has counted the key's miss: that call's result is published
+// as soon as it is ready. An unclaimed call is a prefetch; when it
+// succeeds its frozen version waits in the flight table (v non-nil) until
+// the key's first Resolve publishes it. done is closed when the compile
+// has settled.
+type call struct {
+	done    chan struct{}
+	claimed bool
+	v       *sim.Version
+	fp      FP128
 }
 
 // New returns an empty cache.
@@ -151,6 +178,7 @@ func New() *Cache {
 	return &Cache{
 		entries: make(map[Key]*entry),
 		byCode:  make(map[codeKey]*entry),
+		flight:  make(map[Key]*call),
 	}
 }
 
@@ -166,31 +194,137 @@ type Resolution struct {
 	FromDisk bool
 }
 
-// Resolve returns the frozen version for key, invoking compile at most
-// once per distinct key.
+// Resolve returns the frozen version for key, compiling it at most once
+// per distinct key.
 //
-// compile runs under the cache lock: concurrent requesters of the same key
-// block until the first finishes, so exactly one compilation happens and
-// the miss count equals the number of distinct keys — independent of
-// scheduling. Compile errors are returned and not cached.
+// compile runs outside the cache lock. Concurrent requesters of a key
+// that is compiling wait for that compile and count a hit, so one
+// compilation happens per key and the miss count equals the number of
+// distinct keys resolved — independent of scheduling. A key that was
+// prefetched is published by its first Resolve, which counts the miss
+// (waiting first if the prefetch is still compiling). Compile errors are
+// returned and not cached; a requester whose awaited compile failed
+// compiles the key itself.
 func (c *Cache) Resolve(key Key, compile func() (*sim.Version, error)) (Resolution, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Lookups++
-	if e, ok := c.entries[key]; ok {
-		c.stats.Hits++
-		if e.fromDisk {
-			c.stats.DiskHits++
+	missed := false // this call has counted the key's miss
+	miss := func() {
+		if !missed {
+			missed = true
+			c.stats.Lookups++
+			c.stats.Misses++
 		}
-		return Resolution{V: e.v, FP: e.fp, Shared: e.shared, FromDisk: e.fromDisk}, nil
 	}
-	c.stats.Misses++
-	nv, err := compile()
-	if err != nil {
-		return Resolution{}, err
+	for {
+		if e, ok := c.entries[key]; ok {
+			if !missed {
+				c.stats.Lookups++
+				c.stats.Hits++
+				if e.fromDisk {
+					c.stats.DiskHits++
+				}
+			}
+			return Resolution{V: e.v, FP: e.fp, Shared: e.shared, FromDisk: e.fromDisk}, nil
+		}
+		f, ok := c.flight[key]
+		switch {
+		case ok && f.claimed:
+			// Another Resolve is publishing the key: wait, then look again —
+			// a hit, or, if that compile failed, a compile of our own.
+			c.wait(f)
+			continue
+		case ok && f.v != nil:
+			// A finished prefetch: this is the key's first lookup.
+			miss()
+			delete(c.flight, key)
+			c.publish(key, f.v, f.fp)
+			continue
+		case ok:
+			// A prefetch still compiling: claim it, so it is published the
+			// moment it finishes, and wait.
+			miss()
+			f.claimed = true
+			c.wait(f)
+			continue
+		}
+		miss()
+		f = &call{done: make(chan struct{}), claimed: true}
+		c.flight[key] = f
+		if err := c.run(key, f, compile); err != nil {
+			return Resolution{}, err
+		}
 	}
-	nv.Freeze()
-	nfp := Fingerprint128(nv)
+}
+
+// Prefetch compiles key's version ahead of its first Resolve, on the
+// calling goroutine, unless the key is already cached or in flight, in
+// which case it returns at once. The result is held aside, counted
+// nowhere, until a Resolve of the key publishes it in Resolve order; a
+// failed prefetch leaves no trace, and the key's Resolve compiles it
+// again. Callers prefetch only keys they are about to resolve: a
+// prefetched version no Resolve claims stays in memory for the cache's
+// lifetime.
+func (c *Cache) Prefetch(key Key, compile func() (*sim.Version, error)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; ok {
+		return
+	}
+	if _, ok := c.flight[key]; ok {
+		return
+	}
+	f := &call{done: make(chan struct{})}
+	c.flight[key] = f
+	c.run(key, f, compile)
+}
+
+// wait releases the lock until f has settled. Caller holds c.mu.
+func (c *Cache) wait(f *call) {
+	c.mu.Unlock()
+	<-f.done
+	c.mu.Lock()
+}
+
+// run compiles f's key outside the lock, freezes and fingerprints the
+// result, and settles f: a failed compile leaves the flight table and
+// returns its error, a claimed one is published, an unclaimed
+// (prefetched) one stays in the table for its first Resolve. Called and
+// returns with c.mu held, also when compile panics.
+func (c *Cache) run(key Key, f *call, compile func() (*sim.Version, error)) error {
+	c.mu.Unlock()
+	settled := false
+	defer func() {
+		if !settled {
+			c.mu.Lock()
+			delete(c.flight, key)
+			close(f.done)
+		}
+	}()
+	v, err := compile()
+	var fp FP128
+	if err == nil {
+		v.Freeze()
+		fp = Fingerprint128(v)
+	}
+	c.mu.Lock()
+	settled = true
+	if err == nil && !f.claimed {
+		f.v, f.fp = v, fp
+	} else {
+		delete(c.flight, key)
+		if err == nil {
+			c.publish(key, v, fp)
+		}
+	}
+	close(f.done)
+	return err
+}
+
+// publish installs key's first entry: the compiled version, or an alias
+// of an existing Version with identical generated code. Caller holds
+// c.mu.
+func (c *Cache) publish(key Key, nv *sim.Version, nfp FP128) {
 	ck := codeKey{key.Prog, key.Fn, key.Machine, nfp.Lo}
 	e, ok := c.byCode[ck]
 	if ok {
@@ -208,7 +342,6 @@ func (c *Cache) Resolve(key Key, compile func() (*sim.Version, error)) (Resoluti
 	}
 	c.entries[key] = e
 	c.stats.Entries++
-	return Resolution{V: e.v, FP: e.fp, Shared: e.shared}, nil
 }
 
 // GetOrCompile is Resolve narrowed to the pre-store signature: the frozen

@@ -1,9 +1,12 @@
 package vcache
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"peak/internal/machine"
 	"peak/internal/opt"
@@ -306,8 +309,8 @@ func TestExportPreloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsConsistentUnderRace is the satellite audit of Stats()
-// snapshotting: with compilers and preloaders racing readers, every Stats
+// TestStatsConsistentUnderRace is the audit of Stats() snapshotting: with
+// resolvers and prefetchers racing readers, every Stats
 // snapshot must be internally consistent — Lookups == Hits+Misses and
 // Entries >= Versions at all times — because the snapshot is taken under
 // the same mutex every writer holds. Run under -race this also proves the
@@ -334,6 +337,18 @@ func TestStatsConsistentUnderRace(t *testing.T) {
 				}
 			}
 		}()
+	}
+	// Prefetchers race the resolvers over the same keys: a prefetch is not
+	// a lookup, so the totals below stay exactly those of the resolvers.
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range flags {
+				fs := flags[(i+g*len(flags)/2)%len(flags)]
+				c.Prefetch(key(fs), compile(fs))
+			}
+		}(g)
 	}
 	var readers sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -367,6 +382,174 @@ func TestStatsConsistentUnderRace(t *testing.T) {
 	}
 	if st.Misses != int64(len(flags)) {
 		t.Fatalf("final misses = %d, want %d (one compile per distinct key)", st.Misses, len(flags))
+	}
+}
+
+// TestDistinctKeysCompileInParallel: two keys compile at the same time.
+// Each compile waits for the other to start, which can only happen when
+// neither holds the cache lock while it compiles.
+func TestDistinctKeysCompileInParallel(t *testing.T) {
+	key, compile := compileBench(t, "SWIM")
+	c := New()
+	a, b := opt.O3(), opt.O3().Without(opt.AllFlags()[0])
+	started := map[opt.FlagSet]chan struct{}{a: make(chan struct{}), b: make(chan struct{})}
+	other := map[opt.FlagSet]opt.FlagSet{a: b, b: a}
+	errs := make(chan error, 2)
+	for _, fs := range []opt.FlagSet{a, b} {
+		go func() {
+			_, err := c.Resolve(key(fs), func() (*sim.Version, error) {
+				close(started[fs])
+				select {
+				case <-started[other[fs]]:
+				case <-time.After(10 * time.Second):
+					return nil, fmt.Errorf("a compile never saw the other one start")
+				}
+				return compile(fs)()
+			})
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Lookups != 2 || st.Misses != 2 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want 2 lookups / 2 misses / 2 entries", st)
+	}
+}
+
+// TestPrefetchReturnsAtOnce: Prefetch never compiles, or waits for, a key
+// that is already cached or compiling.
+func TestPrefetchReturnsAtOnce(t *testing.T) {
+	key, compile := compileBench(t, "SWIM")
+	c := New()
+	never := func() (*sim.Version, error) {
+		t.Error("Prefetch compiled a key that was cached or in flight")
+		return nil, fmt.Errorf("unexpected compile")
+	}
+	cached := opt.O3()
+	if _, err := c.Resolve(key(cached), compile(cached)); err != nil {
+		t.Fatal(err)
+	}
+	c.Prefetch(key(cached), never)
+
+	slow := opt.O3().Without(opt.AllFlags()[0])
+	entered, release := make(chan struct{}), make(chan struct{})
+	resolved := make(chan error)
+	go func() {
+		_, err := c.Resolve(key(slow), func() (*sim.Version, error) {
+			close(entered)
+			<-release
+			return compile(slow)()
+		})
+		resolved <- err
+	}()
+	<-entered
+	returned := make(chan struct{})
+	go func() {
+		c.Prefetch(key(slow), never)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Prefetch of an in-flight key waited for its compile")
+	}
+	close(release)
+	if err := <-resolved; err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Lookups != 2 || st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 2 lookups / 2 misses (prefetches are not lookups)", st)
+	}
+}
+
+// TestPrefetchKeepsStats: prefetching a set of keys in parallel and then
+// resolving them leaves the cache exactly as resolving them serially does
+// — the same Stats and the same exported entries, content-dedup aliases
+// included, because prefetched results are published in Resolve order.
+func TestPrefetchKeepsStats(t *testing.T) {
+	key, compile := compileBench(t, "SWIM")
+	flags := []opt.FlagSet{opt.O3()}
+	for _, f := range opt.AllFlags()[:12] {
+		flags = append(flags, opt.O3().Without(f))
+	}
+	resolveAll := func(c *Cache) {
+		for _, fs := range append(flags, flags...) {
+			if _, err := c.Resolve(key(fs), compile(fs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serial := New()
+	resolveAll(serial)
+
+	prefetched := New()
+	var wg sync.WaitGroup
+	for i := len(flags) - 1; i >= 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prefetched.Prefetch(key(flags[i]), compile(flags[i]))
+		}()
+	}
+	wg.Wait()
+	if st := prefetched.Stats(); st != (Stats{}) {
+		t.Fatalf("prefetching alone changed the stats: %+v", st)
+	}
+	resolveAll(prefetched)
+
+	if a, b := serial.Stats(), prefetched.Stats(); a != b {
+		t.Fatalf("stats differ:\nserial     %+v\nprefetched %+v", a, b)
+	}
+	if a, b := serial.Export().Entries, prefetched.Export().Entries; !slices.Equal(a, b) {
+		t.Fatalf("exported entries differ:\nserial     %+v\nprefetched %+v", a, b)
+	}
+}
+
+// TestFailedPrefetchIsRetried: a Resolve that finds a prefetch failed, or
+// waited on one that failed, compiles the key itself, and counts one
+// lookup and one miss.
+func TestFailedPrefetchIsRetried(t *testing.T) {
+	key, compile := compileBench(t, "SWIM")
+	fail := func() (*sim.Version, error) { return nil, fmt.Errorf("injected") }
+
+	c := New()
+	c.Prefetch(key(opt.O3()), fail)
+	if _, err := c.Resolve(key(opt.O3()), compile(opt.O3())); err != nil {
+		t.Fatal(err)
+	}
+
+	fs := opt.O3().Without(opt.AllFlags()[0])
+	entered, release, prefetched := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(prefetched)
+		c.Prefetch(key(fs), func() (*sim.Version, error) {
+			close(entered)
+			<-release
+			return nil, fmt.Errorf("injected")
+		})
+	}()
+	<-entered
+	resolved := make(chan error)
+	go func() {
+		_, err := c.Resolve(key(fs), compile(fs))
+		resolved <- err
+	}()
+	// Let the Resolve claim the in-flight prefetch before it fails.
+	for claimed := false; !claimed; {
+		c.mu.Lock()
+		claimed = c.flight[key(fs)].claimed
+		c.mu.Unlock()
+	}
+	close(release)
+	<-prefetched
+	if err := <-resolved; err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Lookups != 2 || st.Misses != 2 || st.Entries != 2 || len(c.flight) != 0 {
+		t.Fatalf("stats = %+v with %d in flight, want 2 lookups / 2 misses / 2 entries, none in flight", st, len(c.flight))
 	}
 }
 
