@@ -203,7 +203,7 @@ func main() {
 	cache := vcache.New()
 	pk := vcache.ProgramKey(b.Prog)
 	lookup := func(fs opt.FlagSet) {
-		_, _, _, err := cache.GetOrCompile(
+		_, err := cache.Resolve(
 			vcache.Key{Prog: pk, Fn: b.TSName, Flags: fs, Machine: m.Name},
 			func() (*sim.Version, error) { return opt.Compile(b.Prog, b.TS, fs, m) })
 		if err != nil {

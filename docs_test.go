@@ -341,7 +341,7 @@ func TestWarmStartDocsCrossReferenced(t *testing.T) {
 		},
 		"ARCHITECTURE.md": {
 			"persistent store",
-			"LookupMemo",
+			"store.Memo",
 			"Never memoize under faults",
 			"AttachCache",
 		},

@@ -41,10 +41,6 @@ type ComponentModel struct {
 	KeepCounters map[int]bool
 }
 
-// NumComponents returns the number of model components, counting all
-// constant counters as the single constant component.
-func (m *ComponentModel) NumComponents() int { return len(m.Components) }
-
 // ConstantOnly reports whether the model consists solely of the constant
 // component — every counter fired the same number of times in every
 // invocation. The MBR estimate then degenerates to the invocation-time

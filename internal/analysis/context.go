@@ -217,49 +217,3 @@ func appendUnique(list []string, s string) []string {
 	}
 	return append(list, s)
 }
-
-// ContextKey computes the context of one invocation: the values of the
-// context variables, given the invocation's scalar arguments and the
-// pre-invocation memory state. Contexts compare equal iff their keys do
-// (paper §2.2: "the context of one TS invocation is the set of values of
-// all context variables").
-func ContextKey(vars []ContextVar, fn *ir.Func, args []float64, mem MemoryReader) string {
-	key := make([]byte, 0, 16*len(vars))
-	for _, v := range vars {
-		var val float64
-		switch v.Kind {
-		case CtxParam:
-			ai := scalarArgIndex(fn, v.Name)
-			if ai >= 0 && ai < len(args) {
-				val = args[ai]
-			}
-		case CtxArrayElem:
-			val = mem.ReadElem(v.Name, v.Index)
-		}
-		key = appendKey(key, val)
-	}
-	return string(key)
-}
-
-func scalarArgIndex(fn *ir.Func, name string) int {
-	ai := 0
-	for _, p := range fn.Params {
-		if p.IsArray {
-			continue
-		}
-		if p.Name == name {
-			return ai
-		}
-		ai++
-	}
-	return -1
-}
-
-func appendKey(b []byte, v float64) []byte {
-	return append(b, fmt.Sprintf("%x|", v)...)
-}
-
-// MemoryReader exposes memory element reads for context keying.
-type MemoryReader interface {
-	ReadElem(arr string, idx int64) float64
-}

@@ -33,16 +33,6 @@ func (e *MemEffects) ModifiedInput() []string {
 	return out
 }
 
-// WrittenArrays returns the Def set sorted.
-func (e *MemEffects) WrittenArrays() []string {
-	out := make([]string, 0, len(e.Writes))
-	for a := range e.Writes {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Effects computes MemEffects for fn, following user-function calls
 // transitively through prog.
 func Effects(fn *ir.Func, prog *ir.Program) *MemEffects {

@@ -146,9 +146,11 @@ func (a *AdaptiveTuner) Run(ds *bench.Dataset) (*AdaptiveResult, error) {
 		var v *sim.Version
 		var err error
 		if a.Cache != nil {
-			v, _, _, err = a.Cache.GetOrCompile(
+			var r vcache.Resolution
+			r, err = a.Cache.Resolve(
 				vcache.Key{Prog: progKey, Fn: a.Bench.TS.Name, Flags: fs, Machine: a.Mach.Name},
 				compile)
+			v = r.V
 		} else {
 			v, err = compile()
 		}

@@ -739,7 +739,6 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 		res.err = err
 		return res
 	}
-	expV := expVI.v
 	var baseVI versionInfo
 	if m != MethodWHL {
 		baseVI, err = e.version(base)
@@ -748,34 +747,41 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 			return res
 		}
 	}
-	// Memo hook: with a store attached, look the job's complete identity
-	// up in the frozen read set; a hit restores the recorded outcome —
-	// rating, convergence, escalation and the job's private cycle ledger —
-	// and skips the simulation below entirely. A miss runs the simulation
-	// and records the outcome for the store's next flush. Version
-	// resolution above already happened either way, so the tune's
-	// compile-cache ledger and dedup grouping are identical with and
-	// without memo hits. (WHL rates without a base; its key carries the
-	// zero fingerprint there.)
+	// Memo hook: with a store attached, the job's complete identity is
+	// looked up in the frozen read set; a hit restores the recorded
+	// outcome — rating, convergence, escalation and the job's private
+	// cycle ledger — and skips simulate entirely. A miss simulates and
+	// records the outcome for the store's next flush. Version resolution
+	// above already happened either way, so the tune's compile-cache
+	// ledger and dedup grouping are identical with and without memo hits.
+	// (WHL rates without a base; its key carries the zero fingerprint
+	// there.)
 	var memoK string
 	if e.store != nil {
 		memoK = e.rateMemoKey(jobKey, m, expVI.fp128, baseVI.fp128, escalatable)
-		if payload, ok := e.store.LookupMemo(MemoKindRate, memoK); ok && restoreRateMemo(&res, payload) {
-			res.memoized = true
-			return res
-		}
-		defer func() {
-			if res.err == nil && !res.memoized {
-				e.store.RecordMemo(MemoKindRate, memoK, encodeRateMemo(&res))
-			}
-		}()
 	}
+	saved, hit, err := store.Memo(e.store, rateKind, memoK, func() (rateMemo, error) {
+		e.simulate(&res, m, expVI.v, baseVI.v, escalatable)
+		return res.memo(), res.err
+	})
+	if hit {
+		res.restore(saved)
+		res.memoized = true
+	}
+	res.err = err
+	return res
+}
+
+// simulate is rateJob's simulation body: it rates expV against baseV
+// (nil for WHL) with method m in res's context, filling res's rating,
+// convergence, escalation and error.
+func (e *engine) simulate(res *jobResult, m Method, expV, baseV *sim.Version, escalatable bool) {
+	c := res.ctx
 	if m == MethodWHL {
 		res.rating, res.err = e.rateWHL(c, expV)
 		res.converged = res.err == nil
-		return res
+		return
 	}
-	baseV := baseVI.v
 
 	budget := 0
 	if escalatable && (m == MethodCBR || m == MethodAVG) {
@@ -790,7 +796,7 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 	for used := 0; used < e.cfg.MaxInvPerVersion; {
 		if err := c.hangBeforeMeasure(); err != nil {
 			res.err = fmt.Errorf("tune %s [%s]: %w", e.t.Bench.Name, m, err)
-			return res
+			return
 		}
 		args, key := c.nextInvocation(needKey)
 		ic := &invocation{
@@ -804,11 +810,11 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 		used++
 		if err != nil {
 			res.err = fmt.Errorf("tune %s [%s]: %w", e.t.Bench.Name, m, err)
-			return res
+			return
 		}
 		if used%checkEvery == 0 && r.converged(e.cfg) {
 			res.rating, res.converged = r.rating(), true
-			return res
+			return
 		}
 		if budget > 0 && !res.escalated && r.used() >= budget {
 			r = e.newRater(MethodRBR, c.mem)
@@ -817,7 +823,6 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 		}
 	}
 	res.rating = r.rating()
-	return res
 }
 
 // rateWHL times one whole dedicated application run for the version — the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -25,24 +24,9 @@ import (
 // — must never be memoized; the engine refuses to attach a store when
 // faults are enabled.
 
-// Memo table namespaces within the persistent store. Exported so the serve
-// and experiment layers partition the same store file without colliding.
-const (
-	// MemoKindRate holds rating-job outcomes (internal/core engine).
-	MemoKindRate = "rate"
-	// MemoKindMeasure holds MeasurePerformanceStored outcomes.
-	MemoKindMeasure = "measure"
-	// MemoKindCell holds experiment grid-cell outcomes
-	// (internal/experiments).
-	MemoKindCell = "cell"
-	// MemoKindJob holds finished serve-job artifacts (internal/serve).
-	MemoKindJob = "job"
-)
-
-// memoVersion prefixes every memo key; bump it when the simulator, the
-// rating pipeline or the payload encoding changes meaning, so stale
-// records from older builds miss instead of corrupting results.
-const memoVersion = "v1"
+// MemoKindJob holds finished serve-job artifacts (internal/serve), the
+// store's one variable-length memo kind.
+const MemoKindJob = "job"
 
 // MemoDigest renders every Config field that can influence a rating
 // outcome on machine m — including the resolved measurement-noise model —
@@ -67,77 +51,47 @@ func (c *Config) MemoDigest(m *machine.Machine) string {
 // fingerprints pin the exact code bodies; the root seed pins every derived
 // stream; the digest pins the rating configuration and noise model.
 func (e *engine) rateMemoKey(jobKey string, m Method, expFP, baseFP vcache.FP128, escalatable bool) string {
-	return fmt.Sprintf("%s/%s/%s/%s/%s/seed=%d/job=%s/m=%s/exp=%s/base=%s/esc=%t/cfg=%s",
-		memoVersion, e.t.Bench.Name, e.t.Mach.Name, e.t.Dataset.Name, e.ts.Name,
+	return fmt.Sprintf("%s/%s/%s/%s/seed=%d/job=%s/m=%s/exp=%s/base=%s/esc=%t/cfg=%s",
+		e.t.Bench.Name, e.t.Mach.Name, e.t.Dataset.Name, e.ts.Name,
 		e.rootSeed, jobKey, m, expFP, baseFP, escalatable, e.cfg.MemoDigest(e.t.Mach))
 }
 
-// rateMemoPayload is the binary layout of one memoized rating-job outcome:
-// every field account() and emitRate() consume, floats as IEEE bits for an
-// exact round trip (CIHalf is +Inf below two samples, which JSON could not
-// carry).
-// rateMemoLen is the exact rate-memo payload size: nine uint64 fields
-// (method, EVAL, VAR, samples, outliers, CI half-width, cycles,
-// invocations, runs) plus three flag bytes.
-const rateMemoLen = 9*8 + 3
-
-func encodeRateMemo(r *jobResult) []byte {
-	b := make([]byte, 0, rateMemoLen)
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	bit := func(v bool) {
-		if v {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	u64(uint64(r.rating.Method))
-	f64(r.rating.EVAL)
-	f64(r.rating.VAR)
-	u64(uint64(int64(r.rating.Samples)))
-	u64(uint64(int64(r.rating.Outliers)))
-	f64(r.rating.CIHalf)
-	bit(r.rating.Abandoned)
-	bit(r.converged)
-	bit(r.escalated)
-	u64(uint64(r.ctx.cycles))
-	u64(uint64(r.ctx.invocations))
-	u64(uint64(int64(r.ctx.runs)))
-	return b
+// rateMemo is one memoized rating-job outcome: every field account() and
+// emitRate() consume, in record order. Floats keep their IEEE bits, so
+// CIHalf's +Inf below two samples round-trips exactly.
+type rateMemo struct {
+	Method                          int64
+	EVAL, VAR                       float64
+	Samples, Outliers               int64
+	CIHalf                          float64
+	Abandoned, Converged, Escalated bool
+	Cycles, Invocations, Runs       int64
 }
 
-// restoreRateMemo rebuilds a job result from a memo payload, reporting
-// false (fall through to real simulation) on any size mismatch.
-func restoreRateMemo(r *jobResult, b []byte) bool {
-	if len(b) != rateMemoLen {
-		return false
+var rateKind store.Kind[rateMemo] = "rate"
+
+func (r *jobResult) memo() rateMemo {
+	return rateMemo{
+		Method: int64(r.rating.Method), EVAL: r.rating.EVAL, VAR: r.rating.VAR,
+		Samples: int64(r.rating.Samples), Outliers: int64(r.rating.Outliers),
+		CIHalf: r.rating.CIHalf, Abandoned: r.rating.Abandoned,
+		Converged: r.converged, Escalated: r.escalated,
+		Cycles: r.ctx.cycles, Invocations: r.ctx.invocations, Runs: int64(r.ctx.runs),
 	}
-	u64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		return v
-	}
-	f64 := func() float64 { return math.Float64frombits(u64()) }
-	bit := func() bool {
-		v := b[0] != 0
-		b = b[1:]
-		return v
-	}
-	r.rating.Method = Method(u64())
-	r.rating.EVAL = f64()
-	r.rating.VAR = f64()
-	r.rating.Samples = int(int64(u64()))
-	r.rating.Outliers = int(int64(u64()))
-	r.rating.CIHalf = f64()
-	r.rating.Abandoned = bit()
-	r.converged = bit()
-	r.escalated = bit()
-	r.ctx.cycles = int64(u64())
-	r.ctx.invocations = int64(u64())
-	r.ctx.runs = int(int64(u64()))
-	return true
 }
+
+func (r *jobResult) restore(m rateMemo) {
+	r.rating = Rating{Method: Method(m.Method), EVAL: m.EVAL, VAR: m.VAR,
+		Samples: int(m.Samples), Outliers: int(m.Outliers),
+		CIHalf: m.CIHalf, Abandoned: m.Abandoned}
+	r.converged, r.escalated = m.Converged, m.Escalated
+	r.ctx.cycles, r.ctx.invocations, r.ctx.runs = m.Cycles, m.Invocations, int(m.Runs)
+}
+
+// measureMemo is one memoized MeasurePerformanceStored outcome.
+type measureMemo struct{ TS, Program int64 }
+
+var measureKind store.Kind[measureMemo] = "measure"
 
 // MeasurePerformanceStored runs the benchmark's tuning section over the
 // dataset with the given flags and returns the deterministic total TS
@@ -160,22 +114,11 @@ func MeasurePerformanceStored(b *bench.Benchmark, ds *bench.Dataset, m *machine.
 	if err != nil {
 		return 0, 0, fmt.Errorf("measure %s: %w", b.Name, err)
 	}
-	if st == nil {
-		return runMeasurement(b, ds, m, flags, v)
-	}
-	key := fmt.Sprintf("%s/%s/%s/%s/%s/fp=%s", memoVersion, b.Name, m.Name, ds.Name, flags, fp)
-	if payload, ok := st.LookupMemo(MemoKindMeasure, key); ok && len(payload) == 16 {
-		ts := int64(binary.LittleEndian.Uint64(payload))
-		prog := int64(binary.LittleEndian.Uint64(payload[8:]))
-		return ts, prog, nil
-	}
-	tsCycles, programCycles, err = runMeasurement(b, ds, m, flags, v)
-	if err != nil {
-		return 0, 0, err
-	}
-	payload := make([]byte, 0, 16)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(tsCycles))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(programCycles))
-	st.RecordMemo(MemoKindMeasure, key, payload)
-	return tsCycles, programCycles, nil
+	r, _, err := store.Memo(st, measureKind,
+		fmt.Sprintf("%s/%s/%s/%s/fp=%s", b.Name, m.Name, ds.Name, flags, fp),
+		func() (measureMemo, error) {
+			ts, prog, err := runMeasurement(b, ds, m, flags, v)
+			return measureMemo{TS: ts, Program: prog}, err
+		})
+	return r.TS, r.Program, err
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -88,10 +92,60 @@ func TestRatingMemoWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestRateMemoRoundTrip pins the rate-memo wire codec: every field of a
-// job result must survive encode → restore, and the payload must be
-// exactly rateMemoLen bytes. A length drift between the encoder and the
-// decoder is invisible to the determinism tests — restore failure falls
+// memoRecord runs v through store.Memo on an empty store under the test
+// key "k", flushes, and returns the record's full key and payload as they
+// sit on disk.
+func memoRecord[V any](t *testing.T, kind store.Kind[V], v V) (key string, payload []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := store.Memo(s, kind, "k", func() (V, error) { return v, nil }); hit || err != nil {
+		t.Fatalf("Memo on an empty store: hit=%t err=%v", hit, err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = store.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	s.MemoEach(string(kind), func(k string, p []byte) { key, payload, n = k, p, n+1 })
+	if n != 1 {
+		t.Fatalf("store holds %d %q records, want 1", n, kind)
+	}
+	return key, payload
+}
+
+// memoAnswer freezes payload under key in a fresh store and returns what
+// store.Memo answers for the test key "k".
+func memoAnswer[V any](t *testing.T, kind store.Kind[V], key string, payload []byte) (V, bool) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RecordMemo(string(kind), key, payload)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = store.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	v, hit, _ := store.Memo(s, kind, "k", func() (V, error) {
+		var zero V
+		return zero, errors.New("computed")
+	})
+	return v, hit
+}
+
+// TestRateMemoRoundTrip pins the rate-memo record: every field of a job
+// result must survive record → restore, and the payload must be exactly
+// 9*8+3 bytes (nine 8-byte fields and three flag bytes). A length drift
+// is invisible to the determinism tests — a wrong-size record falls
 // through to the real simulation, which produces the same bytes — so this
 // is the test that keeps warm starts actually warm.
 func TestRateMemoRoundTrip(t *testing.T) {
@@ -102,14 +156,16 @@ func TestRateMemoRoundTrip(t *testing.T) {
 		escalated: true,
 		ctx:       &ratingCtx{cycles: 987654321, invocations: 42, runs: 2},
 	}
-	payload := encodeRateMemo(&in)
-	if len(payload) != rateMemoLen {
-		t.Fatalf("encodeRateMemo produced %d bytes, want rateMemoLen = %d", len(payload), rateMemoLen)
+	key, payload := memoRecord(t, rateKind, in.memo())
+	if want := 9*8 + 3; len(payload) != want {
+		t.Fatalf("rate memo payload is %d bytes, want %d", len(payload), want)
+	}
+	saved, hit := memoAnswer(t, rateKind, key, payload)
+	if !hit {
+		t.Fatal("Memo rejected a freshly recorded payload")
 	}
 	out := jobResult{ctx: &ratingCtx{}}
-	if !restoreRateMemo(&out, payload) {
-		t.Fatal("restoreRateMemo rejected a freshly encoded payload")
-	}
+	out.restore(saved)
 	if !reflect.DeepEqual(in.rating, out.rating) ||
 		in.converged != out.converged || in.escalated != out.escalated ||
 		in.ctx.cycles != out.ctx.cycles || in.ctx.invocations != out.ctx.invocations ||
@@ -117,9 +173,71 @@ func TestRateMemoRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\nin  %+v ctx %+v\nout %+v ctx %+v",
 			in, *in.ctx, out, *out.ctx)
 	}
-	if restoreRateMemo(&out, payload[:len(payload)-1]) {
-		t.Error("restoreRateMemo accepted a truncated payload")
+	if _, hit := memoAnswer(t, rateKind, key, payload[:len(payload)-1]); hit {
+		t.Error("Memo accepted a truncated payload")
 	}
+}
+
+// TestMemoRecordLayouts pins the on-disk bytes of the rate and measure
+// memo kinds to the records earlier builds wrote (the golden hex came
+// from the hand-written encoders these payload structs replaced), so a
+// store written by one build warm-starts the next. Reordering or
+// retyping a payload field changes the bytes and fails here; such a
+// change needs a memo version bump instead. The values carry NaN (with a
+// payload), ±Inf, -0 and negative counts, and every pair of same-typed
+// fields differs in at least one case, so a swap cannot go unnoticed.
+// Each record must also restore bit-exactly.
+func TestMemoRecordLayouts(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	negZero := math.Copysign(0, -1)
+	rateA := jobResult{
+		rating: Rating{Method: MethodCBR, EVAL: nan, VAR: math.Inf(1),
+			Samples: 40, Outliers: 3, CIHalf: negZero, Abandoned: true},
+		ctx: &ratingCtx{cycles: -7, invocations: 123456789, runs: 2},
+	}
+	rateB := jobResult{
+		rating: Rating{Method: MethodRBR, EVAL: math.Inf(-1), VAR: 1.5,
+			Samples: -1, CIHalf: math.Inf(1)},
+		converged: true,
+		ctx:       &ratingCtx{cycles: 1 << 40, invocations: -2, runs: 5},
+	}
+	check := func(name, golden string, payload []byte, reencode func() []byte) {
+		t.Helper()
+		if got := hex.EncodeToString(payload); got != golden {
+			t.Errorf("%s record layout drifted:\ngot  %s\nwant %s", name, got, golden)
+		}
+		if got := reencode(); !bytes.Equal(got, payload) {
+			t.Errorf("%s record did not restore bit-exactly: re-recorded %x", name, got)
+		}
+	}
+	for _, c := range []struct {
+		name, golden string
+		in           jobResult
+	}{
+		{"rate A", "0000000000000000010000000000f87f000000000000f07f280000000000000003000000000000000000000000000080010000f9ffffffffffffff15cd5b07000000000200000000000000", rateA},
+		{"rate B", "0200000000000000000000000000f0ff000000000000f83fffffffffffffffff0000000000000000000000000000f07f0001000000000000010000feffffffffffffff0500000000000000", rateB},
+	} {
+		key, payload := memoRecord(t, rateKind, c.in.memo())
+		check(c.name, c.golden, payload, func() []byte {
+			saved, hit := memoAnswer(t, rateKind, key, payload)
+			if !hit {
+				t.Fatalf("%s: Memo missed its own record", c.name)
+			}
+			out := jobResult{ctx: &ratingCtx{}}
+			out.restore(saved)
+			_, p := memoRecord(t, rateKind, out.memo())
+			return p
+		})
+	}
+	key, payload := memoRecord(t, measureKind, measureMemo{TS: -1, Program: 9876543210})
+	check("measure", "ffffffffffffffffea16b04c02000000", payload, func() []byte {
+		saved, hit := memoAnswer(t, measureKind, key, payload)
+		if !hit {
+			t.Fatal("measure: Memo missed its own record")
+		}
+		_, p := memoRecord(t, measureKind, saved)
+		return p
+	})
 }
 
 // TestStoreIgnoredUnderFaults pins the "never memoize faulted ratings"

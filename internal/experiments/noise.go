@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -14,6 +12,7 @@ import (
 	"peak/internal/profiling"
 	"peak/internal/sched"
 	"peak/internal/sim"
+	"peak/internal/store"
 	"peak/internal/trace"
 )
 
@@ -80,35 +79,18 @@ func RegimeNames(m *machine.Machine) []string {
 // config digest covers the regime's noise model (cfg.Noise is resolved by
 // MemoDigest), so two regimes never share a record.
 func cellMemoKey(b *bench.Benchmark, m *machine.Machine, regime string, c *core.Config) string {
-	return fmt.Sprintf("v1/noise/%s/%s/%s/w=%d/cfg=%s", b.Name, m.Name, regime, NoiseWindow, c.MemoDigest(m))
+	return fmt.Sprintf("noise/%s/%s/%s/w=%d/cfg=%s", b.Name, m.Name, regime, NoiseWindow, c.MemoDigest(m))
 }
 
-// encodeCellMemo packs a cell's outcome (chosen method + headline window
-// statistic) into a deterministic 32-byte payload; decodeCellMemo is its
-// inverse, returning false on any size or range mismatch so a stale or
-// foreign record falls back to computing the cell live.
-func encodeCellMemo(method core.Method, st core.WindowStat) []byte {
-	buf := make([]byte, 0, 32)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(method))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Mu))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Sigma))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.N))
-	return buf
+// cellMemo is one memoized grid cell: the chosen method and the headline
+// window statistic, in record order.
+type cellMemo struct {
+	Method    int64
+	Mu, Sigma float64
+	N         int64
 }
 
-// decodeCellMemo unpacks encodeCellMemo's payload.
-func decodeCellMemo(payload []byte) (core.Method, core.WindowStat, bool) {
-	if len(payload) != 32 {
-		return 0, core.WindowStat{}, false
-	}
-	method := core.Method(binary.LittleEndian.Uint64(payload))
-	st := core.WindowStat{
-		Mu:    math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])),
-		Sigma: math.Float64frombits(binary.LittleEndian.Uint64(payload[16:])),
-		N:     int(binary.LittleEndian.Uint64(payload[24:])),
-	}
-	return method, st, true
-}
+var cellKind store.Kind[cellMemo] = "cell"
 
 // NoiseReport regenerates the noise-sensitivity report for machine m over
 // a benchmark list (the report's is workloads.All): Table-1-style rating
@@ -139,54 +121,41 @@ func NoiseReport(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Confi
 			return profiling.Run(b, b.Train, m)
 		})
 	}
-	type cell struct {
-		method core.Method
-		stat   core.WindowStat
-	}
 	cells, err := shard(len(benches)*len(regimes), env,
 		func(i int) string {
 			return fmt.Sprintf("noise %s/%s", benches[i/len(regimes)].Name, regimes[i%len(regimes)].Name)
 		},
-		func(i int, env core.Env) ([]cell, error) {
+		func(i int, env core.Env) ([]cellMemo, error) {
 			b := benches[i/len(regimes)]
 			regime := regimes[i%len(regimes)]
 			c := *cfg
 			c.Noise = &regime.Model
-			// done emits the cell's trace event — identical whether the
-			// values were computed live or restored from the memo table, so
-			// the trace bytes never depend on the store's temperature.
-			done := func(method core.Method, st core.WindowStat) ([]cell, error) {
-				env.Trace.Emit(trace.Event{Kind: trace.KindCell,
-					Detail: fmt.Sprintf("noise/%s/%s/%s", b.Name, m.Name, regime.Name),
-					Method: method.String(), Count: NoiseWindow,
-					Mu: st.Mu, Sigma: st.Sigma})
-				env.Metrics.Add("experiments.noise_cells", 1)
-				return []cell{{method, st}}, nil
-			}
-			var memoK string
-			if env.Store != nil {
-				memoK = cellMemoKey(b, m, regime.Name, &c)
-				if payload, ok := env.Store.LookupMemo(core.MemoKindCell, memoK); ok {
-					if method, st, valid := decodeCellMemo(payload); valid {
-						return done(method, st)
-					}
+			saved, _, err := store.Memo(env.Store, cellKind, cellMemoKey(b, m, regime.Name, &c), func() (cellMemo, error) {
+				p, err := profiles[i/len(regimes)]()
+				if err != nil {
+					return cellMemo{}, err
 				}
-			}
-			p, err := profiles[i/len(regimes)]()
+				method := core.Consult(p, &c).Chosen()
+				rows, err := core.Consistency(b, m, p, method, []int{NoiseWindow}, &c)
+				if err != nil {
+					return cellMemo{}, err
+				}
+				// The dominant-context row carries the headline statistic.
+				st := rows[0].Windows[NoiseWindow]
+				return cellMemo{Method: int64(method), Mu: st.Mu, Sigma: st.Sigma, N: int64(st.N)}, nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			method := core.Consult(p, &c).Chosen()
-			rows, err := core.Consistency(b, m, p, method, []int{NoiseWindow}, &c)
-			if err != nil {
-				return nil, err
-			}
-			// The dominant-context row carries the headline statistic.
-			st := rows[0].Windows[NoiseWindow]
-			if env.Store != nil {
-				env.Store.RecordMemo(core.MemoKindCell, memoK, encodeCellMemo(method, st))
-			}
-			return done(method, st)
+			// The cell's trace event is identical whether the values were
+			// computed live or restored from the memo table, so the trace
+			// bytes never depend on the store's temperature.
+			env.Trace.Emit(trace.Event{Kind: trace.KindCell,
+				Detail: fmt.Sprintf("noise/%s/%s/%s", b.Name, m.Name, regime.Name),
+				Method: core.Method(saved.Method).String(), Count: NoiseWindow,
+				Mu: saved.Mu, Sigma: saved.Sigma})
+			env.Metrics.Add("experiments.noise_cells", 1)
+			return []cellMemo{saved}, nil
 		})
 	if err != nil {
 		return "", err
@@ -202,9 +171,9 @@ func NoiseReport(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Confi
 	}
 	sb.WriteByte('\n')
 	for bi, b := range benches {
-		fmt.Fprintf(&sb, "%-9s %-8s", b.Name, cells[bi*len(regimes)].method)
+		fmt.Fprintf(&sb, "%-9s %-8s", b.Name, core.Method(cells[bi*len(regimes)].Method))
 		for ri := range regimes {
-			ws := cells[bi*len(regimes)+ri].stat
+			ws := cells[bi*len(regimes)+ri]
 			fmt.Fprintf(&sb, " %14s", fmt.Sprintf("%.2f(%.2f)", ws.Mu*100, ws.Sigma*100))
 		}
 		sb.WriteByte('\n')

@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -128,6 +133,52 @@ func TestNoiseReportWarmStartByteIdentical(t *testing.T) {
 		st := warm.Stats()
 		if st.MemoHits == 0 || st.MemoMisses != 0 {
 			t.Errorf("warm run (%d workers) stats = %+v, want all-hit cell lookups", workers, st)
+		}
+	}
+}
+
+// TestCellMemoLayout pins the noise-grid cell record to the bytes earlier
+// builds wrote (the golden hex came from the hand-written encoder the
+// cellMemo struct replaced), so a store written by one build warm-starts
+// the next. Reordering or retyping a field fails here; such a change
+// needs a memo version bump instead. The values carry NaN (with a
+// payload), ±Inf, -0 and a negative count, and the two float fields
+// differ in each case. Each record must also restore bit-exactly.
+func TestCellMemoLayout(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	for _, c := range []struct {
+		in     cellMemo
+		golden string
+	}{
+		{cellMemo{Method: int64(core.MethodMBR), Mu: nan, Sigma: math.Copysign(0, -1), N: 40},
+			"0100000000000000010000000000f87f00000000000000802800000000000000"},
+		{cellMemo{Method: int64(core.MethodAVG), Mu: math.Inf(-1), Sigma: math.Inf(1), N: -3},
+			"0300000000000000000000000000f0ff000000000000f07ffdffffffffffffff"},
+	} {
+		dir := t.TempDir()
+		s, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Memo(s, cellKind, "k", func() (cellMemo, error) { return c.in, nil })
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = store.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		var payload []byte
+		s.MemoEach(string(cellKind), func(_ string, p []byte) { payload = p })
+		if got := hex.EncodeToString(payload); got != c.golden {
+			t.Errorf("cell record layout drifted:\ngot  %s\nwant %s", got, c.golden)
+		}
+		saved, hit, _ := store.Memo(s, cellKind, "k", func() (cellMemo, error) {
+			return cellMemo{}, errors.New("computed")
+		})
+		var back bytes.Buffer
+		binary.Write(&back, binary.LittleEndian, saved)
+		if !hit || !bytes.Equal(back.Bytes(), payload) {
+			t.Errorf("cell record did not restore bit-exactly: hit=%t, re-encoded %x", hit, back.Bytes())
 		}
 	}
 }

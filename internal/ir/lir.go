@@ -245,9 +245,6 @@ type LFunc struct {
 	NumCounters int
 }
 
-// Entry returns the entry block (ID 0 by convention).
-func (f *LFunc) Entry() *Block { return f.Blocks[0] }
-
 // BlockByID returns the block with the given ID, or nil.
 func (f *LFunc) BlockByID(id int) *Block {
 	for _, b := range f.Blocks {

@@ -81,7 +81,7 @@ func journalCase(t *testing.T) damageCase {
 }
 
 // storeCase flushes a four-memo store and opens damaged copies of it with
-// Open; a kept record is one whose memo LookupMemo still answers.
+// Open; a kept record is one whose memo lookupMemo still answers.
 func storeCase(t *testing.T) damageCase {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -111,7 +111,7 @@ func storeCase(t *testing.T) damageCase {
 		}
 		kept := 0
 		for kept < len(keys) {
-			if _, ok := s.LookupMemo("rate", keys[kept]); !ok {
+			if _, ok := s.lookupMemo("rate", keys[kept]); !ok {
 				break
 			}
 			kept++

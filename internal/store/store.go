@@ -10,10 +10,13 @@
 // memoized rating results, so a warm restart can skip simulation entirely
 // for work it has already measured.
 //
-// Determinism contract: the memo read set is frozen at Open. LookupMemo
-// answers only from records loaded off disk at open time; RecordMemo
-// writes to a pending overlay that becomes visible only after Flush and a
-// reopen. A run therefore sees the same memo answers at every worker
+// Memo (memo.go) is the one read-through path for typed, fixed-size
+// memo kinds; RecordMemo and MemoEach serve the variable-length ones
+// (serve's job artifacts).
+//
+// Determinism contract: the memo read set is frozen at Open. Memo answers
+// only from records loaded off disk at open time; RecordMemo writes to a
+// pending overlay that becomes visible only after Flush and a reopen. A run therefore sees the same memo answers at every worker
 // count and in every scheduling order, which is what keeps warm outputs
 // byte-identical to cold ones. Payloads must themselves be deterministic
 // (same key ⇒ same bytes) — rating results under the engine's fixed seed
@@ -68,7 +71,7 @@ type Stats struct {
 	// Preloaded is the number of alias keys AttachCache installed into
 	// the attached compile cache.
 	Preloaded int64 `json:"preloaded"`
-	// MemoHits and MemoMisses count LookupMemo outcomes against the
+	// MemoHits and MemoMisses count Memo lookups against the
 	// frozen read set; Pending the records queued by RecordMemo for the
 	// next Flush.
 	MemoHits   int64 `json:"memo_hits"`
@@ -232,11 +235,11 @@ func (s *Store) AttachCache(c *vcache.Cache) int {
 	return n
 }
 
-// LookupMemo returns the payload recorded under (kind, key) in the frozen
+// lookupMemo returns the payload recorded under (kind, key) in the frozen
 // read set loaded at Open. Records written this process (RecordMemo) are
 // never returned — they become visible only after Flush and a reopen,
 // which is what keeps memo answers independent of scheduling.
-func (s *Store) LookupMemo(kind, key string) ([]byte, bool) {
+func (s *Store) lookupMemo(kind, key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.memo[memoKey{Kind: kind, Key: key}]
@@ -271,7 +274,7 @@ func (s *Store) RecordMemo(kind, key string, payload []byte) {
 
 // MemoEach calls fn for every record of the given kind in the frozen read
 // set, in sorted key order. Pending records are not visited — like
-// LookupMemo, iteration sees only what was on disk at Open.
+// Memo, iteration sees only what was on disk at Open.
 func (s *Store) MemoEach(kind string, fn func(key string, payload []byte)) {
 	s.mu.Lock()
 	keys := make([]string, 0)

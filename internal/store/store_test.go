@@ -146,7 +146,7 @@ func TestFlushDeterministic(t *testing.T) {
 }
 
 // TestMemoFrozenReadSet pins the determinism contract: records written
-// this process are invisible to LookupMemo and MemoEach until the store
+// this process are invisible to lookupMemo and MemoEach until the store
 // is flushed and reopened.
 func TestMemoFrozenReadSet(t *testing.T) {
 	dir := t.TempDir()
@@ -155,7 +155,7 @@ func TestMemoFrozenReadSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RecordMemo("rate", "k1", []byte("v1"))
-	if _, ok := s.LookupMemo("rate", "k1"); ok {
+	if _, ok := s.lookupMemo("rate", "k1"); ok {
 		t.Fatal("pending record visible before flush+reopen")
 	}
 	s.MemoEach("rate", func(key string, _ []byte) {
@@ -174,11 +174,11 @@ func TestMemoFrozenReadSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s2.LookupMemo("rate", "k1")
+	v, ok := s2.lookupMemo("rate", "k1")
 	if !ok || string(v) != "v1" {
 		t.Fatalf("reopened lookup = %q, %v; want v1, true", v, ok)
 	}
-	if _, ok := s2.LookupMemo("rate", "absent"); ok {
+	if _, ok := s2.lookupMemo("rate", "absent"); ok {
 		t.Fatal("absent key reported present")
 	}
 	visited := 0
@@ -201,7 +201,7 @@ func TestMemoFrozenReadSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s3.LookupMemo("rate", "k1"); string(v) != "v1" {
+	if v, _ := s3.lookupMemo("rate", "k1"); string(v) != "v1" {
 		t.Fatalf("read set clobbered across flush: %q", v)
 	}
 }
@@ -246,10 +246,10 @@ func TestCorruptTailRecovery(t *testing.T) {
 	if r.Records != 2 || !r.TornTail || r.DroppedBytes == 0 {
 		t.Fatalf("corrupt-tail recovery = %+v, want 2 records kept + torn tail", r)
 	}
-	if _, ok := s2.LookupMemo("rate", "a"); !ok {
+	if _, ok := s2.lookupMemo("rate", "a"); !ok {
 		t.Error("record before the corruption lost")
 	}
-	if _, ok := s2.LookupMemo("rate", "c"); ok {
+	if _, ok := s2.lookupMemo("rate", "c"); ok {
 		t.Error("record at the corruption survived")
 	}
 
@@ -358,7 +358,7 @@ func TestStoreStatsConsistentUnderRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := string(rune('a' + (i % 7)))
-				s.LookupMemo("rate", key)
+				s.lookupMemo("rate", key)
 				s.RecordMemo("rate", key, []byte{byte(g)})
 			}
 		}()

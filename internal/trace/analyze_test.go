@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -192,4 +193,80 @@ func TestFormatters(t *testing.T) {
 			t.Fatalf("timeline missing %q:\n%s", want, tl)
 		}
 	}
+}
+
+// writeEvents renders evs through a Tracer, which numbers them from 1.
+func writeEvents(t *testing.T, evs []Event) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	tr := NewTracer(&out)
+	for _, ev := range evs {
+		tr.Emit(ev)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// sameEvents compares two event lists field by field, reading an empty
+// Counts block as absent (the writer omits it either way).
+func sameEvents(a, b []Event) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if len(x.Counts) == 0 {
+			x.Counts = nil
+		}
+		if len(y.Counts) == 0 {
+			y.Counts = nil
+		}
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzReadEvents feeds ReadEvents arbitrary bytes. It must never panic.
+// Whatever it accepts must survive a write through Tracer and a second
+// read unchanged (Seq renumbered from 1). And a trace written by Tracer
+// followed by the input's first line as a torn, unterminated tail must
+// read back with every written event intact.
+func FuzzReadEvents(f *testing.F) {
+	written := append(synthTrace(),
+		Event{Kind: KindCell, Detail: "noise/SWIM/sparc2/drift", Method: "CBR", Count: 40,
+			Mu: 0.0123, Sigma: 1e-300, Tier: "memo"},
+		Event{Kind: KindTrials, Detail: "noise/sparc2/spikes/CI", CIHalf: -1,
+			Counts: map[string]int64{"misses": 3, "trials": 40}})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := ReadEvents(bytes.NewReader(data))
+		if err == nil {
+			back, err := ReadEvents(bytes.NewReader(writeEvents(t, evs)))
+			if err != nil {
+				t.Fatalf("re-reading accepted events: %v", err)
+			}
+			for i := range evs {
+				evs[i].Seq = int64(i + 1)
+			}
+			if !sameEvents(back, evs) {
+				t.Fatalf("accepted events changed in a write/read round trip:\nread  %+v\nagain %+v", evs, back)
+			}
+		}
+
+		tail, _, _ := bytes.Cut(data, []byte("\n"))
+		got, err := ReadEvents(bytes.NewReader(append(writeEvents(t, written), tail...)))
+		if err != nil {
+			t.Fatalf("valid trace with a torn tail %q: %v", tail, err)
+		}
+		want := append([]Event(nil), written...)
+		for i := range want {
+			want[i].Seq = int64(i + 1)
+		}
+		if len(got) < len(want) || !sameEvents(got[:len(want)], want) {
+			t.Fatalf("torn tail %q lost written events: got %d events", tail, len(got))
+		}
+	})
 }

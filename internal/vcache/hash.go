@@ -19,9 +19,9 @@ import (
 // (see Fingerprint), whose collision budget resets every process.
 const (
 	// fnvOffset64/fnvPrime64 parameterize the legacy 64-bit FNV-1a lane.
-	// ProgramKey and FuncKey still report this lane: their values are part
-	// of the fault-injection identity strings ("progKey/fn/flags/machine"),
-	// so changing them would silently re-roll every committed fault draw.
+	// ProgramKey still reports this lane: its value is part of the
+	// fault-injection identity strings ("progKey/fn/flags/machine"), so
+	// changing it would silently re-roll every committed fault draw.
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 	// fnvOffsetHi/Lo is the FNV-128 offset basis
@@ -51,8 +51,8 @@ func (f FP128) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.Lo) }
 func (f FP128) IsZero() bool { return f.Hi == 0 && f.Lo == 0 }
 
 // hasher folds every byte through two FNV-1a lanes at once: the legacy
-// 64-bit lane that ProgramKey/FuncKey report (their values must stay
-// stable — see the constant block above) and the 128-bit lane behind
+// 64-bit lane that ProgramKey reports (its values must stay stable — see
+// the constant block above) and the 128-bit lane behind
 // Fingerprint128 that keys the persistent store.
 type hasher struct {
 	h64    uint64
@@ -128,14 +128,6 @@ func ProgramKey(p *ir.Program) uint64 {
 		h.str(s.Name)
 		h.int(int(s.Typ))
 	}
-	return h.sum()
-}
-
-// FuncKey returns the structural hash of a single HIR function (the same
-// traversal ProgramKey uses per function).
-func FuncKey(f *ir.Func) uint64 {
-	h := newHasher()
-	hashFunc(&h, f)
 	return h.sum()
 }
 

@@ -344,16 +344,6 @@ func (c *Cache) publish(key Key, nv *sim.Version, nfp FP128) {
 	c.stats.Entries++
 }
 
-// GetOrCompile is Resolve narrowed to the pre-store signature: the frozen
-// version, the low 64 fingerprint bits (Fingerprint), and the shared bit.
-func (c *Cache) GetOrCompile(key Key, compile func() (*sim.Version, error)) (v *sim.Version, fp uint64, shared bool, err error) {
-	r, err := c.Resolve(key, compile)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return r.V, r.FP.Lo, r.Shared, nil
-}
-
 // SnapshotEntry is one exported cache key: its full fingerprint addresses
 // the version body in Snapshot.Versions, Shared preserves the key's
 // content-dedup bit.
@@ -451,7 +441,7 @@ func (c *Cache) Preload(sn Snapshot) int {
 
 // MarkQuarantined records that key's compilation failed golden-output
 // verification. The mark is observability (Stats.Quarantined, Quarantined)
-// — GetOrCompile still serves the entry, because every tune re-verifies its
+// — Resolve still serves the entry, because every tune re-verifies its
 // own resolutions and the verdict is deterministic. No-op for unknown keys.
 func (c *Cache) MarkQuarantined(key Key) {
 	c.mu.Lock()

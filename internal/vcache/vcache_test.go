@@ -33,19 +33,19 @@ func compileBench(t *testing.T, name string) (key func(fs opt.FlagSet) Key, comp
 	return key, compile
 }
 
-func TestGetOrCompileHitReturnsSameVersion(t *testing.T) {
+func TestResolveHitReturnsSameVersion(t *testing.T) {
 	key, compile := compileBench(t, "SWIM")
 	c := New()
-	v1, fp1, _, err := c.GetOrCompile(key(opt.O3()), compile(opt.O3()))
+	r1, err := c.Resolve(key(opt.O3()), compile(opt.O3()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, fp2, _, err := c.GetOrCompile(key(opt.O3()), compile(opt.O3()))
+	r2, err := c.Resolve(key(opt.O3()), compile(opt.O3()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != v2 || fp1 != fp2 {
-		t.Fatalf("cache hit returned a different version (%p vs %p) or fingerprint (%x vs %x)", v1, v2, fp1, fp2)
+	if r1.V != r2.V || r1.FP != r2.FP {
+		t.Fatalf("cache hit returned a different version (%p vs %p) or fingerprint (%s vs %s)", r1.V, r2.V, r1.FP, r2.FP)
 	}
 	st := c.Stats()
 	if st.Lookups != 2 || st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
@@ -60,18 +60,20 @@ func TestContentDedupSharesIdenticalCode(t *testing.T) {
 	key, compile := compileBench(t, "SWIM")
 	c := New()
 	base := opt.O3()
-	bv, bfp, _, err := c.GetOrCompile(key(base), compile(base))
+	br, err := c.Resolve(key(base), compile(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[uint64]*sim.Version{bfp: bv}
+	bv := br.V
+	seen := map[uint64]*sim.Version{br.FP.Lo: bv}
 	sharedFlags := 0
 	for _, f := range opt.AllFlags() {
 		fs := base.Without(f)
-		v, fp, shared, err := c.GetOrCompile(key(fs), compile(fs))
+		r, err := c.Resolve(key(fs), compile(fs))
 		if err != nil {
 			t.Fatal(err)
 		}
+		v, fp, shared := r.V, r.FP.Lo, r.Shared
 		if prev, ok := seen[fp]; ok {
 			if !shared {
 				t.Fatalf("flag %s: fingerprint seen before but shared=false", f)
@@ -128,7 +130,7 @@ func TestFingerprintIgnoresLabel(t *testing.T) {
 	}
 }
 
-func TestConcurrentGetOrCompile(t *testing.T) {
+func TestConcurrentResolve(t *testing.T) {
 	key, compile := compileBench(t, "SWIM")
 	c := New()
 	flags := []opt.FlagSet{opt.O3()}
@@ -144,12 +146,12 @@ func TestConcurrentGetOrCompile(t *testing.T) {
 			defer wg.Done()
 			got[g] = make([]*sim.Version, len(flags))
 			for i, fs := range flags {
-				v, _, _, err := c.GetOrCompile(key(fs), compile(fs))
+				r, err := c.Resolve(key(fs), compile(fs))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got[g][i] = v
+				got[g][i] = r.V
 			}
 		}(g)
 	}
@@ -181,7 +183,7 @@ func TestMarkQuarantined(t *testing.T) {
 	if c.Stats().Quarantined != 0 {
 		t.Fatal("marking an unknown key changed stats")
 	}
-	if _, _, _, err := c.GetOrCompile(k, compile(opt.O3())); err != nil {
+	if _, err := c.Resolve(k, compile(opt.O3())); err != nil {
 		t.Fatal(err)
 	}
 	c.MarkQuarantined(k)
@@ -193,8 +195,8 @@ func TestMarkQuarantined(t *testing.T) {
 		t.Errorf("Stats.Quarantined = %d, want 1", got)
 	}
 	// The entry is still served: tunes re-verify their own resolutions.
-	if v, _, _, err := c.GetOrCompile(k, compile(opt.O3())); err != nil || v == nil {
-		t.Errorf("quarantined entry not served: %v, %v", v, err)
+	if r, err := c.Resolve(k, compile(opt.O3())); err != nil || r.V == nil {
+		t.Errorf("quarantined entry not served: %v, %v", r.V, err)
 	}
 }
 
@@ -570,7 +572,7 @@ func TestHitRateZeroLookups(t *testing.T) {
 	c := New()
 	k := key(opt.O3())
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := c.GetOrCompile(k, compile(opt.O3())); err != nil {
+		if _, err := c.Resolve(k, compile(opt.O3())); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -57,19 +57,23 @@ func TestPeakTunesOnChosenDataset(t *testing.T) {
 	}
 }
 
-// buildExperiments builds cmd/peak-experiments into a temporary directory
-// and returns the binary's path.
-func buildExperiments(t *testing.T) string {
+// buildCmd builds ./cmd/<name> into a temporary directory and returns
+// the binary's path.
+func buildCmd(t *testing.T, name string) string {
 	t.Helper()
 	goBin := goTool(t)
-	bin := filepath.Join(t.TempDir(), "peak-experiments")
-	build := exec.Command(goBin, "build", "-o", bin, "./cmd/peak-experiments")
+	bin := filepath.Join(t.TempDir(), name)
+	build := exec.Command(goBin, "build", "-o", bin, "./cmd/"+name)
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
-		t.Fatalf("build peak-experiments: %v", err)
+		t.Fatalf("build %s: %v", name, err)
 	}
 	return bin
 }
+
+// buildExperiments builds cmd/peak-experiments and returns the binary's
+// path.
+func buildExperiments(t *testing.T) string { return buildCmd(t, "peak-experiments") }
 
 // TestTable1SpotCheck enforces the Table-1 spot-check: for each machine,
 // peak-experiments -table1 must print results_table1_<machine>.txt byte
@@ -153,6 +157,61 @@ func TestResultsSpotCheck(t *testing.T) {
 		}
 		if !bytes.Equal(got, c.want) {
 			t.Errorf("peak-experiments %v differs from the sparc2 half of %s:\n%s", c.args, c.file, got)
+		}
+	}
+}
+
+// TestWarmStartSpotCheck enforces the warm-start recipe: peak-experiments
+// -noise -machine sparc2 -cache-dir D, run twice on one fresh directory,
+// must print the sparc2 half of results_noise.txt both times, and the
+// second run must answer every grid cell from the store's memo table.
+func TestWarmStartSpotCheck(t *testing.T) {
+	bin := buildExperiments(t)
+	want := sparc2Half(t, "results_noise.txt")
+	dir := t.TempDir()
+	for i, summary := range []string{
+		"0 cell memo hit(s), 70 new record(s)",
+		"70 cell memo hit(s), 0 new record(s)",
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, "-noise", "-machine", "sparc2", "-cache-dir", dir)
+		cmd.Stderr = &stderr
+		got, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("run %d: %v\n%s", i+1, err, stderr.Bytes())
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("run %d differs from the sparc2 half of results_noise.txt:\n%s", i+1, got)
+		}
+		if !bytes.Contains(stderr.Bytes(), []byte(summary)) {
+			t.Errorf("run %d stderr lacks %q:\n%s", i+1, summary, stderr.Bytes())
+		}
+	}
+}
+
+// TestServeSmokeSpotCheck enforces the serve smoke: peak-serve -smoke
+// MGRID/sparc2 pushes one job through the real HTTP stack, with and
+// without a store directory, and must print exactly what peak -bench
+// MGRID -machine sparc2 prints.
+func TestServeSmokeSpotCheck(t *testing.T) {
+	serve, peak := buildCmd(t, "peak-serve"), buildCmd(t, "peak")
+	run := func(bin string, args ...string) []byte {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+		}
+		return out
+	}
+	want := run(peak, "-bench", "MGRID", "-machine", "sparc2")
+	for _, args := range [][]string{
+		{"-smoke", "MGRID/sparc2"},
+		{"-smoke", "MGRID/sparc2", "-cache-dir", t.TempDir()},
+	} {
+		if got := run(serve, args...); !bytes.Equal(got, want) {
+			t.Errorf("peak-serve %v differs from peak -bench MGRID -machine sparc2:\n%s", args, got)
 		}
 	}
 }
