@@ -230,7 +230,8 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 // short window and checks that the report carries the interpreter-throughput
 // fields the BENCH_pr*.json history is built from. A bench report without
 // invocations_per_sec cannot be compared across PRs, so its absence is a
-// regression in its own right.
+// regression in its own right. The run includes -micro, whose four
+// opcode-class kernels must each report a time on both engines.
 func TestBenchSmokeReportsInvocationsPerSec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -240,7 +241,7 @@ func TestBenchSmokeReportsInvocationsPerSec(t *testing.T) {
 		t.Skip("go tool not in PATH")
 	}
 	out := filepath.Join(t.TempDir(), "bench.json")
-	cmd := exec.Command(goBin, "run", "./cmd/peak-bench", "-mintime", "0.05", "-o", out)
+	cmd := exec.Command(goBin, "run", "./cmd/peak-bench", "-mintime", "0.05", "-micro", "-o", out)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("peak-bench: %v", err)
@@ -253,6 +254,11 @@ func TestBenchSmokeReportsInvocationsPerSec(t *testing.T) {
 		InvocationsPerSec    float64 `json:"invocations_per_sec"`
 		InvocationsPerSecRef float64 `json:"invocations_per_sec_ref"`
 		CompileSpeedup       float64 `json:"compile_speedup"`
+		Micro                []struct {
+			Class     string `json:"class"`
+			FusedNsOp int64  `json:"fused_ns_op"`
+			RefNsOp   int64  `json:"ref_ns_op"`
+		} `json:"micro"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("parse %s: %v", out, err)
@@ -265,5 +271,13 @@ func TestBenchSmokeReportsInvocationsPerSec(t *testing.T) {
 	}
 	if rep.CompileSpeedup < 2 {
 		t.Errorf("compile_speedup = %v, want >= 2", rep.CompileSpeedup)
+	}
+	if len(rep.Micro) != 4 {
+		t.Fatalf("micro reports %d classes, want 4", len(rep.Micro))
+	}
+	for _, c := range rep.Micro {
+		if c.FusedNsOp <= 0 || c.RefNsOp <= 0 {
+			t.Errorf("micro %s: fused_ns_op = %d, ref_ns_op = %d, want both > 0", c.Class, c.FusedNsOp, c.RefNsOp)
+		}
 	}
 }

@@ -1,22 +1,16 @@
-// Command peak-bench measures the tuning-throughput numbers reported in
-// EXPERIMENTS.md ("Tuning throughput"): the cost of a compile-cache hit
-// versus a cold compilation, the simulator's invocation throughput on the
-// decoded-plan fast path, and the end-to-end wall time of the Table-1
-// consistency experiment. It emits one JSON object (BENCH_pr3.json in the
-// repository was produced by it; the documented command is recorded in the
-// output itself).
+// Command peak-bench measures the layer numbers no other tool reports
+// (EXPERIMENTS.md, "Tuning throughput"): the cost of a compile-cache hit
+// versus a cold compilation, and the simulator's invocation throughput on
+// the default micro-op engine against the reference engine. End-to-end
+// timings (Table 1, cold and warm serving) belong to e2ebench. It emits
+// one JSON object (BENCH_pr3.json in the repository was produced by it;
+// the documented command is recorded in the output itself).
 //
 // Usage:
 //
-//	peak-bench                                  # compile + simulator numbers
-//	peak-bench -table1                          # also time Table 1 end to end
-//	peak-bench -table1 -baseline-table1-ns N    # embed a pre-change baseline
-//	peak-bench -o BENCH_pr3.json                # write instead of stdout
-//	peak-bench -trace bench.jsonl               # wall-clock phase events
-//
-// The -trace output records wall-clock "bench_phase" events — the one
-// documented exemption from the repository's trace determinism contract
-// (OBSERVABILITY.md).
+//	peak-bench                       # compile + simulator numbers
+//	peak-bench -micro                # also the per-opcode-class kernels
+//	peak-bench -o BENCH_pr3.json     # write instead of stdout
 package main
 
 import (
@@ -29,20 +23,11 @@ import (
 	"strings"
 	"time"
 
-	"peak/internal/bench"
-	"peak/internal/cli"
-	"peak/internal/core"
-	"peak/internal/experiments"
 	"peak/internal/ir"
 	"peak/internal/irbuild"
 	"peak/internal/machine"
 	"peak/internal/opt"
-	"peak/internal/profiling"
-	"peak/internal/sched"
-	"peak/internal/serve"
 	"peak/internal/sim"
-	"peak/internal/store"
-	"peak/internal/trace"
 	"peak/internal/vcache"
 	"peak/internal/workloads"
 )
@@ -74,43 +59,6 @@ type report struct {
 
 	// Micro holds the per-opcode-class engine microbenchmarks (-micro).
 	Micro []microReport `json:"micro,omitempty"`
-
-	// End-to-end: wall time of the Table-1 consistency experiment on the
-	// selected machine (serial, all 14 benchmarks), plus the pre-change
-	// baseline and speedup when -baseline-table1-ns is given.
-	Table1WallNs         int64   `json:"table1_wall_ns,omitempty"`
-	Table1BaselineWallNs int64   `json:"table1_baseline_wall_ns,omitempty"`
-	Table1Speedup        float64 `json:"table1_speedup,omitempty"`
-
-	// WarmStart holds the persistent-store warm-start measurements (-warmstart).
-	WarmStart *warmStartReport `json:"warm_start,omitempty"`
-}
-
-// warmStartReport is the -warmstart section: the same full tune run cold
-// (empty store) and memo-warm (reopened after a flush, every rating
-// answered from the memo table), plus a disk-warm peak-serve restart
-// answering a duplicate spec from a restored job artifact.
-type warmStartReport struct {
-	// ColdTuneNs and MemoWarmTuneNs are one full consultant-path tune's
-	// wall time against an empty store and against the reopened flushed
-	// store; MemoSpeedup is their ratio (the warm tune simulates nothing —
-	// MemoHits ratings answered from disk, MemoMisses must be 0).
-	ColdTuneNs     int64   `json:"cold_tune_ns"`
-	MemoWarmTuneNs int64   `json:"memo_warm_tune_ns"`
-	MemoSpeedup    float64 `json:"memo_speedup"`
-	MemoHits       int64   `json:"memo_hits"`
-	MemoMisses     int64   `json:"memo_misses"`
-
-	// ServeColdJobNs is the wall time of one peak-serve job run cold with a
-	// store attached; ServeRestartNs the time for a rebooted server (same
-	// store directory) to boot, restore the finished job and answer the
-	// duplicate spec. ServeSimCycles is the warm server's simulated-cycle
-	// ledger while doing so — zero means the answer came entirely from the
-	// restored artifact.
-	ServeColdJobNs    int64 `json:"serve_cold_job_ns"`
-	ServeRestartNs    int64 `json:"serve_restart_ns"`
-	ServeRestoredJobs int64 `json:"serve_restored_jobs"`
-	ServeSimCycles    int64 `json:"serve_sim_cycles"`
 }
 
 // microReport is one per-opcode-class engine microbenchmark: the default
@@ -129,14 +77,9 @@ func main() {
 		benchName  = flag.String("bench", "SWIM", "benchmark for the compile and simulator measurements")
 		machName   = flag.String("machine", "sparc2", `machine: "sparc2" or "p4"`)
 		out        = flag.String("o", "", "write the JSON report to this file (default stdout)")
-		runTable1  = flag.Bool("table1", false, "also run the Table-1 experiment end to end (seconds)")
-		baseNs     = flag.Int64("baseline-table1-ns", 0, "pre-change Table-1 wall time to embed for comparison")
 		minSeconds = flag.Float64("mintime", 1.0, "minimum seconds per timed section")
-		tracePath  = flag.String("trace", "", "write wall-clock bench_phase events to this JSONL file")
-		metrics    = flag.Bool("metrics", false, "print the measured numbers as a metrics table to stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the timed sections to this file")
 		micro      = flag.Bool("micro", false, "also run the per-opcode-class engine microbenchmarks")
-		warmstart  = flag.Bool("warmstart", false, "also measure warm-start tuning: cold vs memo-warm tune, disk-warm serve restart")
 	)
 	flag.Parse()
 
@@ -163,17 +106,6 @@ func main() {
 		Command: "peak-bench " + strings.Join(os.Args[1:], " "),
 		Bench:   b.Name, Machine: m.Name,
 	}
-	obs := cli.NewObserver(*tracePath, *metrics, os.Stderr)
-	// Flush the phases recorded so far on SIGINT/SIGTERM instead of
-	// losing them (the bench sections can run for minutes).
-	obs.FlushOnInterrupt(os.Stderr, "peak-bench", nil)
-	// phase records one timed section as a wall-clock bench_phase event
-	// (Count = elapsed nanoseconds, Invocations = operations) — outside
-	// the determinism contract by design.
-	phase := func(name string, elapsedNs, ops int64) {
-		obs.Buf.Emit(trace.Event{Kind: trace.KindBenchPhase,
-			Detail: name, Count: elapsedNs, Invocations: ops})
-	}
 
 	// The flag-set population a tuning round touches: -O3 plus every
 	// one-flag-off candidate.
@@ -197,7 +129,6 @@ func main() {
 	}
 	coldNs := time.Since(coldStart).Nanoseconds()
 	r.CompileColdNsOp = coldNs / int64(coldOps)
-	phase("compile_cold", coldNs, int64(coldOps))
 
 	// Cached: warm the cache with one pass, then time pure hits.
 	cache := vcache.New()
@@ -223,7 +154,6 @@ func main() {
 	}
 	cachedNs := time.Since(cachedStart).Nanoseconds()
 	r.CompileCachedNsOp = cachedNs / int64(cachedOps)
-	phase("compile_cached", cachedNs, int64(cachedOps))
 	if r.CompileCachedNsOp > 0 {
 		r.CompileSpeedup = float64(r.CompileColdNsOp) / float64(r.CompileCachedNsOp)
 	}
@@ -252,40 +182,9 @@ func main() {
 	if ref.bestNsOp > 0 {
 		r.SimSpeedup = float64(ref.bestNsOp) / float64(fused.bestNsOp)
 	}
-	phase("simulate", fused.ns+ref.ns, fused.ops+ref.ops)
 
 	if *micro {
-		r.Micro = microBenchmarks(m, *minSeconds, phase)
-	}
-
-	if *warmstart {
-		r.WarmStart = warmStartBench(b, m, phase)
-	}
-
-	if *runTable1 {
-		cfg := core.DefaultConfig()
-		t0 := time.Now()
-		if _, err := experiments.Table1(m, experiments.PaperWindows, &cfg, core.Env{}); err != nil {
-			fatalf("table1: %v", err)
-		}
-		r.Table1WallNs = time.Since(t0).Nanoseconds()
-		phase("table1", r.Table1WallNs, 1)
-		if *baseNs > 0 {
-			r.Table1BaselineWallNs = *baseNs
-			r.Table1Speedup = float64(*baseNs) / float64(r.Table1WallNs)
-		}
-	}
-
-	if obs.Mx != nil {
-		obs.Mx.Gauge("bench.compile_cold_ns_op", r.CompileColdNsOp)
-		obs.Mx.Gauge("bench.compile_cached_ns_op", r.CompileCachedNsOp)
-		obs.Mx.Gauge("bench.invocation_ns_op", r.InvocationNsOp)
-		if r.Table1WallNs > 0 {
-			obs.Mx.Gauge("bench.table1_wall_ns", r.Table1WallNs)
-		}
-	}
-	if err := obs.Flush(); err != nil {
-		fatalf("trace: %v", err)
+		r.Micro = microBenchmarks(m, *minSeconds)
 	}
 
 	enc, err := json.MarshalIndent(&r, "", "  ")
@@ -436,7 +335,7 @@ func microKernel(class string) (*ir.Program, *ir.Func, []float64) {
 
 // microBenchmarks contrasts the engines on each opcode-class kernel,
 // splitting minSeconds across the classes.
-func microBenchmarks(m *machine.Machine, minSeconds float64, phase func(string, int64, int64)) []microReport {
+func microBenchmarks(m *machine.Machine, minSeconds float64) []microReport {
 	classes := []string{"alu_superblock", "memory_bound", "branch_heavy", "call_heavy"}
 	out := make([]microReport, 0, len(classes))
 	per := minSeconds / float64(len(classes))
@@ -469,127 +368,8 @@ func microBenchmarks(m *machine.Machine, minSeconds float64, phase func(string, 
 			rep.Speedup = float64(ref.bestNsOp) / float64(fused.bestNsOp)
 		}
 		out = append(out, rep)
-		phase("micro_"+class, fused.ns+ref.ns, fused.ops+ref.ops)
 	}
 	return out
-}
-
-// warmStartBench measures the persistent store's payoff. Tune leg: one
-// full consultant-path tune of b on m against an empty store, flushed,
-// then the identical tune against the reopened store — the warm run
-// answers every rating from the memo table. Serve leg (separate store
-// directory): one peak-serve job run cold with a store, drained, then a
-// fresh server booted from the flushed store answering the duplicate spec
-// from the restored artifact without simulating.
-func warmStartBench(b *bench.Benchmark, m *machine.Machine, phase func(string, int64, int64)) *warmStartReport {
-	ws := &warmStartReport{}
-
-	tuneDir, err := os.MkdirTemp("", "peak-bench-store-*")
-	if err != nil {
-		fatalf("warmstart: %v", err)
-	}
-	defer os.RemoveAll(tuneDir)
-	prof, err := profiling.Run(b, b.Train, m)
-	if err != nil {
-		fatalf("warmstart: profile: %v", err)
-	}
-	tune := func(st *store.Store, cache *vcache.Cache) *core.TuneResult {
-		t := &core.Tuner{Bench: b, Mach: m, Dataset: b.Train, Cfg: core.DefaultConfig(), Profile: prof,
-			Pool: sched.New(0), Cache: cache, Store: st}
-		res, err := t.Tune()
-		if err != nil {
-			fatalf("warmstart: tune: %v", err)
-		}
-		return res
-	}
-
-	cold, err := store.Open(tuneDir)
-	if err != nil {
-		fatalf("warmstart: %v", err)
-	}
-	coldCache := vcache.New()
-	cold.AttachCache(coldCache)
-	t0 := time.Now()
-	coldRes := tune(cold, coldCache)
-	ws.ColdTuneNs = time.Since(t0).Nanoseconds()
-	phase("warmstart_cold_tune", ws.ColdTuneNs, 1)
-	if err := cold.Flush(); err != nil {
-		fatalf("warmstart: flush: %v", err)
-	}
-
-	warm, err := store.Open(tuneDir)
-	if err != nil {
-		fatalf("warmstart: %v", err)
-	}
-	warmCache := vcache.New()
-	warm.AttachCache(warmCache)
-	t0 = time.Now()
-	warmRes := tune(warm, warmCache)
-	ws.MemoWarmTuneNs = time.Since(t0).Nanoseconds()
-	phase("warmstart_memo_tune", ws.MemoWarmTuneNs, 1)
-	if warmRes.Best != coldRes.Best {
-		fatalf("warmstart: warm tune diverged: %s vs %s", warmRes.Best, coldRes.Best)
-	}
-	st := warm.Stats()
-	ws.MemoHits, ws.MemoMisses = st.MemoHits, st.MemoMisses
-	if ws.MemoWarmTuneNs > 0 {
-		ws.MemoSpeedup = float64(ws.ColdTuneNs) / float64(ws.MemoWarmTuneNs)
-	}
-
-	serveDir, err := os.MkdirTemp("", "peak-bench-serve-*")
-	if err != nil {
-		fatalf("warmstart: %v", err)
-	}
-	defer os.RemoveAll(serveDir)
-	req := serve.Request{Bench: b.Name, Machine: m.Name}
-	coldStore, err := store.Open(serveDir)
-	if err != nil {
-		fatalf("warmstart: %v", err)
-	}
-	s1 := serve.New(serve.Options{Workers: 0, Jobs: 1, Store: coldStore})
-	s1.Start()
-	t0 = time.Now()
-	res, code, err := s1.Submit(req)
-	if err != nil || code != 202 {
-		fatalf("warmstart: serve submit: code %d, %v", code, err)
-	}
-	for {
-		snap, ok := s1.Job(res.ID)
-		if !ok {
-			fatalf("warmstart: serve job vanished")
-		}
-		if snap.State == serve.StateDone {
-			break
-		}
-		if snap.State == serve.StateFailed {
-			fatalf("warmstart: serve job failed: %s", snap.Error)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	ws.ServeColdJobNs = time.Since(t0).Nanoseconds()
-	phase("warmstart_serve_cold", ws.ServeColdJobNs, 1)
-	s1.Drain()
-
-	t0 = time.Now()
-	warmStore, err := store.Open(serveDir)
-	if err != nil {
-		fatalf("warmstart: %v", err)
-	}
-	s2 := serve.New(serve.Options{Workers: 0, Jobs: 1, Store: warmStore})
-	s2.Start()
-	snap, code, err := s2.Submit(req)
-	if err != nil || code != 200 || snap.State != serve.StateDone {
-		fatalf("warmstart: serve restart did not restore the job: code %d, state %s, %v", code, snap.State, err)
-	}
-	ws.ServeRestartNs = time.Since(t0).Nanoseconds()
-	phase("warmstart_serve_restart", ws.ServeRestartNs, 1)
-	stats := s2.Stats()
-	if stats.Store != nil {
-		ws.ServeRestoredJobs = stats.Store.RestoredJobs
-	}
-	ws.ServeSimCycles = stats.Pool.Cycles
-	s2.Drain()
-	return ws
 }
 
 func fatalf(format string, args ...any) {

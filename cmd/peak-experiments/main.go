@@ -61,7 +61,6 @@ func main() {
 	regimeName := flag.String("regime", "", "noise regime for -table1 (baseline, gauss4x, spikes, drift, bursts); empty = machine default")
 	noiseRep := flag.Bool("noise", false, "regenerate the noise-sensitivity report instead of Figure 7")
 	noCache := flag.Bool("nocache", false, "disable the compile cache (A/B check; output is identical either way)")
-	cacheStats := flag.Bool("cachestats", false, "print compile-cache statistics to stderr (Figure 7 mode)")
 	faultsRep := flag.Bool("faults", false, "regenerate the fault-injection robustness report instead of Figure 7")
 	faultRate := flag.Float64("faultrate", 0.05, "uniform fault rate for -faults (miscompiles injected at rate/10)")
 	faultSeed := flag.Int64("faultseed", 2023, "fault-injection seed for -faults")
@@ -145,7 +144,7 @@ func main() {
 	cfg.NoCompileCache = *noCache
 	env := peak.Env{Pool: pool, Journal: journal, Trace: obs.Buf, Metrics: obs.Mx}
 	// One compile cache shared across machines: compilations are keyed by
-	// machine, so nothing collides, and the -cachestats summary covers the
+	// machine, so nothing collides, and the vcache.* metrics cover the
 	// whole run. Output is byte-identical with or without it.
 	if !*noCache {
 		env.Cache = peak.NewVersionCache()
@@ -251,9 +250,6 @@ func main() {
 		all = append(all, entries...)
 	}
 	if cache := env.Cache; cache != nil {
-		if *cacheStats {
-			fmt.Fprintln(os.Stderr, cache.Stats().Summary())
-		}
 		cache.Stats().FillMetrics(obs.Mx)
 	}
 

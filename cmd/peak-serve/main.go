@@ -69,7 +69,7 @@ func main() {
 		queueCap = flag.Int("queue", 16, "job queue capacity (full queue refuses with 429 + Retry-After)")
 		noCache  = flag.Bool("nocache", false, "private per-job compile caches, profiles and measurements instead of the shared ones (results identical either way)")
 		cacheDir = flag.String("cache-dir", "", "persistent state directory: compile cache, rating memos and finished jobs survive restarts, and jobs checkpoint every round and resume across restarts (results identical either way)")
-		smoke    = flag.String("smoke", "", `run one job end to end and print its report ("BENCH/machine", e.g. "MGRID/sparc2"); with -cache-dir, also drain, reboot from the store and assert the re-served artifacts are byte-identical`)
+		smoke    = flag.String("smoke", "", `run one job end to end and print its report ("BENCH/machine", e.g. "MGRID/sparc2")`)
 
 		deadline = flag.Duration("deadline", 0, "default per-job wall-clock deadline (0 = none; a request's deadline_ms overrides it)")
 		watchdog = flag.Duration("watchdog", 0, "cancel running jobs that make no round progress for this long (0 = off)")
@@ -122,12 +122,8 @@ func main() {
 	s.Start()
 
 	if *smoke != "" {
-		cold, code := runSmoke(s, *smoke)
-		if code == 0 && *cacheDir != "" {
-			// Drain flushes the store; the warm phase reboots from it.
-			s.Drain()
-			code = runWarmRestart(opts, *smoke, *cacheDir, cold)
-		}
+		code := runSmoke(s, *smoke)
+		s.Drain() // flushes the -cache-dir store
 		os.Exit(code)
 	}
 
@@ -171,40 +167,14 @@ func main() {
 	}
 }
 
-// smokeArtifacts is everything the smoke job served, captured raw so the
-// warm-restart phase can assert byte-identity.
-type smokeArtifacts struct {
-	id                  string
-	body, report, trace []byte
-}
-
-// fetch GETs url and returns the raw body, failing the process on a
-// transport error or unexpected status.
-func fetch(base, path string, wantCode int) []byte {
-	resp, err := http.Get(base + path)
-	if err != nil {
-		fatalf("smoke: GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("smoke: GET %s: %v", path, err)
-	}
-	if resp.StatusCode != wantCode {
-		fatalf("smoke: GET %s: status %d, want %d", path, resp.StatusCode, wantCode)
-	}
-	return data
-}
-
 // runSmoke drives one job through the real HTTP stack on a loopback
 // listener and prints its report to stdout — the tier-1 smoke check diffs
-// that against cmd/peak's output for the same benchmark and machine. The
-// job's raw served artifacts are returned for the warm-restart phase.
-func runSmoke(s *serve.Server, spec string) (smokeArtifacts, int) {
+// that against cmd/peak's output for the same benchmark and machine.
+func runSmoke(s *serve.Server, spec string) int {
 	parts := strings.SplitN(spec, "/", 2)
 	if len(parts) != 2 {
 		fmt.Fprintf(os.Stderr, "peak-serve: -smoke wants BENCH/machine, got %q\n", spec)
-		return smokeArtifacts{}, 1
+		return 1
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -245,90 +215,19 @@ func runSmoke(s *serve.Server, spec string) (smokeArtifacts, int) {
 	}
 	if res.State != serve.StateDone {
 		fmt.Fprintf(os.Stderr, "peak-serve: smoke job ended %s: %s\n", res.State, res.Error)
-		return smokeArtifacts{}, 1
+		return 1
 	}
-	arts := smokeArtifacts{
-		id:     res.ID,
-		body:   fetch(base, "/jobs/"+res.ID, http.StatusOK),
-		report: fetch(base, "/jobs/"+res.ID+"/report", http.StatusOK),
-		trace:  fetch(base, "/jobs/"+res.ID+"/trace", http.StatusOK),
-	}
-	if _, err := os.Stdout.Write(arts.report); err != nil {
+	resp, err = http.Get(base + "/jobs/" + res.ID + "/report")
+	if err != nil {
 		fatalf("smoke: report: %v", err)
 	}
-	return arts, 0
-}
-
-// runWarmRestart is the -smoke warm phase: reboot a fresh server in-process
-// from the flushed -cache-dir store, resubmit the same request, and assert
-// the restored job re-serves the cold run's body, report and trace
-// byte-for-byte without simulating (zero pool cycles). The summary goes to
-// stderr; stdout stays the cold report only, so the tier-1 smoke diff is
-// unchanged.
-func runWarmRestart(opts serve.Options, spec, cacheDir string, cold smokeArtifacts) int {
-	parts := strings.SplitN(spec, "/", 2)
-	st, err := store.Open(cacheDir)
-	if err != nil {
-		fatalf("warm restart: %v", err)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		fatalf("smoke: report: status %d", resp.StatusCode)
 	}
-	opts.Store = st
-	opts.Journal = nil // the smoke job finished; nothing to resume
-	s := serve.New(opts)
-	s.Start()
-	defer s.Drain()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("listen: %v", err)
+	if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
+		fatalf("smoke: report: %v", err)
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	body, _ := json.Marshal(serve.Request{Bench: parts[0], Machine: parts[1]})
-	resp, err := http.Post(base+"/tune", "application/json", bytes.NewReader(body))
-	if err != nil {
-		fatalf("warm restart: submit: %v", err)
-	}
-	var res serve.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		fatalf("warm restart: decode: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || res.State != serve.StateDone {
-		fmt.Fprintf(os.Stderr, "peak-serve: warm restart: job not restored (status %d, state %s)\n", resp.StatusCode, res.State)
-		return 1
-	}
-	ok := true
-	for _, c := range []struct {
-		name string
-		path string
-		want []byte
-	}{
-		{"body", "/jobs/" + res.ID, cold.body},
-		{"report", "/jobs/" + res.ID + "/report", cold.report},
-		{"trace", "/jobs/" + res.ID + "/trace", cold.trace},
-	} {
-		if got := fetch(base, c.path, http.StatusOK); !bytes.Equal(got, c.want) {
-			fmt.Fprintf(os.Stderr, "peak-serve: warm restart: re-served %s differs from the cold run (%d vs %d bytes)\n",
-				c.name, len(got), len(c.want))
-			ok = false
-		}
-	}
-	stats := s.Stats()
-	if stats.Pool.Cycles != 0 {
-		fmt.Fprintf(os.Stderr, "peak-serve: warm restart: %d simulator cycles spent re-serving, want 0\n", stats.Pool.Cycles)
-		ok = false
-	}
-	if !ok {
-		return 1
-	}
-	restored := int64(0)
-	if stats.Store != nil {
-		restored = stats.Store.RestoredJobs
-	}
-	fmt.Fprintf(os.Stderr, "peak-serve: warm restart from %s: job %s re-served byte-identical (report %d B, trace %d B), %d job(s) restored, 0 simulator cycles\n",
-		cacheDir, res.ID, len(cold.report), len(cold.trace), restored)
 	return 0
 }
 

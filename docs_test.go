@@ -322,8 +322,8 @@ func TestWarmStartDocsCrossReferenced(t *testing.T) {
 		"ROADMAP.md": {
 			"./internal/store/", // tier-1 -race list
 			"-cache-dir",        // warm-start spot-check recipe
-			"memo_speedup",
-			"BENCH_pr10.json",
+			"TestRatingMemoWarmMatchesCold",
+			"TestServeWarmRestartByteIdentical",
 		},
 		"OBSERVABILITY.md": {
 			"tier", // cache/rate event provenance field
@@ -347,11 +347,13 @@ func TestWarmStartDocsCrossReferenced(t *testing.T) {
 		},
 		"README.md": {
 			"-cache-dir",
-			"-warmstart",
+			"TestRatingMemoWarmMatchesCold",
+			"TestServeWarmRestartByteIdentical",
 		},
 		"EXPERIMENTS.md": {
 			"Warm-start tuning",
-			"serve_sim_cycles",
+			"TestRatingMemoWarmMatchesCold",
+			"TestServeWarmRestartByteIdentical",
 		},
 	} {
 		data, err := os.ReadFile(file)

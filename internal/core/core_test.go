@@ -31,7 +31,7 @@ func TestRatingComparison(t *testing.T) {
 	// Time-like methods: lower EVAL is better.
 	a := Rating{Method: MethodCBR, EVAL: 90}
 	b := Rating{Method: MethodCBR, EVAL: 100}
-	if !a.Better(b) || b.Better(a) {
+	if a.ImprovementOver(b.EVAL) <= 0 || b.ImprovementOver(a.EVAL) >= 0 {
 		t.Error("CBR: lower EVAL must win")
 	}
 	if imp := a.ImprovementOver(99); math.Abs(imp-0.1) > 1e-9 {
@@ -40,7 +40,7 @@ func TestRatingComparison(t *testing.T) {
 	// RBR: higher ratio is better; the rating itself is the improvement.
 	r1 := Rating{Method: MethodRBR, EVAL: 1.2}
 	r2 := Rating{Method: MethodRBR, EVAL: 0.9}
-	if !r1.Better(r2) || r2.Better(r1) {
+	if r1.ImprovementOver(r2.EVAL) <= 0 || r2.ImprovementOver(r1.EVAL) >= 0 {
 		t.Error("RBR: higher EVAL must win")
 	}
 	if imp := r1.ImprovementOver(math.NaN()); math.Abs(imp-0.2) > 1e-9 {

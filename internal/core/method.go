@@ -79,15 +79,6 @@ type Rating struct {
 	Abandoned bool
 }
 
-// Better reports whether rating a beats rating b, assuming both rate
-// versions against the same base with the same method.
-func (a Rating) Better(b Rating) bool {
-	if a.Method == MethodRBR {
-		return a.EVAL > b.EVAL
-	}
-	return a.EVAL < b.EVAL
-}
-
 // ImprovementOver returns the relative improvement the rated experimental
 // version achieves over a base rated baseEval with the same method
 // (positive = experimental faster). For RBR the rating itself encodes the

@@ -30,9 +30,6 @@ func (r *Result) VarRatio() float64 {
 	return r.SSR / r.SST
 }
 
-// R2 returns the coefficient of determination 1 − SSR/SST.
-func (r *Result) R2() float64 { return 1 - r.VarRatio() }
-
 // Solve fits y ≈ X·coef by least squares. X is row-major: X[i] is the
 // predictor vector of observation i (the component counts C(·,i)); y[i] is
 // the observed TS invocation time. It requires len(X) ≥ len(X[0]) ≥ 1.

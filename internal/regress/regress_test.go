@@ -52,8 +52,8 @@ func TestExactFitRecovered(t *testing.T) {
 			t.Errorf("coef[%d] = %v, want %v", i, res.Coef[i], w)
 		}
 	}
-	if r2 := res.R2(); !almostEqual(r2, 1, 1e-9) {
-		t.Errorf("R2 = %v, want 1", r2)
+	if v := res.VarRatio(); !almostEqual(v, 0, 1e-9) {
+		t.Errorf("VarRatio = %v, want 0", v)
 	}
 }
 

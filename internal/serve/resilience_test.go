@@ -194,8 +194,7 @@ func TestServeWatchdogCancelsStalledJob(t *testing.T) {
 	all := opt.AllFlags()
 	req := subsetReq("BZIP2", all[3:6])
 
-	s := New(Options{Workers: 1, Jobs: 1,
-		WatchdogStall: 30 * time.Millisecond, WatchdogPoll: 10 * time.Millisecond})
+	s := New(Options{Workers: 1, Jobs: 1, WatchdogStall: 30 * time.Millisecond})
 	s.roundGate = make(chan struct{})
 	s.Start()
 	defer s.Drain()

@@ -91,10 +91,9 @@ type Options struct {
 	// (state timed_out, reason "watchdog: ..."). A job's first stretch
 	// without a stamp covers its profile run and -O3 ref measurement
 	// together (one after the other when no lane is free), so the stall
-	// bound must exceed both. WatchdogPoll is the scan interval (0 =
-	// WatchdogStall/4, floored at 10ms).
+	// bound must exceed both. The watchdog scans every WatchdogStall/4,
+	// floored at 10ms.
 	WatchdogStall time.Duration
-	WatchdogPoll  time.Duration
 
 	// BreakerFailures, when > 0, arms the circuit breaker: that many
 	// consecutive job failures trip it open, shedding new non-duplicate
@@ -264,10 +263,7 @@ func (s *Server) Start() {
 // that boundary; until then the stall is still visible in /stats.
 func (s *Server) watchdog() {
 	defer s.wg.Done()
-	poll := s.opts.WatchdogPoll
-	if poll <= 0 {
-		poll = s.opts.WatchdogStall / 4
-	}
+	poll := s.opts.WatchdogStall / 4
 	if poll < 10*time.Millisecond {
 		poll = 10 * time.Millisecond
 	}

@@ -23,12 +23,14 @@ func storeOpts(st *store.Store) Options {
 // at drain, must be re-served byte-identically by a fresh server booted
 // from the same store directory — body, report and trace — without running
 // a single simulation (the pool's cycle ledger stays zero and /stats
-// reports the job as restored).
+// reports the job as restored). The list mixes flag-subset specs with the
+// consultant-path spec peak-serve -smoke runs (no method, no flags).
 func TestServeWarmRestartByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	reqs := []Request{
 		subsetReq("MGRID", opt.AllFlags()[:3]),
 		subsetReq("SWIM", opt.AllFlags()[3:6]),
+		{Bench: "MGRID", Machine: "sparc2"},
 	}
 
 	cold, err := store.Open(dir)

@@ -90,15 +90,6 @@ func (m *Memory) Restore(snap map[string][]float64) {
 	}
 }
 
-// SnapshotSize returns the total number of elements in a snapshot.
-func SnapshotSize(snap map[string][]float64) int {
-	n := 0
-	for _, d := range snap {
-		n += len(d)
-	}
-	return n
-}
-
 // WriteRec is one entry of the runner's write log: the value that lived at
 // Arr[Idx] before a store overwrote it.
 type WriteRec struct {

@@ -40,15 +40,6 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// RelStdDev returns StdDev/|Mean| (coefficient of variation), or +Inf when
-// the mean is zero.
-func (w *Welford) RelStdDev() float64 {
-	if w.mean == 0 {
-		return math.Inf(1)
-	}
-	return w.StdDev() / math.Abs(w.mean)
-}
-
 // Reset clears the accumulator.
 func (w *Welford) Reset() { *w = Welford{} }
 

@@ -200,9 +200,11 @@ func writeEvents(t *testing.T, evs []Event) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	tr := NewTracer(&out)
+	b := NewBuffer()
 	for _, ev := range evs {
-		tr.Emit(ev)
+		b.Emit(ev)
 	}
+	tr.Flush(b)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

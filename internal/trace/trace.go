@@ -21,10 +21,6 @@
 //     experiment), after the parallel phase completes — exactly the
 //     index-ordered reduction rule the result ledgers already follow.
 //
-// The one deliberate exception is cmd/peak-bench, whose trace records
-// wall-clock benchmark phases and is documented as outside the contract
-// (OBSERVABILITY.md "Determinism contract").
-//
 // # Overhead
 //
 // A nil *Buffer is the disabled tracer: every emit method returns
@@ -92,7 +88,7 @@ const (
 	KindCheckpoint Kind = "checkpoint"
 )
 
-// Event kinds emitted by the experiment drivers and cmd/peak-bench.
+// Event kinds emitted by the experiment drivers.
 const (
 	// KindCell is one cell of a grid experiment (a Table-1 row, a noise
 	// report cell): Detail identifies the cell, Method the rating method,
@@ -101,10 +97,6 @@ const (
 	// KindTrials is one winner-picking trial block of the noise report:
 	// Detail the regime, Counts the wrong-adopt/miss/invocation totals.
 	KindTrials Kind = "trials"
-	// KindBenchPhase is one wall-clock phase of cmd/peak-bench. It is the
-	// only kind exempt from the determinism contract: Count carries
-	// nanoseconds of real time.
-	KindBenchPhase Kind = "bench_phase"
 )
 
 // Event is one structured trace record. Field presence depends on Kind
@@ -157,7 +149,7 @@ type Event struct {
 	// Retries counts fault retries absorbed (compile or measurement).
 	Retries int `json:"retries,omitempty"`
 	// Count is a kind-specific count (candidates entering a round,
-	// checkpoint bytes, bench-phase nanoseconds, job panics survived).
+	// checkpoint bytes, job panics survived).
 	Count int64 `json:"count,omitempty"`
 	// Mu and Sigma are a cell's rating-error statistics.
 	Mu float64 `json:"mu,omitempty"`

@@ -19,7 +19,9 @@ func TestNilBufferIsNoOp(t *testing.T) {
 	// Nil tracer accepts everything silently too.
 	var tr *Tracer
 	tr.Flush(NewBuffer())
-	tr.Emit(Event{})
+	one := NewBuffer()
+	one.Emit(Event{})
+	tr.Flush(one)
 	if tr.Seq() != 0 || tr.Err() != nil || tr.Close() != nil {
 		t.Fatal("nil tracer not inert")
 	}
@@ -58,7 +60,8 @@ func TestTracerAssignsSequentialSeq(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatal("flush did not drain buffer")
 	}
-	tr.Emit(Event{Kind: KindTuneEnd})
+	b.Emit(Event{Kind: KindTuneEnd})
+	tr.Flush(b)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -46,20 +46,6 @@ func (t *Tracer) Flush(b *Buffer) {
 	b.events = b.events[:0]
 }
 
-// Emit writes a single event directly, assigning the next sequence
-// number. It is a convenience for strictly serial emitters (cmd drivers,
-// peak-bench phases) that have no buffering to do.
-func (t *Tracer) Emit(ev Event) {
-	if t == nil {
-		return
-	}
-	t.seq++
-	ev.Seq = t.seq
-	if t.err == nil {
-		t.err = t.enc.Encode(&ev)
-	}
-}
-
 // Seq returns the number of events written so far.
 func (t *Tracer) Seq() int64 {
 	if t == nil {

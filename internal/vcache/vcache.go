@@ -27,7 +27,6 @@
 package vcache
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -120,12 +119,6 @@ func (s Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(s.Lookups)
-}
-
-// Summary formats the stats in the style of sched.Stats.Summary.
-func (s Stats) Summary() string {
-	return fmt.Sprintf("vcache: %d lookups, %d hits (%.1f%% hit rate), %d compiles (%d shared code), %d entries / %d versions, ~%d KiB",
-		s.Lookups, s.Hits, 100*s.HitRate(), s.Misses, s.Shared, s.Entries, s.Versions, s.Bytes/1024)
 }
 
 // FillMetrics folds the snapshot into a metrics registry under the
@@ -440,9 +433,10 @@ func (c *Cache) Preload(sn Snapshot) int {
 }
 
 // MarkQuarantined records that key's compilation failed golden-output
-// verification. The mark is observability (Stats.Quarantined, Quarantined)
-// — Resolve still serves the entry, because every tune re-verifies its
-// own resolutions and the verdict is deterministic. No-op for unknown keys.
+// verification. Stats.Quarantined counts the mark and Export skips the
+// key, but Resolve still serves the entry, because every tune re-verifies
+// its own resolutions and the verdict is deterministic. No-op for unknown
+// keys.
 func (c *Cache) MarkQuarantined(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -450,14 +444,6 @@ func (c *Cache) MarkQuarantined(key Key) {
 		e.quarantined = true
 		c.stats.Quarantined++
 	}
-}
-
-// Quarantined reports whether key has been marked miscompiled.
-func (c *Cache) Quarantined(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return ok && e.quarantined
 }
 
 // Stats returns a snapshot of the counters. The snapshot is taken under

@@ -3,7 +3,6 @@ package vcache
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -176,9 +175,6 @@ func TestMarkQuarantined(t *testing.T) {
 	key, compile := compileBench(t, "SWIM")
 	c := New()
 	k := key(opt.O3())
-	if c.Quarantined(k) {
-		t.Fatal("fresh cache reports a quarantined key")
-	}
 	c.MarkQuarantined(k) // unknown key: no-op
 	if c.Stats().Quarantined != 0 {
 		t.Fatal("marking an unknown key changed stats")
@@ -188,9 +184,6 @@ func TestMarkQuarantined(t *testing.T) {
 	}
 	c.MarkQuarantined(k)
 	c.MarkQuarantined(k) // idempotent
-	if !c.Quarantined(k) {
-		t.Error("Quarantined(k) = false after MarkQuarantined")
-	}
 	if got := c.Stats().Quarantined; got != 1 {
 		t.Errorf("Stats.Quarantined = %d, want 1", got)
 	}
@@ -557,15 +550,12 @@ func TestFailedPrefetchIsRetried(t *testing.T) {
 
 // TestHitRateZeroLookups pins the fresh-cache stats path the serve /stats
 // endpoint exercises before any job has run: HitRate must be exactly 0
-// (never NaN, which json.Marshal rejects), Summary must render finite
-// numbers, and the rate must track Hits/Lookups once traffic arrives.
+// (never NaN, which json.Marshal rejects), and the rate must track
+// Hits/Lookups once traffic arrives.
 func TestHitRateZeroLookups(t *testing.T) {
 	var zero Stats
 	if got := zero.HitRate(); got != 0 {
 		t.Fatalf("zero-lookup HitRate = %v, want 0", got)
-	}
-	if line := zero.Summary(); strings.Contains(line, "NaN") {
-		t.Fatalf("zero-lookup Summary renders NaN: %s", line)
 	}
 
 	key, compile := compileBench(t, "SWIM")
@@ -579,8 +569,5 @@ func TestHitRateZeroLookups(t *testing.T) {
 	st := c.Stats()
 	if got, want := st.HitRate(), 0.75; got != want {
 		t.Fatalf("HitRate after 4 lookups / 3 hits = %v, want %v", got, want)
-	}
-	if !strings.Contains(st.Summary(), "75.0% hit rate") {
-		t.Fatalf("Summary missing hit rate: %s", st.Summary())
 	}
 }
