@@ -215,3 +215,34 @@ func TestServeSmokeSpotCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultSpotCheck enforces the fault determinism recipe on one tune:
+// peak -bench ART -machine p4 -faults must print results_faults_art_p4.txt
+// byte for byte at eight workers, at one, and at one with the compile
+// cache off. The report's cache and fault-recovery footers count the
+// tune's own lookups, retries, quarantines and verification invocations,
+// so a change to how flag sets are compiled, fault-injected or verified
+// shows up here.
+func TestFaultSpotCheck(t *testing.T) {
+	bin := buildCmd(t, "peak")
+	want, err := os.ReadFile("results_faults_art_p4.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{
+		{"-workers", "8"},
+		{"-workers", "1"},
+		{"-workers", "1", "-nocache"},
+	} {
+		args := append([]string{"-bench", "ART", "-machine", "p4", "-faults"}, extra...)
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = os.Stderr
+		got, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("peak %v: %v", args, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("peak %v differs from results_faults_art_p4.txt:\n%s", args, got)
+		}
+	}
+}
