@@ -6,14 +6,11 @@ import (
 	"sort"
 
 	"peak/internal/bench"
-	"peak/internal/fault"
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/profiling"
-	"peak/internal/sched"
 	"peak/internal/sim"
 	"peak/internal/stats"
-	"peak/internal/vcache"
 )
 
 // AdaptiveTuner implements the paper's online, adaptive scenario (§6 and
@@ -30,6 +27,11 @@ import (
 // overhead; contexts the profile never saw are discovered and tuned on the
 // fly, the case offline tuning cannot serve (§2.2: "an adaptive tuning
 // scenario would make use of all versions").
+//
+// Each flag set compiles once per run, through the same version resolver
+// as Tuner but never through a compile cache: a cache would alias a
+// candidate whose code matches the incumbent's to one Version, and with
+// it one set of branch-predictor state, changing what the run measures.
 type AdaptiveTuner struct {
 	Bench   *bench.Benchmark
 	Mach    *machine.Machine
@@ -39,11 +41,6 @@ type AdaptiveTuner struct {
 	// Window overrides Cfg.Window for the online samples (smaller windows
 	// keep exploration overhead low); zero keeps Cfg.Window.
 	Window int
-
-	// Cache optionally shares compiled versions with other tuners (see
-	// Tuner.Cache). Nil keeps the run's private per-flag-set memo; results
-	// are bit-identical either way.
-	Cache *vcache.Cache
 }
 
 // AdaptiveResult reports one adaptive production run.
@@ -88,106 +85,14 @@ func (a *AdaptiveTuner) Run(ds *bench.Dataset) (*AdaptiveResult, error) {
 		w = a.Cfg.Window
 	}
 	prog := a.Bench.Prog
-	versions := map[opt.FlagSet]*sim.Version{}
-	faults := a.Cfg.Faults
-	if faults.IsZero() {
-		faults = nil
-	}
-	var progKey uint64
-	if a.Cache != nil || faults != nil {
-		// Fault decisions are keyed by compile identity, and corrupted
-		// artifacts must never collide with clean ones in a shared cache,
-		// so the program key is salted with the plan fingerprint.
-		progKey = vcache.ProgramKey(prog)
-		if faults != nil {
-			progKey ^= faults.Fingerprint()
-		}
-	}
-	verifySeed := a.Cfg.Seed ^ a.Bench.Seed(73)
-	quarantined := map[opt.FlagSet]bool{}
-	var golden *goldenRef
+	// Under a fault plan, transient compile failures are retried (backoff
+	// charged to the run), miscompiles are injected by identity, and every
+	// non-base version is checked against the base "-O3" outputs on ds
+	// before any production invocation may run it — a failed check
+	// quarantines the flag set.
+	versions := newResolver("adaptive "+a.Bench.Name, prog, a.Bench.TS, a.Mach, nil, a.Cfg.Faults)
+	versions.verifyDS, versions.verifySeed = ds, a.Cfg.Seed^a.Bench.Seed(73)
 	res := &AdaptiveResult{Winners: map[string]opt.FlagSet{}}
-
-	// version resolves fs, applying the fault plan when one is active:
-	// transient compile failures are retried (backoff charged to the run),
-	// miscompiles are injected by identity, and every non-base version is
-	// checked against the base "-O3" outputs before any production
-	// invocation may run it — a failed check quarantines the flag set.
-	var version func(fs opt.FlagSet) (v *sim.Version, quar bool, err error)
-	version = func(fs opt.FlagSet) (*sim.Version, bool, error) {
-		if quarantined[fs] {
-			return nil, true, nil
-		}
-		if v, ok := versions[fs]; ok {
-			return v, false, nil
-		}
-		idKey := fmt.Sprintf("%d/%s/%s/%s", progKey, a.Bench.TS.Name, fs, a.Mach.Name)
-		if faults != nil {
-			n := faults.CompileFailures(idKey)
-			if n > faults.CompileRetries() {
-				return nil, false, fmt.Errorf("compile %s: injected compiler crash persisted: %w",
-					fs, fault.ErrRetriesExhausted)
-			}
-			res.CompileRetries += n
-			for i := 0; i < n; i++ {
-				res.TotalCycles += faults.Backoff(i)
-			}
-		}
-		compile := func() (*sim.Version, error) {
-			v, err := opt.Compile(prog, a.Bench.TS, fs, a.Mach)
-			if err != nil {
-				return nil, err
-			}
-			if faults != nil && fs != opt.O3() && faults.Miscompiles(idKey) {
-				fault.Corrupt(v, sched.DeriveSeed(faults.Seed, "corrupt/"+idKey))
-			}
-			return v, nil
-		}
-		var v *sim.Version
-		var err error
-		if a.Cache != nil {
-			var r vcache.Resolution
-			r, err = a.Cache.Resolve(
-				vcache.Key{Prog: progKey, Fn: a.Bench.TS.Name, Flags: fs, Machine: a.Mach.Name},
-				compile)
-			v = r.V
-		} else {
-			v, err = compile()
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if faults != nil && fs != opt.O3() {
-			if golden == nil {
-				base, _, berr := version(opt.O3())
-				if berr != nil {
-					return nil, false, berr
-				}
-				rets, snap, cyc, maxInstrs, gerr := runVerifyWorkload(a.Mach, prog, ds, verifySeed, base, 0)
-				if gerr != nil {
-					return nil, false, fmt.Errorf("golden reference run failed: %w", gerr)
-				}
-				res.TotalCycles += cyc
-				golden = &goldenRef{rets: rets, mem: snap, maxInstrs: maxInstrs}
-			}
-			maxSteps := golden.maxInstrs * verifyStepFactor
-			if maxSteps < 1_000_000 {
-				maxSteps = 1_000_000
-			}
-			rets, snap, cyc, _, rerr := runVerifyWorkload(a.Mach, prog, ds, verifySeed, v, maxSteps)
-			res.TotalCycles += cyc
-			if rerr != nil || !floatsClose(rets, golden.rets) || !memClose(snap, golden.mem) {
-				quarantined[fs] = true
-				res.Quarantined = append(res.Quarantined, fs)
-				if a.Cache != nil {
-					a.Cache.MarkQuarantined(vcache.Key{Prog: progKey, Fn: a.Bench.TS.Name, Flags: fs, Machine: a.Mach.Name})
-				}
-				return nil, true, nil
-			}
-		}
-		versions[fs] = v
-		return v, false, nil
-	}
 
 	rng := rand.New(rand.NewSource(a.Cfg.Seed ^ a.Bench.Seed(61)))
 	mem := sim.NewMemory(prog)
@@ -232,22 +137,24 @@ func (a *AdaptiveTuner) Run(ds *bench.Dataset) (*AdaptiveResult, error) {
 			fs = st.candidate
 		}
 
-		v, quar, err := version(fs)
+		vi, fresh, err := versions.resolve(fs)
 		if err != nil {
-			return nil, fmt.Errorf("adaptive %s: %w", a.Bench.Name, err)
+			return nil, err
 		}
-		if quar {
+		if vi.quarantined {
 			// The candidate failed verification: abandon the trial and run
 			// the incumbent (which has always passed — "-O3" is exempt and
 			// adopted candidates were verified before their trials).
+			if fresh {
+				res.Quarantined = append(res.Quarantined, fs)
+			}
 			st.trying = false
 			fs = st.best
-			v, _, err = version(fs)
-			if err != nil {
-				return nil, fmt.Errorf("adaptive %s: %w", a.Bench.Name, err)
+			if vi, _, err = versions.resolve(fs); err != nil {
+				return nil, err
 			}
 		}
-		_, stRun, err := runner.Run(v, args)
+		_, stRun, err := runner.Run(vi.v, args)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive %s: invocation %d: %w", a.Bench.Name, i, err)
 		}
@@ -280,6 +187,8 @@ func (a *AdaptiveTuner) Run(ds *bench.Dataset) (*AdaptiveResult, error) {
 		}
 	}
 
+	res.TotalCycles += versions.ledger.FaultCycles + versions.ledger.VerifyCycles
+	res.CompileRetries = versions.ledger.CompileRetries
 	res.ContextsSeen = len(states)
 	keys := make([]string, 0, len(states))
 	for k := range states {

@@ -27,10 +27,7 @@ type engineState struct {
 	Lookups    int64    `json:"lookups"`
 	Resolved   []uint64 `json:"resolved"`
 
-	CompileRetries int   `json:"compileRetries"`
-	FaultCycles    int64 `json:"faultCycles"`
-	VerifyCycles   int64 `json:"verifyCycles"`
-	VerifyInv      int64 `json:"verifyInv"`
+	faultLedger
 
 	// TuneResult counters accumulated so far.
 	TuningCycles   int64 `json:"tuningCycles"`
@@ -65,14 +62,11 @@ func (e *engine) checkpoint(round int, current opt.FlagSet, candidates []opt.Fla
 	if e.journal == nil {
 		return nil
 	}
-	resolved := make([]uint64, 0, len(e.local))
-	e.mu.Lock()
-	for fs := range e.local {
+	vs := e.versions
+	resolved := make([]uint64, 0, len(vs.memo))
+	for fs := range vs.memo {
 		resolved = append(resolved, uint64(fs))
 	}
-	compileRetries, faultCycles := e.compileRetries, e.faultCycles
-	verifyCycles, verifyInv := e.verifyCycles, e.verifyInv
-	e.mu.Unlock()
 	sort.Slice(resolved, func(i, j int) bool { return resolved[i] < resolved[j] })
 
 	r := e.res
@@ -82,13 +76,10 @@ func (e *engine) checkpoint(round int, current opt.FlagSet, candidates []opt.Fla
 		MI:         e.mi,
 		Switched:   e.switched,
 		SharedInv:  e.sharedInv,
-		Lookups:    e.lookups,
+		Lookups:    vs.lookups,
 		Resolved:   resolved,
 
-		CompileRetries: compileRetries,
-		FaultCycles:    faultCycles,
-		VerifyCycles:   verifyCycles,
-		VerifyInv:      verifyInv,
+		faultLedger: vs.ledger,
 
 		TuningCycles:   r.TuningCycles,
 		ProgramRuns:    r.ProgramRuns,
@@ -124,9 +115,9 @@ func (e *engine) checkpoint(round int, current opt.FlagSet, candidates []opt.Fla
 }
 
 // restore rebuilds the engine from a checkpoint snapshot. It re-resolves
-// every flag set the interrupted process had compiled — with restoring set,
-// so the recompilation (and its deterministic re-verification) accrues no
-// counters — then overwrites every accumulator with the snapshot's values.
+// every flag set the interrupted process had compiled, then overwrites
+// every accumulator with the snapshot's values: the snapshot's lookup and
+// fault-ledger counters replace whatever the re-resolve accrued.
 // Compilation, corruption and verification are pure functions of
 // identities, so the rebuilt memo is exactly the interrupted process's.
 func (e *engine) restore(state json.RawMessage) (*engineState, error) {
@@ -134,23 +125,17 @@ func (e *engine) restore(state json.RawMessage) (*engineState, error) {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return nil, fmt.Errorf("tune %s: corrupt checkpoint %s: %w", e.t.Bench.Name, e.ckptID, err)
 	}
-	e.restoring = true
 	for _, fs := range st.Resolved {
-		if _, err := e.version(opt.FlagSet(fs)); err != nil {
-			e.restoring = false
+		if _, _, err := e.versions.resolve(opt.FlagSet(fs)); err != nil {
 			return nil, fmt.Errorf("tune %s: resume recompile: %w", e.t.Bench.Name, err)
 		}
 	}
-	e.restoring = false
 
 	e.mi = st.MI
 	e.switched = st.Switched
 	e.sharedInv = st.SharedInv
-	e.lookups = st.Lookups
-	e.compileRetries = st.CompileRetries
-	e.faultCycles = st.FaultCycles
-	e.verifyCycles = st.VerifyCycles
-	e.verifyInv = st.VerifyInv
+	e.versions.lookups = st.Lookups
+	e.versions.ledger = st.faultLedger
 
 	r := e.res
 	r.TuningCycles = st.TuningCycles

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"peak/internal/analysis"
 	"peak/internal/bench"
 	"peak/internal/machine"
 	"peak/internal/opt"
@@ -45,15 +44,7 @@ type ConsistencyRow struct {
 // the rating errors for each window size (§5.1).
 func Consistency(b *bench.Benchmark, m *machine.Machine, p *profiling.Profile,
 	method Method, windows []int, cfg *Config) ([]ConsistencyRow, error) {
-	instr := analysis.Instrument(b.TS)
-	keep := map[int]bool{}
-	if p.Model != nil {
-		keep = p.Model.KeepCounters
-	}
-	ts := analysis.StripCounters(instr, keep)
-	prog := b.Prog.Clone()
-	prog.AddFunc(ts)
-
+	prog, ts := tuningProgram(b, p)
 	v, err := opt.Compile(prog, ts, opt.O3(), m)
 	if err != nil {
 		return nil, fmt.Errorf("consistency %s: %w", b.Name, err)

@@ -6,9 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
-	"peak/internal/analysis"
 	"peak/internal/bench"
 	"peak/internal/fault"
 	"peak/internal/ir"
@@ -179,7 +177,7 @@ type TuneResult struct {
 }
 
 // engine is the running state of one tuning process. Cross-job state is
-// limited to the compiled-version cache (behind mu) and the result ledger,
+// limited to the version resolver (behind its own lock) and the result ledger,
 // which only the reduction goroutine touches; everything execution-related
 // lives in per-job ratingCtx instances.
 type engine struct {
@@ -196,40 +194,24 @@ type engine struct {
 	// rootSeed is the root of every per-job seed derivation.
 	rootSeed int64
 
-	// cache is the compile cache (Tuner.Cache, or a private one); nil when
-	// Cfg.NoCompileCache is set. local memoizes this tune's own
-	// (flag set -> version, fingerprint) resolutions: it keeps repeat
-	// lookups off the shared cache's lock and is what the deterministic
-	// TuneResult cache counters are derived from. progKey is the HIR hash
-	// of the instrumented program, the cache key's program-identity part.
-	cache   *vcache.Cache
-	progKey uint64
-	lookups int64
+	// versions resolves flag sets to frozen versions through the compile
+	// cache (Tuner.Cache, or a private one; none when Cfg.NoCompileCache is
+	// set). It owns this tune's memo — which keeps repeat lookups off the
+	// shared cache's lock and is what the deterministic TuneResult cache
+	// counters are derived from — and, with fault injection on, the
+	// engine-level fault ledger, folded into res when tuning finishes
+	// (workers must never touch res while jobs run).
+	versions *resolver
 
 	// store is the persistent memo store (Tuner.Store), nil when absent —
 	// and always nil when fault injection is on (see the Tuner.Store doc).
 	store *store.Store
 
-	mu    sync.Mutex
-	local map[opt.FlagSet]versionInfo
-
-	// faults is the injection plan (nil when off). golden is the lazily
-	// built verification reference; journal/ckptID enable checkpointing;
-	// restoring suppresses counter accrual while a resume re-resolves the
-	// flag sets a previous process had already compiled and accounted.
-	faults    *fault.Plan
-	golden    *goldenRef
-	journal   *store.Journal
-	ckptID    string
-	restoring bool
-	// Engine-level fault ledger, guarded by mu and folded into res when
-	// tuning finishes (workers must never touch res while jobs run). All
-	// of it is keyed by distinct flag-set resolutions, so it is
-	// independent of scheduling, caching and resume.
-	compileRetries int
-	faultCycles    int64 // compile-retry backoff time
-	verifyCycles   int64 // golden-output verification time
-	verifyInv      int64
+	// faults is the injection plan (nil when off); journal/ckptID enable
+	// checkpointing.
+	faults  *fault.Plan
+	journal *store.Journal
+	ckptID  string
 
 	// tb is the trace buffer (nil = tracing off); id the tune identity
 	// stamped on every event ("bench/machine/method/dataset"); fpFirst
@@ -277,11 +259,12 @@ func (t *Tuner) Tune() (*TuneResult, error) {
 	// independent of what other tunes share the cache: misses = distinct
 	// flag sets, hits = repeat lookups, shared = flag sets whose code
 	// fingerprinted identically to an earlier-seen flag set of this tune.
-	e.res.CacheLookups = e.lookups
-	e.res.CacheMisses = int64(len(e.local))
-	e.res.CacheHits = e.lookups - e.res.CacheMisses
-	fps := make(map[uint64]bool, len(e.local))
-	for _, vi := range e.local {
+	vs := e.versions
+	e.res.CacheLookups = vs.lookups
+	e.res.CacheMisses = int64(len(vs.memo))
+	e.res.CacheHits = vs.lookups - e.res.CacheMisses
+	fps := make(map[uint64]bool, len(vs.memo))
+	for _, vi := range vs.memo {
 		if fps[vi.fp] {
 			e.res.SharedCode++
 		} else {
@@ -292,9 +275,9 @@ func (t *Tuner) Tune() (*TuneResult, error) {
 		// Recovery overheads join the tuning-time ledger: verification runs
 		// and compile-retry backoff are simulated time the faulted tuning
 		// process really spends. Hang timeouts were charged per job.
-		e.res.TuningCycles += e.faultCycles + e.verifyCycles
-		e.res.CompileRetries = e.compileRetries
-		e.res.VerifyInvocations = e.verifyInv
+		e.res.TuningCycles += vs.ledger.FaultCycles + vs.ledger.VerifyCycles
+		e.res.CompileRetries = vs.ledger.CompileRetries
+		e.res.VerifyInvocations = vs.ledger.VerifyInv
 	}
 	if e.tb != nil {
 		e.emitTuneEnd()
@@ -313,14 +296,7 @@ func (t *Tuner) newEngine() (*engine, error) {
 		cfg:      &cfg,
 		pool:     pool,
 		rootSeed: cfg.Seed ^ t.Bench.Seed(1),
-		local:    map[opt.FlagSet]versionInfo{},
 		res:      &TuneResult{},
-	}
-	if !cfg.NoCompileCache {
-		e.cache = t.Cache
-		if e.cache == nil {
-			e.cache = vcache.New()
-		}
 	}
 
 	e.app = Consult(t.Profile, &cfg)
@@ -330,196 +306,41 @@ func (t *Tuner) newEngine() (*engine, error) {
 		e.methods = append([]Method(nil), e.app.Methods...)
 	}
 
-	// The tuning build keeps only the counters the component model needs
-	// ("the unnecessary instrumentation code for the merged blocks is
-	// removed", §2.3); other methods strip all counters.
-	instr := analysis.Instrument(t.Bench.TS)
-	keep := map[int]bool{}
-	if t.Profile.Model != nil {
-		keep = t.Profile.Model.KeepCounters
-	}
-	e.ts = analysis.StripCounters(instr, keep)
-	e.prog = t.Bench.Prog.Clone()
-	e.prog.AddFunc(e.ts)
 	// The cache key hashes the instrumented program: tunes with identical
 	// benchmarks and kept-counter sets share compilations, tunes whose
 	// instrumentation differs cannot collide.
-	e.progKey = vcache.ProgramKey(e.prog)
-	if f := cfg.Faults; !f.IsZero() {
-		e.faults = f
-		// Salt the program identity with the fault plan's fingerprint: a
-		// flag set miscompiled under this plan must never collide in a
-		// shared cache with the same flag set compiled cleanly (a fault-free
-		// tune, a different plan, or the final deployment compile).
-		e.progKey ^= f.Fingerprint()
+	e.prog, e.ts = tuningProgram(t.Bench, t.Profile)
+	var cache *vcache.Cache
+	if !cfg.NoCompileCache {
+		cache = t.Cache
+		if cache == nil {
+			cache = vcache.New()
+		}
 	}
+	e.versions = newResolver("tune "+t.Bench.Name, e.prog, e.ts, t.Mach, cache, cfg.Faults)
+	e.versions.verifyDS, e.versions.verifySeed = t.Dataset, e.rootSeed
+	e.faults = e.versions.faults
 	if t.Store != nil && e.faults == nil {
 		e.store = t.Store
 	}
+	method := "auto"
+	if t.Force != nil {
+		method = t.Force.String()
+	}
+	id := fmt.Sprintf("%s/%s/%s/%s", t.Bench.Name, t.Mach.Name, method, t.Dataset.Name)
 	e.journal = t.Journal
 	if e.journal != nil {
 		e.ckptID = t.CheckpointID
 		if e.ckptID == "" {
-			method := "auto"
-			if t.Force != nil {
-				method = t.Force.String()
-			}
-			e.ckptID = fmt.Sprintf("%s/%s/%s/%s", t.Bench.Name, t.Mach.Name, method, t.Dataset.Name)
+			e.ckptID = id
 		}
 	}
 	if t.Trace != nil {
 		e.tb = t.Trace
-		method := "auto"
-		if t.Force != nil {
-			method = t.Force.String()
-		}
-		e.id = fmt.Sprintf("%s/%s/%s/%s", t.Bench.Name, t.Mach.Name, method, t.Dataset.Name)
+		e.id = id
 		e.fpFirst = map[uint64]string{}
 	}
 	return e, nil
-}
-
-// versionInfo is a resolved compilation: the frozen version, its code
-// fingerprint (vcache.Fingerprint), and — with fault injection on —
-// whether golden-output verification flagged it as miscompiled. The
-// trailing fields record the resolution's one-time costs (injected
-// compile retries, their backoff, verification time) for cache trace
-// events; they are pure functions of the compile identity, so they are
-// the same whichever call resolved the flag set first.
-type versionInfo struct {
-	v *sim.Version
-	// fp is the 64-bit in-process fingerprint (dedup grouping, trace
-	// leader maps); fp128 the full content fingerprint memo keys embed,
-	// of which fp is the low half. fromDisk marks resolutions answered by
-	// a persistent-store preload rather than a compilation this process.
-	fp          uint64
-	fp128       vcache.FP128
-	fromDisk    bool
-	quarantined bool
-
-	retries      int
-	retryCycles  int64
-	verifyCycles int64
-}
-
-// version returns the resolved compilation of the TS under fs, compiling,
-// freezing and (with faults on) verifying it on first use. e.mu
-// serializes this tune's resolutions, so exactly one Version exists per
-// flag set no matter how many of its jobs request it; with a shared cache,
-// whichever tune compiles the key first publishes the (deterministic)
-// result for all, and tunes compile distinct keys in parallel (the cache
-// compiles outside its own lock).
-func (e *engine) version(fs opt.FlagSet) (versionInfo, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.resolveLocked(fs)
-}
-
-// resolveLocked is version() under an already-held e.mu. With fault
-// injection enabled it additionally:
-//
-//   - draws the flag set's injected transient compile failures — a pure
-//     function of the compile identity, so retry counts are independent of
-//     scheduling and caching — and absorbs them up to the retry bound,
-//     charging deterministic backoff time;
-//   - lets the plan miscompile the compilation (fault.Corrupt inside the
-//     compile closure, so a corrupted artifact is what lands in the cache
-//     under the plan-salted program key). The tuning base "-O3" is exempt:
-//     it is the trusted production baseline golden outputs come from;
-//   - verifies every non-base compilation against the golden reference and
-//     marks failures quarantined.
-func (e *engine) resolveLocked(fs opt.FlagSet) (versionInfo, error) {
-	if !e.restoring {
-		e.lookups++
-	}
-	if vi, ok := e.local[fs]; ok {
-		return vi, nil
-	}
-	idKey := e.compileID(fs)
-	var retries int
-	var retryCycles int64
-	if e.faults != nil {
-		n := e.faults.CompileFailures(idKey)
-		if n > e.faults.CompileRetries() {
-			return versionInfo{}, fmt.Errorf("tune %s: compile %s: injected compiler crash persisted: %w",
-				e.t.Bench.Name, fs, fault.ErrRetriesExhausted)
-		}
-		retries = n
-		for i := 0; i < n; i++ {
-			retryCycles += e.faults.Backoff(i)
-		}
-		if !e.restoring {
-			e.compileRetries += n
-			e.faultCycles += retryCycles
-		}
-	}
-	compile := e.compileFunc(fs, idKey)
-	var vi versionInfo
-	var key vcache.Key
-	if e.cache != nil {
-		key = e.cacheKey(fs)
-		r, err := e.cache.Resolve(key, compile)
-		if err != nil {
-			return versionInfo{}, fmt.Errorf("tune %s: compile %s: %w", e.t.Bench.Name, fs, err)
-		}
-		vi = versionInfo{v: r.V, fp: r.FP.Lo, fp128: r.FP, fromDisk: r.FromDisk}
-	} else {
-		v, err := compile()
-		if err != nil {
-			return versionInfo{}, fmt.Errorf("tune %s: compile %s: %w", e.t.Bench.Name, fs, err)
-		}
-		v.Freeze()
-		fp := vcache.Fingerprint128(v)
-		vi = versionInfo{v: v, fp: fp.Lo, fp128: fp}
-	}
-	vi.retries = retries
-	vi.retryCycles = retryCycles
-	if e.faults != nil && fs != opt.O3() {
-		quarantined, cycles, inv, err := e.verifyLocked(vi.v)
-		if err != nil {
-			return versionInfo{}, err
-		}
-		vi.quarantined = quarantined
-		vi.verifyCycles = cycles
-		if !e.restoring {
-			e.verifyCycles += cycles
-			e.verifyInv += inv
-		}
-		if quarantined && e.cache != nil {
-			e.cache.MarkQuarantined(key)
-		}
-	}
-	e.local[fs] = vi
-	return vi, nil
-}
-
-// compileID names fs's compilation for the fault plan's per-compile draws
-// ("" when fault injection is off).
-func (e *engine) compileID(fs opt.FlagSet) string {
-	if e.faults == nil {
-		return ""
-	}
-	return fmt.Sprintf("%d/%s/%s/%s", e.progKey, e.ts.Name, fs, e.t.Mach.Name)
-}
-
-// cacheKey is fs's key in the compile cache.
-func (e *engine) cacheKey(fs opt.FlagSet) vcache.Key {
-	return vcache.Key{Prog: e.progKey, Fn: e.ts.Name, Flags: fs, Machine: e.t.Mach.Name}
-}
-
-// compileFunc compiles the TS under fs. With fault injection on, the plan
-// may miscompile it (fault.Corrupt inside the closure, so the corrupted
-// artifact is what the cache holds under the plan-salted program key);
-// the tuning base "-O3" is exempt. It reads only the engine's immutable
-// setup, so prefetches may run it concurrently.
-func (e *engine) compileFunc(fs opt.FlagSet, idKey string) func() (*sim.Version, error) {
-	return func() (*sim.Version, error) {
-		v, err := opt.Compile(e.prog, e.ts, fs, e.t.Mach)
-		if err == nil && e.faults != nil && fs != opt.O3() && e.faults.Miscompiles(idKey) {
-			fault.Corrupt(v, sched.DeriveSeed(e.faults.Seed, "corrupt/"+idKey))
-		}
-		return v, err
-	}
 }
 
 // roundSets lists a round's flag sets in precompile order: the base, then
@@ -531,49 +352,6 @@ func roundSets(current opt.FlagSet, candidates []opt.Flag) []opt.FlagSet {
 		sets = append(sets, current.Without(f))
 	}
 	return sets
-}
-
-// prefetch compiles a round's flag sets — the base first, then each
-// candidate — into the shared cache, sharded across the pool, ahead of
-// rateRound's serial precompile walk. The walk then mostly publishes
-// finished compiles, in candidate order, so the cache, the trace and the
-// dedup grouping are what a walk that compiled every set itself would
-// produce. Sets this tune already resolved are skipped, and the list
-// stops before the first set whose injected compile failures exceed the
-// retry bound: the walk fails there, so nothing after it may be compiled.
-// The Map is issued whatever the pool and cache, so the pool's job
-// counters do not depend on them; without a cache its items do nothing.
-func (e *engine) prefetch(sets []opt.FlagSet) {
-	e.mu.Lock()
-	todo := make([]opt.FlagSet, 0, len(sets))
-	for _, fs := range sets {
-		if _, ok := e.local[fs]; ok {
-			continue
-		}
-		if e.faults != nil && e.faults.CompileFailures(e.compileID(fs)) > e.faults.CompileRetries() {
-			break
-		}
-		todo = append(todo, fs)
-	}
-	e.mu.Unlock()
-	e.pool.Map(len(todo), func(i int) {
-		if e.cache != nil {
-			fs := todo[i]
-			e.cache.Prefetch(e.cacheKey(fs), e.compileFunc(fs, e.compileID(fs)))
-		}
-	})
-}
-
-// versionFresh is version() plus a report of whether the call resolved
-// the flag set for the first time — the hit/miss bit of the trace's
-// cache events. Used only by the round reduction's precompile walk, so
-// the extra map probe never touches the rating hot path.
-func (e *engine) versionFresh(fs opt.FlagSet) (versionInfo, bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, seen := e.local[fs]
-	vi, err := e.resolveLocked(fs)
-	return vi, !seen, err
 }
 
 // ratingCtx is one rating job's private execution context: simulated
@@ -734,14 +512,14 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 	res := jobResult{ctx: c}
 	defer func() { e.pool.Stats().AddCycles(c.cycles) }()
 
-	expVI, err := e.version(exp)
+	expVI, _, err := e.versions.resolve(exp)
 	if err != nil {
 		res.err = err
 		return res
 	}
 	var baseVI versionInfo
 	if m != MethodWHL {
-		baseVI, err = e.version(base)
+		baseVI, _, err = e.versions.resolve(base)
 		if err != nil {
 			res.err = err
 			return res
@@ -942,8 +720,8 @@ func (e *engine) rateRound(round int, current opt.FlagSet, candidates []opt.Flag
 	// The compiles themselves run first, in parallel (prefetch); the walk
 	// below resolves them serially in candidate order.
 	traced := e.tb != nil
-	e.prefetch(roundSets(current, candidates))
-	baseVI, baseFresh, err := e.versionFresh(current)
+	e.versions.prefetch(e.pool, roundSets(current, candidates))
+	baseVI, baseFresh, err := e.versions.resolve(current)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -955,7 +733,7 @@ func (e *engine) rateRound(round int, current opt.FlagSet, candidates []opt.Flag
 	firstByFP := make(map[uint64]int, len(candidates))
 	var leaders []int
 	for i, f := range candidates {
-		vi, fresh, err := e.versionFresh(current.Without(f))
+		vi, fresh, err := e.versions.resolve(current.Without(f))
 		if err != nil {
 			return nil, nil, err
 		}

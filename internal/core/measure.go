@@ -8,30 +8,7 @@ import (
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/sim"
-	"peak/internal/vcache"
 )
-
-// resolveMeasureVersion compiles the deployment version of the TS under
-// flags, through the cache when one is given, and returns it with its full
-// content fingerprint (the persistent store's measurement memo key).
-func resolveMeasureVersion(b *bench.Benchmark, m *machine.Machine, flags opt.FlagSet,
-	cache *vcache.Cache) (*sim.Version, vcache.FP128, error) {
-	if cache != nil {
-		r, err := cache.Resolve(
-			vcache.Key{Prog: vcache.ProgramKey(b.Prog), Fn: b.TS.Name, Flags: flags, Machine: m.Name},
-			func() (*sim.Version, error) { return opt.Compile(b.Prog, b.TS, flags, m) })
-		if err != nil {
-			return nil, vcache.FP128{}, err
-		}
-		return r.V, r.FP, nil
-	}
-	v, err := opt.Compile(b.Prog, b.TS, flags, m)
-	if err != nil {
-		return nil, vcache.FP128{}, err
-	}
-	v.Freeze()
-	return v, vcache.Fingerprint128(v), nil
-}
 
 // runMeasurement executes the resolved version over the dataset and sums
 // the deterministic TS cycles (the simulation half of

@@ -110,14 +110,14 @@ var measureKind store.Kind[measureMemo] = "measure"
 // measurement is noise-free.
 func MeasurePerformanceStored(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
 	flags opt.FlagSet, cache *vcache.Cache, st *store.Store) (tsCycles, programCycles int64, err error) {
-	v, fp, err := resolveMeasureVersion(b, m, flags, cache)
+	vi, _, err := newResolver("measure "+b.Name, b.Prog, b.TS, m, cache, nil).resolve(flags)
 	if err != nil {
-		return 0, 0, fmt.Errorf("measure %s: %w", b.Name, err)
+		return 0, 0, err
 	}
 	r, _, err := store.Memo(st, measureKind,
-		fmt.Sprintf("%s/%s/%s/%s/fp=%s", b.Name, m.Name, ds.Name, flags, fp),
+		fmt.Sprintf("%s/%s/%s/%s/fp=%s", b.Name, m.Name, ds.Name, flags, vi.fp128),
 		func() (measureMemo, error) {
-			ts, prog, err := runMeasurement(b, ds, m, flags, v)
+			ts, prog, err := runMeasurement(b, ds, m, flags, vi.v)
 			return measureMemo{TS: ts, Program: prog}, err
 		})
 	return r.TS, r.Program, err

@@ -34,9 +34,9 @@ func BenchmarkRoundPrecompile(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		e.prefetch(sets)
+		e.versions.prefetch(e.pool, sets)
 		for _, fs := range sets {
-			if _, _, err := e.versionFresh(fs); err != nil {
+			if _, _, err := e.versions.resolve(fs); err != nil {
 				b.Fatal(err)
 			}
 		}

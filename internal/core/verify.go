@@ -1,18 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"sort"
-
-	"peak/internal/bench"
-	"peak/internal/ir"
-	"peak/internal/machine"
-	"peak/internal/opt"
-	"peak/internal/sched"
-	"peak/internal/sim"
-)
+import "math"
 
 // Golden-output verification (active only under fault injection): every
 // compiled non-base version is executed over a short, deterministic
@@ -43,95 +31,6 @@ type goldenRef struct {
 	rets      []float64            // per-invocation return values
 	mem       map[string][]float64 // final array contents
 	maxInstrs int64                // largest per-invocation instruction count
-}
-
-// verifyRun executes v over the verification workload: fresh memory and
-// dataset streams seeded from the root seed only — shared by the golden
-// run and every candidate run, so all of them see identical inputs.
-func (e *engine) verifyRun(v *sim.Version, maxSteps int64) ([]float64, map[string][]float64, int64, int64, error) {
-	return runVerifyWorkload(e.t.Mach, e.prog, e.t.Dataset, e.rootSeed, v, maxSteps)
-}
-
-// runVerifyWorkload runs the shared verification workload for one version:
-// fresh memory, data and runner streams derived from rootSeed only — so the
-// golden run and every candidate run see identical inputs regardless of
-// when (or in which process) they execute.
-func runVerifyWorkload(mach *machine.Machine, prog *ir.Program, ds *bench.Dataset, rootSeed int64, v *sim.Version, maxSteps int64) (rets []float64, snap map[string][]float64, cycles, maxInstrs int64, err error) {
-	mem := sim.NewMemory(prog)
-	rng := rand.New(rand.NewSource(sched.DeriveSeed(rootSeed, "verify/data")))
-	runner := sim.NewRunner(mach, mem, sched.DeriveSeed(rootSeed, "verify/runner"))
-	runner.MaxSteps = maxSteps
-	if ds.Setup != nil {
-		ds.Setup(mem, rng)
-	}
-	n := verifyInvocations
-	if ds.NumInvocations < n {
-		n = ds.NumInvocations
-	}
-	rets = make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		args := ds.Args(i, mem, rng)
-		ret, st, rerr := runner.Run(v, args)
-		if rerr != nil {
-			return nil, nil, cycles, maxInstrs, rerr
-		}
-		rets = append(rets, ret)
-		cycles += st.Cycles
-		if st.Instrs > maxInstrs {
-			maxInstrs = st.Instrs
-		}
-	}
-	names := mem.Names()
-	sort.Strings(names)
-	return rets, mem.Snapshot(names), cycles, maxInstrs, nil
-}
-
-// goldenLocked returns the verification reference, building it from the
-// base "-O3" version on first use (under e.mu). The build's simulated time
-// and invocations are returned exactly once, with the first build.
-func (e *engine) goldenLocked() (g *goldenRef, cycles, inv int64, err error) {
-	if e.golden != nil {
-		return e.golden, 0, 0, nil
-	}
-	vi, err := e.resolveLocked(opt.O3())
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	rets, snap, cycles, maxInstrs, err := e.verifyRun(vi.v, 0)
-	if err != nil {
-		// The exempt base version must run cleanly; failure here is a
-		// genuine engine bug, not a quarantinable fault.
-		return nil, 0, 0, fmt.Errorf("tune %s: golden reference run failed: %w", e.t.Bench.Name, err)
-	}
-	e.golden = &goldenRef{rets: rets, mem: snap, maxInstrs: maxInstrs}
-	return e.golden, cycles, int64(len(rets)), nil
-}
-
-// verifyLocked checks v's outputs against the golden reference and reports
-// whether it must be quarantined. The verdict is a pure function of the
-// compiled code and the root seed — independent of scheduling, caching,
-// and resume — and errors (runtime faults, runaway step limits) count as
-// failed verification, not as tune errors.
-func (e *engine) verifyLocked(v *sim.Version) (quarantined bool, cycles, inv int64, err error) {
-	g, gc, gi, err := e.goldenLocked()
-	if err != nil {
-		return false, 0, 0, err
-	}
-	cycles, inv = gc, gi
-	maxSteps := g.maxInstrs * verifyStepFactor
-	if maxSteps < 1_000_000 {
-		maxSteps = 1_000_000
-	}
-	rets, snap, vc, _, runErr := e.verifyRun(v, maxSteps)
-	cycles += vc
-	inv += int64(len(g.rets))
-	if runErr != nil {
-		return true, cycles, inv, nil
-	}
-	if !floatsClose(rets, g.rets) || !memClose(snap, g.mem) {
-		return true, cycles, inv, nil
-	}
-	return false, cycles, inv, nil
 }
 
 // closeEnough reports a ≈ b within verifyRelTol (relative to the larger

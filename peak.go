@@ -118,7 +118,8 @@ type (
 	// processes and measurements of an operation; results are bit-identical
 	// with or without it. Caching is on by default inside each tuning
 	// process — the shared cache only widens its scope.
-	// Config.NoCompileCache disables caching entirely.
+	// Config.NoCompileCache disables caching in tuning processes; the
+	// adaptive tuner never caches.
 	VersionCache = vcache.Cache
 	// VersionCacheStats is a snapshot of a cache's counters.
 	VersionCacheStats = vcache.Stats
