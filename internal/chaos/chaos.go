@@ -272,6 +272,9 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	completed := map[string][]byte{} // pool key -> terminal body
+	// lastSeen holds each unsettled spec's last observed state and error,
+	// so a lost spec's violation says where it stopped.
+	lastSeen := map[string]string{}
 	submittedBefore := map[string]bool{}
 	for epoch := 1; epoch <= cfg.Epochs+1; epoch++ {
 		var pending []*specCase
@@ -308,6 +311,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 			if code != http.StatusAccepted && code != http.StatusOK {
 				rep.violate("epoch %d: spec %s refused with %d (%s)", epoch, sc.key, code, res.Error)
+				lastSeen[sc.key] = fmt.Sprintf("epoch %d: refused with %d (%s)", epoch, code, res.Error)
 				continue
 			}
 			ids[sc.key] = res.ID
@@ -345,12 +349,14 @@ func Run(cfg Config) (*Report, error) {
 			for key, id := range ids {
 				res, found := h.srv.Job(id)
 				if !found {
+					lastSeen[key] = fmt.Sprintf("epoch %d: job %s not found", epoch, id)
 					continue
 				}
 				if res.State == serve.StateTimedOut {
 					rep.TimedOut++
 				}
 				if !settled(res.State) {
+					lastSeen[key] = fmt.Sprintf("epoch %d: %s (%s)", epoch, res.State, res.Error)
 					continue
 				}
 				if _, ok := completed[key]; ok {
@@ -414,7 +420,7 @@ func Run(cfg Config) (*Report, error) {
 	for _, sc := range specs {
 		body, ok := completed[sc.key]
 		if !ok {
-			rep.violate("spec %s lost: never reached a terminal verdict", sc.key)
+			rep.violate("spec %s lost: never reached a terminal verdict; last seen %s", sc.key, lastSeen[sc.key])
 			continue
 		}
 		if !bytes.Equal(body, sc.baseline) {
