@@ -32,16 +32,18 @@ const MemoKindJob = "job"
 // outcome on machine m — including the resolved measurement-noise model —
 // as a compact stable string for memo keys. Floats are rendered as IEEE
 // bit patterns so the digest never loses precision to formatting. Faults
-// are deliberately excluded: faulted ratings are never memoized.
+// are deliberately excluded: faulted ratings are never memoized. So is
+// NoCompileCache, which changes how versions are compiled but never what
+// a rating returns.
 func (c *Config) MemoDigest(m *machine.Machine) string {
 	nm := c.NoiseModel(m)
 	fb := func(v float64) string { return fmt.Sprintf("%x", math.Float64bits(v)) }
-	return fmt.Sprintf("w=%d,vt=%s,mvt=%s,ok=%s,mi=%d,src=%d,brbr=%t,insp=%t,mc=%d,mds=%s,mcomp=%d,mpv=%s,it=%s,seed=%d,conv=%d,conf=%s,cirel=%s,esc=%d,ncc=%t,noise=%s.%s.%s.%s.%d.%s.%d.%s",
+	return fmt.Sprintf("w=%d,vt=%s,mvt=%s,ok=%s,mi=%d,src=%d,brbr=%t,insp=%t,mc=%d,mds=%s,mcomp=%d,mpv=%s,it=%s,seed=%d,conv=%d,conf=%s,cirel=%s,esc=%d,noise=%s.%s.%s.%s.%d.%s.%d.%s",
 		c.Window, fb(c.VarThreshold), fb(c.MBRVarThreshold), fb(c.OutlierK),
 		c.MaxInvPerVersion, c.SaveRestoreCyclesPerElem, c.BasicRBR, c.RBRInspector,
 		c.MaxContexts, fb(c.MinDominantShare), c.MaxComponents, fb(c.MBRMaxProfileVar),
 		fb(c.ImprovementThreshold), c.Seed, c.Convergence, fb(c.confidence()),
-		fb(c.CIRelThreshold), c.EscalationBudget, c.NoCompileCache,
+		fb(c.CIRelThreshold), c.EscalationBudget,
 		fb(nm.Jitter), fb(nm.SpikeProb), fb(nm.SpikeScale), fb(nm.DriftAmp), nm.DriftPeriod,
 		fb(nm.BurstProb), nm.BurstLen, fb(nm.BurstScale))
 }

@@ -17,9 +17,9 @@ import (
 	"peak/internal/vcache"
 )
 
-// storedTune runs one tune of the tiny benchmark against st (nil = no
-// store) with the given worker count and returns the result.
-func storedTune(t *testing.T, st *store.Store, cache *vcache.Cache, workers int, plan *fault.Plan) *TuneResult {
+// storedTune runs one tune of the tiny benchmark under cfg against st
+// (nil = no store) with the given worker count and returns the result.
+func storedTune(t *testing.T, st *store.Store, cache *vcache.Cache, workers int, cfg Config) *TuneResult {
 	t.Helper()
 	b := tinyBenchmark()
 	m := machine.SPARCII()
@@ -27,8 +27,6 @@ func storedTune(t *testing.T, st *store.Store, cache *vcache.Cache, workers int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Faults = plan
 	tu := &Tuner{Bench: b, Mach: m, Dataset: b.Train, Cfg: cfg, Profile: p,
 		Pool: sched.New(workers), Cache: cache, Store: st}
 	res, err := tu.Tune()
@@ -42,7 +40,9 @@ func storedTune(t *testing.T, st *store.Store, cache *vcache.Cache, workers int,
 // engine level: a cold tune against an empty store, flushed and reopened,
 // must warm-start a second tune to the identical TuneResult — every
 // counter, cycle and flag byte-for-byte — with the rating simulations
-// answered from the memo table, at several worker counts.
+// answered from the memo table, at several worker counts. A store filled
+// by a NoCompileCache tune must answer a cached tune just as fully: the
+// compile cache is not part of a rating's identity.
 func TestRatingMemoWarmMatchesCold(t *testing.T) {
 	dir := t.TempDir()
 
@@ -52,7 +52,7 @@ func TestRatingMemoWarmMatchesCold(t *testing.T) {
 	}
 	coldCache := vcache.New()
 	cold.AttachCache(coldCache)
-	want := storedTune(t, cold, coldCache, 4, nil)
+	want := storedTune(t, cold, coldCache, 4, DefaultConfig())
 	if st := cold.Stats(); st.MemoHits != 0 || st.Pending == 0 {
 		t.Fatalf("cold store stats = %+v, want 0 hits and pending records", st)
 	}
@@ -60,7 +60,7 @@ func TestRatingMemoWarmMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain := storedTune(t, nil, vcache.New(), 4, nil)
+	plain := storedTune(t, nil, vcache.New(), 4, DefaultConfig())
 	if !reflect.DeepEqual(plain, want) {
 		t.Fatalf("attaching an empty store changed the result:\nplain %+v\nstore %+v", plain, want)
 	}
@@ -74,7 +74,7 @@ func TestRatingMemoWarmMatchesCold(t *testing.T) {
 		if n := warm.AttachCache(warmCache); n == 0 {
 			t.Fatal("warm store preloaded nothing")
 		}
-		got := storedTune(t, warm, warmCache, workers, nil)
+		got := storedTune(t, warm, warmCache, workers, DefaultConfig())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("warm tune (%d workers) diverged:\ncold %+v\nwarm %+v", workers, want, got)
 		}
@@ -89,6 +89,30 @@ func TestRatingMemoWarmMatchesCold(t *testing.T) {
 		if cs.Misses != 0 {
 			t.Fatalf("warm tune (%d workers) recompiled %d flag sets despite preload", workers, cs.Misses)
 		}
+	}
+
+	nccDir := t.TempDir()
+	ncc, err := store.Open(nccDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noCache := DefaultConfig()
+	noCache.NoCompileCache = true
+	if got := storedTune(t, ncc, vcache.New(), 4, noCache); !reflect.DeepEqual(got, want) {
+		t.Fatalf("-nocache cold tune diverged:\ncached %+v\nnocache %+v", want, got)
+	}
+	if err := ncc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := store.Open(nccDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := storedTune(t, warm, vcache.New(), 4, DefaultConfig()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached tune on a -nocache store diverged:\ncold %+v\nwarm %+v", want, got)
+	}
+	if st := warm.Stats(); st.MemoHits == 0 || st.MemoMisses != 0 {
+		t.Fatalf("cached tune on a -nocache store: %d memo hits, %d misses; want hits and no misses", st.MemoHits, st.MemoMisses)
 	}
 }
 
@@ -245,14 +269,15 @@ func TestMemoRecordLayouts(t *testing.T) {
 // consult nor populate the memo table, and its result must equal the same
 // faulted tune without a store.
 func TestStoreIgnoredUnderFaults(t *testing.T) {
-	plan := fault.Uniform(0.10, 42)
-	want := storedTune(t, nil, vcache.New(), 4, plan)
+	cfg := DefaultConfig()
+	cfg.Faults = fault.Uniform(0.10, 42)
+	want := storedTune(t, nil, vcache.New(), 4, cfg)
 
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := storedTune(t, st, vcache.New(), 4, plan)
+	got := storedTune(t, st, vcache.New(), 4, cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("store changed a faulted tune:\nwithout %+v\nwith %+v", want, got)
 	}

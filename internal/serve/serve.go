@@ -35,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -452,11 +454,7 @@ func (s *Server) Jobs() []Result {
 		out[i] = j.snapshot()
 	}
 	// Sort after snapshotting so we hold no job locks while comparing.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].Spec < out[k-1].Spec; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	slices.SortFunc(out, func(a, b Result) int { return strings.Compare(a.Spec, b.Spec) })
 	return out
 }
 

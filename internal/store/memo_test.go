@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"peak/internal/vcache"
 )
 
 // fuzzPayload has every field shape the memo kinds use: 8-byte integers
@@ -32,12 +34,11 @@ func frozenStore(t *testing.T, dir, kind, key string, payload []byte) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &encoder{}
-	e.str(kind)
-	e.str(key)
-	e.u32(uint32(len(payload)))
-	e.buf = append(e.buf, payload...)
-	s.load(appendRecord(appendHeader(nil, storeMagic), recMemo, e.buf))
+	var e vcache.Encoder
+	e.Str(kind)
+	e.Str(key)
+	e.Str(string(payload))
+	s.load(appendRecord(appendHeader(nil, storeMagic), recMemo, e.Buf))
 	if s.Stats().Memos != 1 {
 		t.Fatalf("frozen store loaded %d memos, want 1", s.Stats().Memos)
 	}

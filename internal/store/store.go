@@ -38,15 +38,17 @@ import (
 )
 
 // storeFile is the store's data file inside its directory; storeMagic
-// opens its header.
+// opens its header. The magic names the body encoding too: a file written
+// under another encoding keys its bodies and memos by fingerprints this
+// build never computes, so it opens empty with HeaderInvalid set.
 const (
 	storeFile  = "peak.store"
-	storeMagic = "PEAKSTR1"
+	storeMagic = "PEAKSTR2"
 )
 
 // Store record kinds.
 const (
-	recVersionBody byte = 1 // FP128 + encoded sim.Version
+	recVersionBody byte = 1 // FP128 + canonical encoding (vcache.Encoder.Version)
 	recAlias       byte = 2 // vcache.Key -> FP128 (+ shared bit)
 	recMemo        byte = 3 // memo kind + key + payload
 )
@@ -88,11 +90,11 @@ type Stats struct {
 // counted (FileRecovery), and records that decode badly are counted here.
 type RecoveryReport struct {
 	FileRecovery
-	// DroppedBodies counts version bodies rejected at load: payload
-	// decode failure, a dangling callee reference, or — the integrity
-	// backstop — a body whose re-computed 128-bit fingerprint does not
-	// match the fingerprint it was stored under. DroppedAliases counts
-	// alias keys whose body was rejected.
+	// DroppedBodies counts version bodies rejected at load: a payload
+	// that does not decode, one whose bytes do not hash to the 128-bit
+	// fingerprint it was stored under, or one with a dangling callee
+	// reference. DroppedAliases counts alias keys whose body was
+	// rejected.
 	DroppedBodies  int `json:"dropped_bodies"`
 	DroppedAliases int `json:"dropped_aliases"`
 }
@@ -144,71 +146,72 @@ func (s *Store) load(data []byte) {
 	s.recovery = RecoveryReport{FileRecovery: rep}
 	type pendingBody struct {
 		v    *sim.Version
-		refs []calleeRef
+		refs []vcache.CalleeRef
 	}
 	bodies := make(map[vcache.FP128]pendingBody)
 	for _, r := range recs {
-		d := &decoder{buf: r.payload}
+		d := vcache.NewDecoder(r.payload)
 		switch r.kind {
 		case recVersionBody:
-			fp := d.fp()
-			v, refs := decodeVersion(d)
-			if v == nil {
+			// A body is verified by hashing the bytes it was decoded from, so
+			// a payload forged under another body's low 64 bits (the store
+			// keys on all 128) occupies its own slot and fails there.
+			want := d.FP()
+			v, refs, fp := d.Version()
+			if d.End() != nil || fp != want {
 				s.recovery.DroppedBodies++
 				continue
 			}
 			bodies[fp] = pendingBody{v: v, refs: refs}
 		case recAlias:
 			var se vcache.SnapshotEntry
-			se.Key.Prog = d.u64()
-			se.Key.Fn = d.str()
-			se.Key.Flags = opt.FlagSet(d.u64())
-			se.Key.Machine = d.str()
-			se.FP = d.fp()
-			se.Shared = d.bool()
-			if d.err != nil || len(d.buf) != 0 {
+			se.Key.Prog = d.U64()
+			se.Key.Fn = d.Str()
+			se.Key.Flags = opt.FlagSet(d.U64())
+			se.Key.Machine = d.Str()
+			se.FP = d.FP()
+			se.Shared = d.Bool()
+			if d.End() != nil {
 				s.recovery.DroppedAliases++
 				continue
 			}
 			s.entries = append(s.entries, se)
 		case recMemo:
-			kind := d.str()
-			key := d.str()
-			n := d.count(1)
-			if d.err != nil || n != len(d.buf) {
+			mk := memoKey{Kind: d.Str(), Key: d.Str()}
+			val := d.Str()
+			if d.End() != nil {
 				continue
 			}
-			val := make([]byte, n)
-			copy(val, d.buf)
-			s.memo[memoKey{Kind: kind, Key: key}] = val
+			s.memo[mk] = []byte(val)
 		}
 	}
-	// Link every resolvable callee reference, then verify each body by
-	// re-computing its full fingerprint. Verification is a pure function
-	// of decoded content, so the kept set is deterministic. It catches a
-	// dangling callee (the missing entry changes the hash), a payload
-	// forged under another body's low 64 bits (the collision regression:
-	// the store keys on all 128, so the forgery occupies its own slot and
-	// fails its own check) and any decode drift.
-	for _, pb := range bodies {
-		for _, ref := range pb.refs {
-			callee, exists := bodies[ref.FP]
-			if !exists {
-				continue
+	// Drop every body that references a callee the file does not hold,
+	// until none is left (a dropped callee strands its callers), then link
+	// the rest. The kept set depends only on the file's content.
+	for dropped := true; dropped; {
+		dropped = false
+		for fp, pb := range bodies {
+			for _, ref := range pb.refs {
+				if _, ok := bodies[ref.FP]; !ok {
+					delete(bodies, fp)
+					s.recovery.DroppedBodies++
+					dropped = true
+					break
+				}
 			}
-			if pb.v.Callees == nil {
-				pb.v.Callees = make(map[string]*sim.Version)
-			}
-			pb.v.Callees[ref.Name] = callee.v
 		}
 	}
 	for fp, pb := range bodies {
-		if vcache.Fingerprint128(pb.v) != fp {
-			s.recovery.DroppedBodies++
-			continue
+		for _, ref := range pb.refs {
+			if pb.v.Callees == nil {
+				pb.v.Callees = make(map[string]*sim.Version, len(pb.refs))
+			}
+			pb.v.Callees[ref.Name] = bodies[ref.FP].v
 		}
-		pb.v.Freeze()
 		s.versions[fp] = pb.v
+	}
+	for _, v := range s.versions {
+		v.Freeze()
 	}
 	kept := s.entries[:0]
 	for _, se := range s.entries {
@@ -254,8 +257,8 @@ func (s *Store) lookupMemo(kind, key string) ([]byte, bool) {
 // RecordMemo queues payload under (kind, key) for the next Flush. The
 // first write wins; re-records of a key already queued or already in the
 // read set are dropped (payloads are required to be deterministic, so all
-// writers of one key carry identical bytes). Nil-safe no-op payloads are
-// copied, so callers may reuse their buffer.
+// writers of one key carry identical bytes). The payload is copied, so
+// callers may reuse their buffer.
 func (s *Store) RecordMemo(kind, key string, payload []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,21 +339,22 @@ func (s *Store) Flush() error {
 		}
 		return fps[i].Lo < fps[j].Lo
 	})
+	var e vcache.Encoder
 	for _, fp := range fps {
-		e := &encoder{}
-		e.fp(fp)
-		encodeVersion(e, sn.Versions[fp])
-		buf = appendRecord(buf, recVersionBody, e.buf)
+		e.Buf = e.Buf[:0]
+		e.FP(fp)
+		e.Version(sn.Versions[fp])
+		buf = appendRecord(buf, recVersionBody, e.Buf)
 	}
 	for _, se := range sn.Entries {
-		e := &encoder{}
-		e.u64(se.Key.Prog)
-		e.str(se.Key.Fn)
-		e.u64(uint64(se.Key.Flags))
-		e.str(se.Key.Machine)
-		e.fp(se.FP)
-		e.bool(se.Shared)
-		buf = appendRecord(buf, recAlias, e.buf)
+		e.Buf = e.Buf[:0]
+		e.U64(se.Key.Prog)
+		e.Str(se.Key.Fn)
+		e.U64(uint64(se.Key.Flags))
+		e.Str(se.Key.Machine)
+		e.FP(se.FP)
+		e.Bool(se.Shared)
+		buf = appendRecord(buf, recAlias, e.Buf)
 	}
 	mks := make([]memoKey, 0, len(s.memo)+len(s.pending))
 	for mk := range s.memo {
@@ -370,12 +374,11 @@ func (s *Store) Flush() error {
 		if !ok {
 			val = s.pending[mk]
 		}
-		e := &encoder{}
-		e.str(mk.Kind)
-		e.str(mk.Key)
-		e.u32(uint32(len(val)))
-		e.buf = append(e.buf, val...)
-		buf = appendRecord(buf, recMemo, e.buf)
+		e.Buf = e.Buf[:0]
+		e.Str(mk.Kind)
+		e.Str(mk.Key)
+		e.Str(string(val))
+		buf = appendRecord(buf, recMemo, e.Buf)
 	}
 
 	if err := writeFileAtomic(filepath.Join(s.dir, storeFile), buf); err != nil {

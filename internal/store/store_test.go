@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"peak/internal/ir"
+	"peak/internal/irbuild"
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/sim"
@@ -395,5 +397,132 @@ func TestStoreStatsConsistentUnderRace(t *testing.T) {
 	}
 	if st.Pending != 7 {
 		t.Fatalf("pending = %d, want 7 distinct keys (first write wins)", st.Pending)
+	}
+}
+
+// TestPreviousFormatUpgrade opens a cache directory written by the build
+// before the canonical body encoding. Its store keys bodies and memos by
+// fingerprints this build never computes, so it must open empty with
+// header_invalid, and its first flush must write a store that reopens
+// clean. The journal's format did not change: every checkpoint loads.
+func TestPreviousFormatUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{storeFile, JournalFile} {
+		data, err := os.ReadFile(filepath.Join("testdata", "previous_format", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := s.Recovery(); !r.HeaderInvalid || r.Records != 0 {
+		t.Fatalf("previous-format store recovery = %+v, want header_invalid and no records", r)
+	}
+	if st := s.Stats(); st.Versions != 0 || st.Entries != 0 || st.Memos != 0 {
+		t.Fatalf("previous-format store loaded %+v, want an empty store", st)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if r := s.Recovery(); r != (RecoveryReport{}) {
+		t.Fatalf("store rewritten by this build reopens with %+v, want clean", r)
+	}
+
+	j, err := OpenJournal(filepath.Join(dir, JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if r := j.Recovery(); r.HeaderInvalid || r.Records != 3 || r.IDs != 2 {
+		t.Fatalf("journal recovery = %+v, want 3 records over 2 IDs", r)
+	}
+	for id, round := range map[string]int{"VORTEX/sparc2/auto/train": 1, "SWIM/p4/auto/train": 2} {
+		if rec, ok := j.Latest(id); !ok || rec.Round != round {
+			t.Errorf("Latest(%s) = %+v, %t; want round %d", id, rec, ok, round)
+		}
+	}
+}
+
+// TestDanglingCalleeDropsCallers: f calls g and g calls h, none of them
+// inlinable. A store missing h's body must drop g, and then f, whose
+// callee g is gone, whatever order the bodies are checked in, and the
+// alias of f with them.
+func TestDanglingCalleeDropsCallers(t *testing.T) {
+	prog := ir.NewProgram()
+	loop := func(name, callee string) *ir.Func {
+		b := irbuild.NewFunc(name)
+		b.ScalarParam("n", ir.I64).Local("s", ir.F64)
+		step := b.FAdd(b.V("s"), b.F(1))
+		if callee != "" {
+			step = b.FAdd(b.V("s"), b.Call(callee, b.V("n")))
+		}
+		fn := b.Body(b.For("i", b.I(0), b.V("n"), 1, b.Set(b.V("s"), step)), b.Ret(b.V("s")))
+		prog.AddFunc(fn)
+		return fn
+	}
+	loop("h", "")
+	loop("g", "h")
+	f := loop("f", "g")
+	m := machine.SPARCII()
+	c := vcache.New()
+	key := vcache.Key{Prog: vcache.ProgramKey(prog), Fn: "f", Flags: opt.O3(), Machine: m.Name}
+	r, err := c.Resolve(key, func() (*sim.Version, error) { return opt.Compile(prog, f, opt.O3(), m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := r.V.Callees["g"]
+	if g == nil || g.Callees["h"] == nil {
+		t.Fatal("setup: f does not call g, or g does not call h")
+	}
+	hFP := vcache.Fingerprint128(g.Callees["h"])
+
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachCache(c)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := parseFile(data, storeMagic)
+	kept := appendHeader(nil, storeMagic)
+	for _, rec := range recs {
+		if rec.kind == recVersionBody && vcache.NewDecoder(rec.payload).FP() == hFP {
+			continue
+		}
+		kept = appendRecord(kept, rec.kind, rec.payload)
+	}
+	if len(kept) == len(data) {
+		t.Fatal("setup: h's body is not in the store")
+	}
+	if err := os.WriteFile(path, kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Map order varies between opens; each must drop the same bodies.
+	for i := 0; i < 10; i++ {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := s.Recovery(); rep.DroppedBodies != 2 || rep.DroppedAliases != 1 {
+			t.Fatalf("recovery = %+v, want g and f dropped with f's alias", rep)
+		}
+		if st := s.Stats(); st.Versions != 0 || st.Entries != 0 {
+			t.Fatalf("loaded %+v, want no bodies and no aliases", st)
+		}
 	}
 }

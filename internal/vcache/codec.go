@@ -1,0 +1,283 @@
+package vcache
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math"
+	"sort"
+
+	"peak/internal/ir"
+	"peak/internal/sim"
+)
+
+// The canonical encoding of a compiled version is the one description of
+// its content: Fingerprint128 is the FNV-1a-128 hash of it, the persistent
+// store (internal/store) writes it as the version's body record, and the
+// cache's byte figure is its length. It carries everything that determines
+// execution — the LIR instruction stream and block layout, terminators,
+// parameter binding, spill set, cost modifiers, code footprint and origin
+// mapping — and names each callee by name and fingerprint, so a body is
+// encoded shallowly and each distinct body is stored once however many
+// call graphs share it. Fields only the compiler reads (the Label, the
+// float-register map, loop depths, spill and pressure counts) are left
+// out: two flag sets that generate identical code get identical bytes,
+// which is what content dedup keys on.
+//
+// The encoding is byte-deterministic: integers are 8 bytes and floats
+// their IEEE bit patterns, little-endian, bools one byte, strings and
+// slices length-prefixed, callees in name order.
+
+// Encoder appends the canonical encoding's primitives to Buf.
+type Encoder struct{ Buf []byte }
+
+// U64 appends v as 8 little-endian bytes.
+func (e *Encoder) U64(v uint64) { e.Buf = binary.LittleEndian.AppendUint64(e.Buf, v) }
+
+// Bool appends v as one byte, 0 or 1.
+func (e *Encoder) Bool(v bool) {
+	b := byte(0)
+	if v {
+		b = 1
+	}
+	e.Buf = append(e.Buf, b)
+}
+
+// Str appends s with its length.
+func (e *Encoder) Str(s string) {
+	e.int(len(s))
+	e.Buf = append(e.Buf, s...)
+}
+
+// FP appends f, high half first.
+func (e *Encoder) FP(f FP128) {
+	e.U64(f.Hi)
+	e.U64(f.Lo)
+}
+
+func (e *Encoder) int(v int)     { e.U64(uint64(v)) }
+func (e *Encoder) f64(v float64) { e.U64(math.Float64bits(v)) }
+
+// CalleeRef is a body's reference to one callee: its key in the caller's
+// Callees map and the fingerprint of its own body.
+type CalleeRef struct {
+	Name string
+	FP   FP128
+}
+
+// Version appends v's canonical encoding. Each callee is fingerprinted,
+// and so encoded, on the way.
+func (e *Encoder) Version(v *sim.Version) {
+	refs := make([]CalleeRef, 0, len(v.Callees))
+	for name, c := range v.Callees {
+		refs = append(refs, CalleeRef{Name: name, FP: Fingerprint128(c)})
+	}
+	sort.Slice(refs, func(i, j int) bool { return refs[i].Name < refs[j].Name })
+	e.body(v, refs)
+}
+
+// body appends v's encoding with refs, in name order, as its callees.
+func (e *Encoder) body(v *sim.Version, refs []CalleeRef) {
+	lf := v.LF
+	e.Str(lf.Name)
+	e.int(lf.NumRegs)
+	e.int(lf.NumCounters)
+	e.int(len(lf.Params))
+	for i, p := range lf.Params {
+		e.Str(p.Name)
+		e.int(int(p.Typ))
+		e.Bool(p.IsArray)
+		e.int(int(lf.ParamRegs[i]))
+	}
+	e.int(len(lf.Blocks))
+	for _, b := range lf.Blocks {
+		e.int(b.ID)
+		e.int(b.Origin)
+		e.int(int(b.Term.Kind))
+		e.int(int(b.Term.Cond))
+		e.int(b.Term.Then)
+		e.int(b.Term.Else)
+		e.int(int(b.Term.Val))
+		e.int(b.Term.Likely)
+		e.int(len(b.Instrs))
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			e.int(int(in.Op))
+			e.int(int(in.Dst))
+			e.int(int(in.A))
+			e.int(int(in.B))
+			e.int(int(in.Src))
+			e.U64(uint64(in.Imm))
+			e.f64(in.FImm)
+			e.Str(in.Arr)
+			e.Str(in.Fn)
+			e.int(len(in.CallArgs))
+			for _, r := range in.CallArgs {
+				e.int(int(r))
+			}
+		}
+	}
+	e.int(len(v.Alloc.Spilled))
+	for _, s := range v.Alloc.Spilled {
+		e.Bool(s)
+	}
+	e.f64(v.Mods.TakenBranchFactor)
+	e.f64(v.Mods.CallOverheadFactor)
+	e.int(v.Mods.CodeSizeExtra)
+	e.Bool(v.Mods.StaticPredict)
+	e.int(v.CodeSize)
+	e.int(v.NumOrigins)
+	e.int(len(refs))
+	for _, r := range refs {
+		e.Str(r.Name)
+		e.FP(r.FP)
+	}
+}
+
+// Fingerprint128 returns the content fingerprint of a compiled version:
+// the FNV-1a-128 hash of its canonical encoding, so equal fingerprints
+// (collisions aside) are equal generated code.
+func Fingerprint128(v *sim.Version) FP128 {
+	var e Encoder
+	e.Version(v)
+	return sum128(e.Buf)
+}
+
+func sum128(b []byte) FP128 {
+	h := fnv.New128a()
+	h.Write(b)
+	s := h.Sum(nil)
+	return FP128{Hi: binary.BigEndian.Uint64(s), Lo: binary.BigEndian.Uint64(s[8:])}
+}
+
+var errMalformed = errors.New("vcache: malformed encoding")
+
+// Decoder reads the canonical encoding's primitives from a buffer. The
+// first malformed or missing value fails the decoder: every later read
+// returns a zero value and End reports the failure.
+type Decoder struct {
+	buf    []byte
+	failed bool
+}
+
+// NewDecoder returns a decoder reading b.
+func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+
+// End reports whether decoding failed or left bytes unread.
+func (d *Decoder) End() error {
+	if d.failed || len(d.buf) != 0 {
+		return errMalformed
+	}
+	return nil
+}
+
+func (d *Decoder) fail() {
+	d.failed = true
+	d.buf = nil
+}
+
+// U64 reads 8 little-endian bytes.
+func (d *Decoder) U64() uint64 {
+	if len(d.buf) < 8 {
+		d.fail()
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(d.buf)
+	d.buf = d.buf[8:]
+	return v
+}
+
+// Bool reads one byte, which must be 0 or 1.
+func (d *Decoder) Bool() bool {
+	if len(d.buf) < 1 || d.buf[0] > 1 {
+		d.fail()
+		return false
+	}
+	v := d.buf[0] == 1
+	d.buf = d.buf[1:]
+	return v
+}
+
+// Str reads a length-prefixed string.
+func (d *Decoder) Str() string {
+	n := d.count(1)
+	v := string(d.buf[:n])
+	d.buf = d.buf[n:]
+	return v
+}
+
+// FP reads a fingerprint, high half first.
+func (d *Decoder) FP() FP128 {
+	hi := d.U64()
+	return FP128{Hi: hi, Lo: d.U64()}
+}
+
+func (d *Decoder) int() int     { return int(d.U64()) }
+func (d *Decoder) f64() float64 { return math.Float64frombits(d.U64()) }
+func (d *Decoder) reg() ir.Reg  { return ir.Reg(d.U64()) }
+
+// count reads a length and bounds it by the bytes left, given that each
+// element takes at least elemSize of them, so a corrupt length cannot
+// drive a giant allocation.
+func (d *Decoder) count(elemSize int) int {
+	n := d.U64()
+	if n > uint64(len(d.buf)/elemSize) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// Version reads one version's canonical encoding and returns the version,
+// its Callees left unset, its callee references in name order, and its
+// fingerprint: the hash of exactly the bytes read. A body whose callee
+// names are not strictly increasing is not canonical and fails the
+// decoder.
+func (d *Decoder) Version() (*sim.Version, []CalleeRef, FP128) {
+	start := d.buf
+	lf := &ir.LFunc{Name: d.Str(), NumRegs: d.int(), NumCounters: d.int()}
+	np := d.count(8 + 8 + 1 + 8)
+	for i := 0; i < np; i++ {
+		lf.Params = append(lf.Params, ir.Param{Name: d.Str(), Typ: ir.Type(d.int()), IsArray: d.Bool()})
+		lf.ParamRegs = append(lf.ParamRegs, d.reg())
+	}
+	nb := d.count(9 * 8)
+	for i := 0; i < nb; i++ {
+		b := &ir.Block{ID: d.int(), Origin: d.int()}
+		b.Term = ir.Terminator{Kind: ir.TermKind(d.int()), Cond: d.reg(), Then: d.int(),
+			Else: d.int(), Val: d.reg(), Likely: d.int()}
+		ni := d.count(10 * 8)
+		for j := 0; j < ni; j++ {
+			in := ir.Instr{Op: ir.Opcode(d.int()), Dst: d.reg(), A: d.reg(), B: d.reg(), Src: d.reg(),
+				Imm: int64(d.U64()), FImm: d.f64(), Arr: d.Str(), Fn: d.Str()}
+			na := d.count(8)
+			for k := 0; k < na; k++ {
+				in.CallArgs = append(in.CallArgs, d.reg())
+			}
+			b.Instrs = append(b.Instrs, in)
+		}
+		lf.Blocks = append(lf.Blocks, b)
+	}
+	v := &sim.Version{LF: lf}
+	ns := d.count(1)
+	for i := 0; i < ns; i++ {
+		v.Alloc.Spilled = append(v.Alloc.Spilled, d.Bool())
+	}
+	v.Mods = sim.CostMods{TakenBranchFactor: d.f64(), CallOverheadFactor: d.f64(),
+		CodeSizeExtra: d.int(), StaticPredict: d.Bool()}
+	v.CodeSize = d.int()
+	v.NumOrigins = d.int()
+	nc := d.count(8 + 16)
+	var refs []CalleeRef
+	for i := 0; i < nc; i++ {
+		r := CalleeRef{Name: d.Str(), FP: d.FP()}
+		if i > 0 && r.Name <= refs[i-1].Name {
+			d.fail()
+		}
+		refs = append(refs, r)
+	}
+	if d.failed {
+		return nil, nil, FP128{}
+	}
+	return v, refs, sum128(start[:len(start)-len(d.buf)])
+}

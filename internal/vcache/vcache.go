@@ -7,7 +7,7 @@
 // methods. The cache makes each distinct compilation happen exactly once
 // per (program, function, flag set, machine) — and, one level deeper,
 // stores only one Version per distinct *generated code*: flag sets that
-// compile to identical LIR (by Fingerprint) share a single frozen Version.
+// compile to identical LIR (by Fingerprint128) share a single frozen Version.
 //
 // Concurrency: compiles run outside the cache lock, one in flight per key.
 // A later request for a key that is compiling waits for that compile;
@@ -95,8 +95,8 @@ type Stats struct {
 	// existing frozen Version reused.
 	Shared int64
 	// Entries is the number of distinct flag-set keys resident; Versions
-	// the number of distinct code bodies backing them; Bytes their
-	// estimated footprint.
+	// the number of distinct code bodies backing them; Bytes the length
+	// of those bodies' canonical encodings (callees count by reference).
 	Entries  int64
 	Versions int64
 	Bytes    int64
@@ -164,6 +164,7 @@ type call struct {
 	claimed bool
 	v       *sim.Version
 	fp      FP128
+	size    int64
 }
 
 // New returns an empty cache.
@@ -231,7 +232,7 @@ func (c *Cache) Resolve(key Key, compile func() (*sim.Version, error)) (Resoluti
 			// A finished prefetch: this is the key's first lookup.
 			miss()
 			delete(c.flight, key)
-			c.publish(key, f.v, f.fp)
+			c.publish(key, f.v, f.fp, f.size)
 			continue
 		case ok:
 			// A prefetch still compiling: claim it, so it is published the
@@ -279,11 +280,12 @@ func (c *Cache) wait(f *call) {
 	c.mu.Lock()
 }
 
-// run compiles f's key outside the lock, freezes and fingerprints the
-// result, and settles f: a failed compile leaves the flight table and
-// returns its error, a claimed one is published, an unclaimed
-// (prefetched) one stays in the table for its first Resolve. Called and
-// returns with c.mu held, also when compile panics.
+// run compiles f's key outside the lock, freezes the result and encodes
+// it once for its fingerprint and size, and settles f: a failed compile
+// leaves the flight table and returns its error, a claimed one is
+// published, an unclaimed (prefetched) one stays in the table for its
+// first Resolve. Called and returns with c.mu held, also when compile
+// panics.
 func (c *Cache) run(key Key, f *call, compile func() (*sim.Version, error)) error {
 	c.mu.Unlock()
 	settled := false
@@ -296,28 +298,31 @@ func (c *Cache) run(key Key, f *call, compile func() (*sim.Version, error)) erro
 	}()
 	v, err := compile()
 	var fp FP128
+	var size int64
 	if err == nil {
 		v.Freeze()
-		fp = Fingerprint128(v)
+		var e Encoder
+		e.Version(v)
+		fp, size = sum128(e.Buf), int64(len(e.Buf))
 	}
 	c.mu.Lock()
 	settled = true
 	if err == nil && !f.claimed {
-		f.v, f.fp = v, fp
+		f.v, f.fp, f.size = v, fp, size
 	} else {
 		delete(c.flight, key)
 		if err == nil {
-			c.publish(key, v, fp)
+			c.publish(key, v, fp, size)
 		}
 	}
 	close(f.done)
 	return err
 }
 
-// publish installs key's first entry: the compiled version, or an alias
-// of an existing Version with identical generated code. Caller holds
-// c.mu.
-func (c *Cache) publish(key Key, nv *sim.Version, nfp FP128) {
+// publish installs key's first entry: the compiled version, of encoded
+// size size, or an alias of an existing Version with identical generated
+// code. Caller holds c.mu.
+func (c *Cache) publish(key Key, nv *sim.Version, nfp FP128, size int64) {
 	ck := codeKey{key.Prog, key.Fn, key.Machine, nfp.Lo}
 	e, ok := c.byCode[ck]
 	if ok {
@@ -331,7 +336,7 @@ func (c *Cache) publish(key Key, nv *sim.Version, nfp FP128) {
 		e = &entry{v: nv, fp: nfp}
 		c.byCode[ck] = e
 		c.stats.Versions++
-		c.stats.Bytes += versionBytes(nv, map[*sim.Version]bool{})
+		c.stats.Bytes += size
 	}
 	c.entries[key] = e
 	c.stats.Entries++
@@ -403,11 +408,13 @@ func addVersions(dst map[FP128]*sim.Version, v *sim.Version, fp FP128) {
 // many keys were installed. Keys already resident — and entries whose body
 // is missing from the snapshot — are skipped, so preloading composes with
 // a warm cache. Callers must pass verified, frozen versions; the store's
-// loader re-fingerprints every body before handing it here.
+// loader checks every body against its fingerprint before handing it
+// here.
 func (c *Cache) Preload(sn Snapshot) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
+	var enc Encoder
 	for _, se := range sn.Entries {
 		if _, ok := c.entries[se.Key]; ok {
 			continue
@@ -422,7 +429,9 @@ func (c *Cache) Preload(sn Snapshot) int {
 			be = &entry{v: body, fp: se.FP, fromDisk: true}
 			c.byCode[ck] = be
 			c.stats.Versions++
-			c.stats.Bytes += versionBytes(body, map[*sim.Version]bool{})
+			enc.Buf = enc.Buf[:0]
+			enc.Version(body)
+			c.stats.Bytes += int64(len(enc.Buf))
 		}
 		c.entries[se.Key] = &entry{v: be.v, fp: be.fp, shared: se.Shared, fromDisk: true}
 		c.stats.Entries++

@@ -113,22 +113,6 @@ func TestProgramKeyStableAcrossCloneAndSensitiveToEdits(t *testing.T) {
 	}
 }
 
-func TestFingerprintIgnoresLabel(t *testing.T) {
-	_, compile := compileBench(t, "SWIM")
-	v1, err := compile(opt.O3())()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := compile(opt.O3())()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2.Label = "something else entirely"
-	if Fingerprint(v1) != Fingerprint(v2) {
-		t.Fatal("fingerprint depends on Label")
-	}
-}
-
 func TestConcurrentResolve(t *testing.T) {
 	key, compile := compileBench(t, "SWIM")
 	c := New()
@@ -198,7 +182,6 @@ func TestMarkQuarantined(t *testing.T) {
 // fault-injection identity strings ("progKey/fn/flags/machine"), so any
 // change to the legacy 64-bit FNV-1a lane silently re-rolls every committed
 // fault draw (results_faults.txt and the quarantine-storm resilience test).
-// The 128-bit widening of Fingerprint must never leak into these values.
 func TestProgramKeyValueFrozen(t *testing.T) {
 	for name, want := range map[string]uint64{
 		"SWIM":  0x875c2d27974d18c6,
@@ -211,29 +194,6 @@ func TestProgramKeyValueFrozen(t *testing.T) {
 		if got := ProgramKey(b.Prog); got != want {
 			t.Errorf("ProgramKey(%s) = %#x, want %#x — the legacy 64-bit hash lane changed; this breaks fault-injection determinism", name, got, want)
 		}
-	}
-}
-
-// TestFingerprint128LoAliasesFingerprint pins the two-tier key contract:
-// the in-memory dedup path keys on the 64-bit Fingerprint, which must be
-// exactly the low half of the 128-bit fingerprint the persistent store
-// keys on — otherwise a preloaded body and its freshly compiled twin would
-// land in different byCode slots and dedup would silently stop working.
-func TestFingerprint128LoAliasesFingerprint(t *testing.T) {
-	_, compile := compileBench(t, "SWIM")
-	v, err := compile(opt.O3())()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := Fingerprint128(v)
-	if fp.IsZero() {
-		t.Fatal("Fingerprint128 returned zero for a real version")
-	}
-	if got := Fingerprint(v); got != fp.Lo {
-		t.Fatalf("Fingerprint = %#x, want low half of Fingerprint128 %s", got, fp)
-	}
-	if len(fp.String()) != 32 {
-		t.Fatalf("FP128.String() = %q, want 32 hex digits", fp.String())
 	}
 }
 
