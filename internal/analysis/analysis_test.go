@@ -198,6 +198,33 @@ func TestEffectsThroughCalls(t *testing.T) {
 	}
 }
 
+// TestEffectsInsideSelect: loads and calls under an if-converted select
+// count like any other operand.
+func TestEffectsInsideSelect(t *testing.T) {
+	prog := ir.NewProgram()
+	prog.AddArray("lo", ir.F64, 8)
+	prog.AddArray("hi", ir.F64, 8)
+	prog.AddArray("buf", ir.F64, 8)
+	prog.AddArray("out", ir.F64, 8)
+	cb := irbuild.NewFunc("peek")
+	cb.ScalarParam("i", ir.I64)
+	prog.AddFunc(cb.Body(&ir.Return{Value: cb.At("buf", cb.V("i"))}))
+	b := irbuild.NewFunc("f")
+	b.ScalarParam("i", ir.I64)
+	fn := b.Body(b.Set(b.At("out", b.V("i")), &ir.Select{
+		Cond: b.V("i"),
+		X:    b.At("lo", b.V("i")),
+		Y:    b.FAdd(b.At("hi", b.V("i")), &ir.CallExpr{Fn: "peek", Args: []ir.Expr{b.V("i")}}),
+	}))
+	prog.AddFunc(fn)
+	e := Effects(fn, prog)
+	for _, a := range []string{"lo", "hi", "buf"} {
+		if !e.Reads[a] {
+			t.Errorf("load of %s under a select not tracked: reads = %v", a, e.Reads)
+		}
+	}
+}
+
 // --- instrumentation -----------------------------------------------------------
 
 func TestInstrumentPlacesCounters(t *testing.T) {

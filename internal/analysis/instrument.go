@@ -19,6 +19,8 @@ func Instrument(fn *ir.Func) *ir.Func {
 		next++
 		return c
 	}
+	// Hand-written rather than an ir primitive: IDs are allocated pre-order,
+	// each arm's counter before that arm's nested ones.
 	var instr func(list []ir.Stmt) []ir.Stmt
 	instr = func(list []ir.Stmt) []ir.Stmt {
 		out := make([]ir.Stmt, 0, len(list))
@@ -51,29 +53,12 @@ func Instrument(fn *ir.Func) *ir.Func {
 // code" (paper §4.2).
 func StripCounters(fn *ir.Func, keep map[int]bool) *ir.Func {
 	nf := fn.Clone()
-	var strip func(list []ir.Stmt) []ir.Stmt
-	strip = func(list []ir.Stmt) []ir.Stmt {
-		out := make([]ir.Stmt, 0, len(list))
-		for _, s := range list {
-			switch st := s.(type) {
-			case *ir.Counter:
-				if keep[st.ID] {
-					out = append(out, st)
-				}
-				continue
-			case *ir.If:
-				st.Then = strip(st.Then)
-				st.Else = strip(st.Else)
-			case *ir.For:
-				st.Body = strip(st.Body)
-			case *ir.While:
-				st.Body = strip(st.Body)
-			}
-			out = append(out, s)
+	nf.Body = ir.RewriteStmts(nf.Body, func(out []ir.Stmt, s ir.Stmt) []ir.Stmt {
+		if c, ok := s.(*ir.Counter); ok && !keep[c.ID] {
+			return out
 		}
-		return out
-	}
-	nf.Body = strip(nf.Body)
+		return append(out, s)
+	})
 	if len(keep) == 0 {
 		nf.NumCounters = 0
 	}

@@ -39,71 +39,45 @@ func Effects(fn *ir.Func, prog *ir.Program) *MemEffects {
 	e := &MemEffects{Reads: map[string]bool{}, Writes: map[string]bool{}}
 	visited := map[string]bool{}
 	var walkFn func(f *ir.Func)
-	var walkStmts func(list []ir.Stmt)
-	var walkExpr func(x ir.Expr)
-
-	walkExpr = func(x ir.Expr) {
+	call := func(name string) {
+		if _, ok := ir.IsIntrinsic(name); !ok {
+			if callee, ok := prog.Funcs[name]; ok && !visited[name] {
+				visited[name] = true
+				walkFn(callee)
+			}
+		}
+	}
+	read := func(x ir.Expr) {
 		switch ex := x.(type) {
 		case *ir.ArrayRef:
 			e.Reads[ex.Name] = true
-			walkExpr(ex.Index)
 		case *ir.VarRef:
 			// Global scalars lower to reads of the globals array.
 			if isGlobal(prog, ex.Name) {
 				e.Reads[lower.GlobalsArray] = true
 			}
-		case *ir.Unary:
-			walkExpr(ex.X)
-		case *ir.Binary:
-			walkExpr(ex.X)
-			walkExpr(ex.Y)
 		case *ir.CallExpr:
-			for _, a := range ex.Args {
-				walkExpr(a)
-			}
-			if _, ok := ir.IsIntrinsic(ex.Fn); !ok {
-				if callee, ok := prog.Funcs[ex.Fn]; ok && !visited[ex.Fn] {
-					visited[ex.Fn] = true
-					walkFn(callee)
-				}
-			}
+			call(ex.Fn)
 		}
 	}
-	walkStmts = func(list []ir.Stmt) {
-		for _, s := range list {
+	walkFn = func(f *ir.Func) {
+		ir.VisitStmts(f.Body, func(s ir.Stmt) {
+			ir.StmtExprs(s, func(x *ir.Expr) { ir.WalkExpr(*x, read) })
 			switch st := s.(type) {
 			case *ir.Assign:
-				walkExpr(st.Rhs)
 				switch lhs := st.Lhs.(type) {
 				case *ir.ArrayRef:
 					e.Writes[lhs.Name] = true
-					walkExpr(lhs.Index)
 				case *ir.VarRef:
 					if isGlobal(prog, lhs.Name) {
 						e.Writes[lower.GlobalsArray] = true
 					}
 				}
-			case *ir.If:
-				walkExpr(st.Cond)
-				walkStmts(st.Then)
-				walkStmts(st.Else)
-			case *ir.For:
-				walkExpr(st.From)
-				walkExpr(st.To)
-				walkStmts(st.Body)
-			case *ir.While:
-				walkExpr(st.Cond)
-				walkStmts(st.Body)
-			case *ir.Return:
-				if st.Value != nil {
-					walkExpr(st.Value)
-				}
 			case *ir.CallStmt:
-				walkExpr(&ir.CallExpr{Fn: st.Fn, Args: st.Args})
+				call(st.Fn)
 			}
-		}
+		})
 	}
-	walkFn = func(f *ir.Func) { walkStmts(f.Body) }
 	walkFn(fn)
 	return e
 }

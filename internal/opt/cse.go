@@ -114,10 +114,12 @@ func (c *cseState) killCalls() {
 
 // countStmts approximates availability: it counts eligible expression keys,
 // resetting nothing on kills (over-approximation; a "worthy" expression that
-// is in fact killed merely yields an extra single-use temporary).
+// is in fact killed merely yields an extra single-use temporary). It counts
+// fewer slots than ir.StmtExprs (not For.To or While.Cond), and that set
+// fixes which expressions are worthy, so it is spelled out here.
 func (c *cseState) countStmts(list []ir.Stmt) {
 	countExpr := func(e ir.Expr) {
-		walkExpr(e, func(x ir.Expr) {
+		ir.WalkExpr(e, func(x ir.Expr) {
 			if c.eligible(x) {
 				k := exprKey(x)
 				c.counts[k]++
@@ -127,7 +129,7 @@ func (c *cseState) countStmts(list []ir.Stmt) {
 			}
 		})
 	}
-	for _, s := range list {
+	ir.VisitStmts(list, func(s ir.Stmt) {
 		switch st := s.(type) {
 		case *ir.Assign:
 			countExpr(st.Rhs)
@@ -136,27 +138,22 @@ func (c *cseState) countStmts(list []ir.Stmt) {
 			}
 		case *ir.If:
 			countExpr(st.Cond)
-			c.countStmts(st.Then)
-			c.countStmts(st.Else)
 		case *ir.For:
 			countExpr(st.From)
-			c.countStmts(st.Body)
-		case *ir.While:
-			c.countStmts(st.Body)
 		case *ir.Return:
-			if st.Value != nil {
-				countExpr(st.Value)
-			}
+			countExpr(st.Value)
 		case *ir.CallStmt:
 			for _, a := range st.Args {
 				countExpr(a)
 			}
 		}
-	}
+	})
 }
 
 // --- pass 2: rewriting ------------------------------------------------------
 
+// rewriteStmts stays hand-written: its table kills are sequenced around the
+// recursion into nested lists, which no ir primitive can interleave.
 func (c *cseState) rewriteStmts(list []ir.Stmt) []ir.Stmt {
 	out := make([]ir.Stmt, 0, len(list))
 	insert := func(s ir.Stmt) { out = append(out, s) }
@@ -270,44 +267,22 @@ func (c *cseState) applyRegionKills(a, b []ir.Stmt) {
 	}
 }
 
+// regionHasUserCall reports whether any statement in list calls a user
+// (non-intrinsic) function.
 func regionHasUserCall(list []ir.Stmt) bool {
 	found := false
-	var walk func(list []ir.Stmt)
-	check := func(e ir.Expr) {
-		if e != nil && hasUserCall(e) {
-			found = true
-		}
-	}
-	walk = func(list []ir.Stmt) {
-		for _, s := range list {
-			switch st := s.(type) {
-			case *ir.Assign:
-				check(st.Rhs)
-				check(st.Lhs)
-			case *ir.If:
-				check(st.Cond)
-				walk(st.Then)
-				walk(st.Else)
-			case *ir.For:
-				check(st.From)
-				check(st.To)
-				walk(st.Body)
-			case *ir.While:
-				check(st.Cond)
-				walk(st.Body)
-			case *ir.Return:
-				check(st.Value)
-			case *ir.CallStmt:
-				if _, ok := ir.IsIntrinsic(st.Fn); !ok {
-					found = true
-				}
-				for _, a := range st.Args {
-					check(a)
-				}
+	ir.VisitStmts(list, func(s ir.Stmt) {
+		if st, ok := s.(*ir.CallStmt); ok {
+			if _, ok := ir.IsIntrinsic(st.Fn); !ok {
+				found = true
 			}
 		}
-	}
-	walk(list)
+		ir.StmtExprs(s, func(e *ir.Expr) {
+			if !found && hasUserCall(*e) {
+				found = true
+			}
+		})
+	})
 	return found
 }
 

@@ -140,7 +140,7 @@ func foldExpr(e ir.Expr) ir.Expr {
 
 func exprHasCall(e ir.Expr) bool {
 	has := false
-	walkExpr(e, func(x ir.Expr) {
+	ir.WalkExpr(e, func(x ir.Expr) {
 		if _, ok := x.(*ir.CallExpr); ok {
 			has = true
 		}
@@ -154,7 +154,7 @@ func exprHasCall(e ir.Expr) bool {
 // (x*0, constant selects) must not delete a fault the engine would raise.
 func exprMayFault(e ir.Expr) bool {
 	fault := false
-	walkExpr(e, func(x ir.Expr) {
+	ir.WalkExpr(e, func(x ir.Expr) {
 		switch ex := x.(type) {
 		case *ir.ArrayRef:
 			fault = true
@@ -235,6 +235,8 @@ func propagateCopies(fn *ir.Func) {
 	propagateSegment(fn.Body)
 }
 
+// propagateSegment stays hand-written: its kills are sequenced around the
+// recursion into nested lists, which no ir primitive can interleave.
 func propagateSegment(list []ir.Stmt) {
 	vals := map[string]ir.Expr{} // var -> ConstInt/ConstFloat/VarRef
 	invalidate := func(name string) {
@@ -246,7 +248,7 @@ func propagateSegment(list []ir.Stmt) {
 		}
 	}
 	substitute := func(e ir.Expr) ir.Expr {
-		return rewriteExpr(e, func(x ir.Expr) ir.Expr {
+		return ir.RewriteExpr(e, func(x ir.Expr) ir.Expr {
 			if vr, ok := x.(*ir.VarRef); ok {
 				if rep, ok := vals[vr.Name]; ok {
 					return rep.Clone()

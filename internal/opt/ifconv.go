@@ -24,32 +24,14 @@ type ifConvOpts struct {
 // `aggressive` dominating-load rule). Arms containing MBR counters are
 // never converted (counters carry control-dependence semantics).
 func convertIfs(fn *ir.Func, prog *ir.Program, opts ifConvOpts, namer *tempNamer) {
-	fn.Body = convertIfList(fn.Body, fn, prog, opts, namer)
-}
-
-func convertIfList(list []ir.Stmt, fn *ir.Func, prog *ir.Program, opts ifConvOpts, namer *tempNamer) []ir.Stmt {
-	out := make([]ir.Stmt, 0, len(list))
-	for _, s := range list {
-		switch st := s.(type) {
-		case *ir.If:
-			st.Then = convertIfList(st.Then, fn, prog, opts, namer)
-			st.Else = convertIfList(st.Else, fn, prog, opts, namer)
+	fn.Body = ir.RewriteStmts(fn.Body, func(out []ir.Stmt, s ir.Stmt) []ir.Stmt {
+		if st, ok := s.(*ir.If); ok {
 			if converted, ok := tryConvert(st, fn, prog, opts, namer); ok {
-				out = append(out, converted...)
-				continue
+				return append(out, converted...)
 			}
-			out = append(out, st)
-		case *ir.For:
-			st.Body = convertIfList(st.Body, fn, prog, opts, namer)
-			out = append(out, st)
-		case *ir.While:
-			st.Body = convertIfList(st.Body, fn, prog, opts, namer)
-			out = append(out, st)
-		default:
-			out = append(out, s)
 		}
-	}
-	return out
+		return append(out, s)
+	})
 }
 
 // maxConvertedAssigns bounds how much work if-conversion is willing to
@@ -80,7 +62,7 @@ func tryConvert(st *ir.If, fn *ir.Func, prog *ir.Program, opts ifConvOpts, namer
 	// already evaluated unconditionally by the condition itself.
 	safeLoads := map[string]bool{}
 	if opts.aggressive {
-		walkExpr(st.Cond, func(e ir.Expr) {
+		ir.WalkExpr(st.Cond, func(e ir.Expr) {
 			if _, isRef := e.(*ir.ArrayRef); isRef {
 				safeLoads[exprKey(e)] = true
 			}

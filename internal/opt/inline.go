@@ -14,12 +14,7 @@ const maxInlineSize = 48
 // no loops, conditionals, stores, or further user calls, and are not
 // recursive.
 func inlineCalls(fn *ir.Func, prog *ir.Program, namer *tempNamer) {
-	fn.Body = inlineList(fn.Body, fn, prog, namer)
-}
-
-func inlineList(list []ir.Stmt, fn *ir.Func, prog *ir.Program, namer *tempNamer) []ir.Stmt {
-	out := make([]ir.Stmt, 0, len(list))
-	for _, s := range list {
+	fn.Body = ir.RewriteStmts(fn.Body, func(out []ir.Stmt, s ir.Stmt) []ir.Stmt {
 		switch st := s.(type) {
 		case *ir.Assign:
 			if call, ok := st.Rhs.(*ir.CallExpr); ok {
@@ -28,7 +23,6 @@ func inlineList(list []ir.Stmt, fn *ir.Func, prog *ir.Program, namer *tempNamer)
 					st.Rhs = result
 				}
 			}
-			out = append(out, st)
 		case *ir.Return:
 			if call, ok := st.Value.(*ir.CallExpr); ok && st.Value != nil {
 				if body, result, ok := expandCall(call, fn, prog, namer); ok {
@@ -36,29 +30,14 @@ func inlineList(list []ir.Stmt, fn *ir.Func, prog *ir.Program, namer *tempNamer)
 					st.Value = result
 				}
 			}
-			out = append(out, st)
 		case *ir.CallStmt:
 			call := &ir.CallExpr{Fn: st.Fn, Args: st.Args}
 			if body, _, ok := expandCall(call, fn, prog, namer); ok {
-				out = append(out, body...)
-				continue
+				return append(out, body...)
 			}
-			out = append(out, st)
-		case *ir.If:
-			st.Then = inlineList(st.Then, fn, prog, namer)
-			st.Else = inlineList(st.Else, fn, prog, namer)
-			out = append(out, st)
-		case *ir.For:
-			st.Body = inlineList(st.Body, fn, prog, namer)
-			out = append(out, st)
-		case *ir.While:
-			st.Body = inlineList(st.Body, fn, prog, namer)
-			out = append(out, st)
-		default:
-			out = append(out, s)
 		}
-	}
-	return out
+		return append(out, s)
+	})
 }
 
 // expandCall inlines one call. It returns the statements computing the body
@@ -147,7 +126,7 @@ func inlinable(callee *ir.Func) bool {
 }
 
 func renameInExpr(e ir.Expr, rename map[string]string) ir.Expr {
-	return rewriteExpr(e, func(x ir.Expr) ir.Expr {
+	return ir.RewriteExpr(e, func(x ir.Expr) ir.Expr {
 		if vr, ok := x.(*ir.VarRef); ok {
 			if t, ok := rename[vr.Name]; ok {
 				return &ir.VarRef{Name: t}

@@ -14,28 +14,12 @@ import "peak/internal/ir"
 // loop-invariant scalar. Only For loops whose variable is not reassigned in
 // the body are rewritten.
 func reduceStrength(fn *ir.Func, prog *ir.Program, expensive bool, namer *tempNamer) {
-	fn.Body = reduceStrengthList(fn.Body, fn, prog, expensive, namer)
-}
-
-func reduceStrengthList(list []ir.Stmt, fn *ir.Func, prog *ir.Program, expensive bool, namer *tempNamer) []ir.Stmt {
-	out := make([]ir.Stmt, 0, len(list))
-	for _, s := range list {
-		switch st := s.(type) {
-		case *ir.If:
-			st.Then = reduceStrengthList(st.Then, fn, prog, expensive, namer)
-			st.Else = reduceStrengthList(st.Else, fn, prog, expensive, namer)
-			out = append(out, st)
-		case *ir.While:
-			st.Body = reduceStrengthList(st.Body, fn, prog, expensive, namer)
-			out = append(out, st)
-		case *ir.For:
-			st.Body = reduceStrengthList(st.Body, fn, prog, expensive, namer)
-			out = append(out, reduceStrengthFor(st, fn, prog, expensive, namer)...)
-		default:
-			out = append(out, s)
+	fn.Body = ir.RewriteStmts(fn.Body, func(out []ir.Stmt, s ir.Stmt) []ir.Stmt {
+		if st, ok := s.(*ir.For); ok {
+			return append(out, reduceStrengthFor(st, fn, prog, expensive, namer)...)
 		}
-	}
-	return out
+		return append(out, s)
+	})
 }
 
 func reduceStrengthFor(st *ir.For, fn *ir.Func, prog *ir.Program, expensive bool, namer *tempNamer) []ir.Stmt {

@@ -19,28 +19,12 @@ const unrollFactor = 4
 // Counter statements are duplicated with the body, which keeps their totals
 // exact (one increment per original iteration).
 func unrollLoops(fn *ir.Func, prog *ir.Program, namer *tempNamer) {
-	fn.Body = unrollList(fn.Body, fn, prog, namer)
-}
-
-func unrollList(list []ir.Stmt, fn *ir.Func, prog *ir.Program, namer *tempNamer) []ir.Stmt {
-	out := make([]ir.Stmt, 0, len(list))
-	for _, s := range list {
-		switch st := s.(type) {
-		case *ir.If:
-			st.Then = unrollList(st.Then, fn, prog, namer)
-			st.Else = unrollList(st.Else, fn, prog, namer)
-			out = append(out, st)
-		case *ir.While:
-			st.Body = unrollList(st.Body, fn, prog, namer)
-			out = append(out, st)
-		case *ir.For:
-			st.Body = unrollList(st.Body, fn, prog, namer)
-			out = append(out, unrollFor(st, fn, prog, namer)...)
-		default:
-			out = append(out, s)
+	fn.Body = ir.RewriteStmts(fn.Body, func(out []ir.Stmt, s ir.Stmt) []ir.Stmt {
+		if st, ok := s.(*ir.For); ok {
+			return append(out, unrollFor(st, fn, prog, namer)...)
 		}
-	}
-	return out
+		return append(out, s)
+	})
 }
 
 func unrollFor(st *ir.For, fn *ir.Func, prog *ir.Program, namer *tempNamer) []ir.Stmt {
@@ -120,19 +104,12 @@ func unrollable(st *ir.For, prog *ir.Program) bool {
 	}
 	// No Break/Return/nested loops in the body.
 	ok := true
-	var walk func(list []ir.Stmt)
-	walk = func(list []ir.Stmt) {
-		for _, s := range list {
-			switch sx := s.(type) {
-			case *ir.Break, *ir.Return, *ir.For, *ir.While:
-				ok = false
-			case *ir.If:
-				walk(sx.Then)
-				walk(sx.Else)
-			}
+	ir.VisitStmts(st.Body, func(s ir.Stmt) {
+		switch s.(type) {
+		case *ir.Break, *ir.Return, *ir.For, *ir.While:
+			ok = false
 		}
-	}
-	walk(st.Body)
+	})
 	// Size limit: unrolling huge bodies only thrashes the icache.
 	if bodySize(st.Body) > 60 {
 		return false
@@ -140,27 +117,19 @@ func unrollable(st *ir.For, prog *ir.Program) bool {
 	return ok
 }
 
+// bodySize counts the statements of list and its nested lists, plus the
+// expression nodes of assignment right-hand sides and If conditions.
 func bodySize(list []ir.Stmt) int {
 	n := 0
-	var walk func(list []ir.Stmt)
-	walk = func(list []ir.Stmt) {
-		for _, s := range list {
-			n++
-			switch sx := s.(type) {
-			case *ir.Assign:
-				n += exprSize(sx.Rhs)
-			case *ir.If:
-				n += exprSize(sx.Cond)
-				walk(sx.Then)
-				walk(sx.Else)
-			case *ir.For:
-				walk(sx.Body)
-			case *ir.While:
-				walk(sx.Body)
-			}
+	ir.VisitStmts(list, func(s ir.Stmt) {
+		n++
+		switch st := s.(type) {
+		case *ir.Assign:
+			n += exprSize(st.Rhs)
+		case *ir.If:
+			n += exprSize(st.Cond)
 		}
-	}
-	walk(list)
+	})
 	return n
 }
 
@@ -174,43 +143,17 @@ func ensureLocal(fn *ir.Func, name string, typ ir.Type) {
 // renameVarInStmts replaces every reference to (and assignment of) scalar
 // `from` with `to` in the statement list.
 func renameVarInStmts(list []ir.Stmt, from, to string) {
-	rw := func(e ir.Expr) ir.Expr {
+	rewriteStmtExprs(list, func(e ir.Expr) ir.Expr {
 		if vr, ok := e.(*ir.VarRef); ok && vr.Name == from {
 			return &ir.VarRef{Name: to}
 		}
 		return e
-	}
-	for _, s := range list {
-		switch st := s.(type) {
-		case *ir.Assign:
-			st.Rhs = rewriteExpr(st.Rhs, rw)
-			switch lhs := st.Lhs.(type) {
-			case *ir.VarRef:
-				if lhs.Name == from {
-					st.Lhs = &ir.VarRef{Name: to}
-				}
-			case *ir.ArrayRef:
-				lhs.Index = rewriteExpr(lhs.Index, rw)
-			}
-		case *ir.If:
-			st.Cond = rewriteExpr(st.Cond, rw)
-			renameVarInStmts(st.Then, from, to)
-			renameVarInStmts(st.Else, from, to)
-		case *ir.For:
-			st.From = rewriteExpr(st.From, rw)
-			st.To = rewriteExpr(st.To, rw)
-			renameVarInStmts(st.Body, from, to)
-		case *ir.While:
-			st.Cond = rewriteExpr(st.Cond, rw)
-			renameVarInStmts(st.Body, from, to)
-		case *ir.Return:
-			if st.Value != nil {
-				st.Value = rewriteExpr(st.Value, rw)
-			}
-		case *ir.CallStmt:
-			for i, a := range st.Args {
-				st.Args[i] = rewriteExpr(a, rw)
+	})
+	ir.VisitStmts(list, func(s ir.Stmt) {
+		if a, ok := s.(*ir.Assign); ok {
+			if lhs, ok := a.Lhs.(*ir.VarRef); ok && lhs.Name == from {
+				a.Lhs = &ir.VarRef{Name: to}
 			}
 		}
-	}
+	})
 }
