@@ -526,3 +526,61 @@ func TestDanglingCalleeDropsCallers(t *testing.T) {
 		}
 	}
 }
+
+// forgedSWIMBody returns the canonical encoding of a compiled SWIM body
+// with its first block renumbered to -5, and that encoding's fingerprint:
+// a record that hashes correctly but that the simulator cannot index.
+func forgedSWIMBody(t *testing.T) ([]byte, vcache.FP128) {
+	t.Helper()
+	b, _ := workloads.ByName("SWIM")
+	v, err := opt.Compile(b.Prog, b.TS, opt.O3(), machine.SPARCII())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Callees) != 0 {
+		t.Fatal("setup: SWIM's tuning section has callees")
+	}
+	v.LF.Blocks[0].ID = -5
+	var e vcache.Encoder
+	e.Version(v)
+	return e.Buf, vcache.Fingerprint128(v)
+}
+
+// TestForgedBlockIDDropped: a body record whose payload hashes to its
+// declared fingerprint but names a negative block ID is dropped at Open
+// and counted, instead of panicking when the loaded version is indexed.
+func TestForgedBlockIDDropped(t *testing.T) {
+	dir := t.TempDir()
+	c, keys := fillCache(t, "SWIM")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachCache(c)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, fp := forgedSWIMBody(t)
+	var e vcache.Encoder
+	e.FP(fp)
+	e.Buf = append(e.Buf, body...)
+	if err := os.WriteFile(path, appendRecord(data, recVersionBody, e.Buf), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := s2.Recovery(); r.DroppedBodies != 1 {
+		t.Fatalf("recovery = %+v, want the forged body dropped", r)
+	}
+	if n := s2.AttachCache(vcache.New()); n != len(keys) {
+		t.Fatalf("preloaded %d keys, want the %d genuine ones", n, len(keys))
+	}
+}

@@ -228,11 +228,20 @@ func (d *Decoder) count(elemSize int) int {
 	return int(n)
 }
 
+// maxBlockID is the largest block ID a decoded body may carry. Lowering
+// numbers blocks from 0, and the largest ID the compiler emits over every
+// workload and frozen flag set is 66 (TestCompiledBodiesDecode in
+// internal/opt decodes each of those bodies). The bound caps the block
+// index sim.Version builds, which has one entry per ID up to the largest.
+const maxBlockID = 4095
+
 // Version reads one version's canonical encoding and returns the version,
 // its Callees left unset, its callee references in name order, and its
 // fingerprint: the hash of exactly the bytes read. A body whose callee
 // names are not strictly increasing is not canonical and fails the
-// decoder.
+// decoder, as does one the simulator could not index: a block ID that is
+// negative, repeated or above maxBlockID, or a jump or branch to an ID no
+// block has.
 func (d *Decoder) Version() (*sim.Version, []CalleeRef, FP128) {
 	start := d.buf
 	lf := &ir.LFunc{Name: d.Str(), NumRegs: d.int(), NumCounters: d.int()}
@@ -258,6 +267,9 @@ func (d *Decoder) Version() (*sim.Version, []CalleeRef, FP128) {
 		}
 		lf.Blocks = append(lf.Blocks, b)
 	}
+	if !d.failed && !validBlocks(lf.Blocks) {
+		d.fail()
+	}
 	v := &sim.Version{LF: lf}
 	ns := d.count(1)
 	for i := 0; i < ns; i++ {
@@ -280,4 +292,37 @@ func (d *Decoder) Version() (*sim.Version, []CalleeRef, FP128) {
 		return nil, nil, FP128{}
 	}
 	return v, refs, sum128(start[:len(start)-len(d.buf)])
+}
+
+// validBlocks reports whether blocks have distinct IDs in [0, maxBlockID]
+// and every jump and branch targets one of them.
+func validBlocks(blocks []*ir.Block) bool {
+	maxID := -1
+	for _, b := range blocks {
+		if b.ID < 0 || b.ID > maxBlockID {
+			return false
+		}
+		maxID = max(maxID, b.ID)
+	}
+	seen := make([]bool, maxID+1)
+	for _, b := range blocks {
+		if seen[b.ID] {
+			return false
+		}
+		seen[b.ID] = true
+	}
+	names := func(id int) bool { return id >= 0 && id <= maxID && seen[id] }
+	for _, b := range blocks {
+		switch b.Term.Kind {
+		case ir.TermJump:
+			if !names(b.Term.Then) {
+				return false
+			}
+		case ir.TermBranch:
+			if !names(b.Term.Then) || !names(b.Term.Else) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -178,8 +178,9 @@ func TestFingerprintFieldCoverage(t *testing.T) {
 // FuzzVersionCodec decodes a run of canonical bodies, each linked to
 // callees decoded earlier in the run. Arbitrary bytes must never panic;
 // every body the decoder accepts must re-encode to exactly the bytes it
-// was read from, and once its callees are linked its fingerprint must be
-// Fingerprint128 of the decoded version.
+// was read from and must freeze (build its block index) as the store
+// freezes what it loads, and once its callees are linked its fingerprint
+// must be Fingerprint128 of the decoded version.
 func FuzzVersionCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
@@ -195,6 +196,7 @@ func FuzzVersionCodec(f *testing.F) {
 			if !bytes.Equal(e.Buf, start[:len(start)-len(d.buf)]) {
 				t.Fatalf("accepted body re-encodes differently")
 			}
+			v.Freeze()
 			complete := true
 			for _, r := range refs {
 				c, ok := linked[r.FP]
@@ -216,4 +218,72 @@ func FuzzVersionCodec(f *testing.F) {
 			linked[fp] = v
 		}
 	})
+}
+
+// decodeErr encodes v and decodes it back, returning the decoder's verdict.
+func decodeErr(v *sim.Version) error {
+	var e Encoder
+	e.Version(v)
+	d := NewDecoder(e.Buf)
+	d.Version()
+	return d.End()
+}
+
+// TestDecoderRejectsUnindexableBlocks: a body whose blocks the simulator
+// could not index fails the decoder — negative, repeated or oversized
+// block IDs and jump or branch targets no block has — while the compiled
+// body, and one renumbered up to exactly maxBlockID, decode.
+func TestDecoderRejectsUnindexableBlocks(t *testing.T) {
+	loop := func() *sim.Version {
+		v := callerVersion(t).Callees["loopy"]
+		if len(v.LF.Blocks) < 2 {
+			t.Fatal("fixture loop compiled to a single block")
+		}
+		return v
+	}
+	term := func(v *sim.Version, kind ir.TermKind) *ir.Terminator {
+		for _, b := range v.LF.Blocks {
+			if b.Term.Kind == kind {
+				return &b.Term
+			}
+		}
+		t.Fatalf("fixture has no terminator of kind %d", kind)
+		return nil
+	}
+	if err := decodeErr(loop()); err != nil {
+		t.Fatalf("compiled body rejected: %v", err)
+	}
+	// Renumber the last block to maxBlockID, retargeting its predecessors.
+	v := loop()
+	last := v.LF.Blocks[len(v.LF.Blocks)-1]
+	for _, b := range v.LF.Blocks {
+		if b.Term.Then == last.ID {
+			b.Term.Then = maxBlockID
+		}
+		if b.Term.Kind == ir.TermBranch && b.Term.Else == last.ID {
+			b.Term.Else = maxBlockID
+		}
+	}
+	last.ID = maxBlockID
+	if err := decodeErr(v); err != nil {
+		t.Fatalf("body with block ID maxBlockID rejected: %v", err)
+	}
+	last.ID = maxBlockID + 1
+	if decodeErr(v) == nil {
+		t.Error("body with block ID maxBlockID+1 accepted")
+	}
+
+	for name, forge := range map[string]func(v *sim.Version){
+		"negative ID":        func(v *sim.Version) { v.LF.Blocks[0].ID = -5 },
+		"duplicate ID":       func(v *sim.Version) { v.LF.Blocks[1].ID = v.LF.Blocks[0].ID },
+		"jump to no block":   func(v *sim.Version) { term(v, ir.TermJump).Then = 999 },
+		"branch to no block": func(v *sim.Version) { term(v, ir.TermBranch).Else = -1 },
+		"huge ID":            func(v *sim.Version) { v.LF.Blocks[0].ID = 1 << 40 },
+	} {
+		v := loop()
+		forge(v)
+		if decodeErr(v) == nil {
+			t.Errorf("%s: forged body accepted", name)
+		}
+	}
 }
