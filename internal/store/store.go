@@ -327,7 +327,7 @@ func (s *Store) Flush() error {
 				sn.Entries = append(sn.Entries, se)
 			}
 		}
-		sortEntries(sn.Entries)
+		vcache.SortEntries(sn.Entries)
 	}
 	fps := make([]vcache.FP128, 0, len(sn.Versions))
 	for fp := range sn.Versions {
@@ -402,22 +402,4 @@ func (s *Store) Recovery() RecoveryReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recovery
-}
-
-// sortEntries orders snapshot entries by (Prog, Fn, Machine, Flags), the
-// same order vcache.Export emits.
-func sortEntries(entries []vcache.SnapshotEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].Key, entries[j].Key
-		if a.Prog != b.Prog {
-			return a.Prog < b.Prog
-		}
-		if a.Fn != b.Fn {
-			return a.Fn < b.Fn
-		}
-		if a.Machine != b.Machine {
-			return a.Machine < b.Machine
-		}
-		return a.Flags < b.Flags
-	})
 }

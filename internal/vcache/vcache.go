@@ -375,8 +375,15 @@ func (c *Cache) Export() Snapshot {
 		sn.Entries = append(sn.Entries, SnapshotEntry{Key: key, FP: e.fp, Shared: e.shared})
 		addVersions(sn.Versions, e.v, e.fp)
 	}
-	sort.Slice(sn.Entries, func(i, j int) bool {
-		a, b := sn.Entries[i].Key, sn.Entries[j].Key
+	SortEntries(sn.Entries)
+	return sn
+}
+
+// SortEntries orders snapshot entries by key: (Prog, Fn, Machine, Flags).
+// Export emits this order and the store writes its alias records in it.
+func SortEntries(entries []SnapshotEntry) {
+	sort.Slice(entries, func(i, j int) bool {
+		a, b := entries[i].Key, entries[j].Key
 		if a.Prog != b.Prog {
 			return a.Prog < b.Prog
 		}
@@ -388,7 +395,6 @@ func (c *Cache) Export() Snapshot {
 		}
 		return a.Flags < b.Flags
 	})
-	return sn
 }
 
 // addVersions registers v under fp and every callee under its own
