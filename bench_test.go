@@ -134,17 +134,24 @@ func BenchmarkFigure7dTuningTimeP4(b *testing.B) {
 func BenchmarkAblationBasicVsImprovedRBR(b *testing.B) {
 	bm, _ := workloads.ByName("MCF")
 	m := machine.SPARCII()
-	cfg := core.DefaultConfig()
+	improved := core.DefaultConfig()
+	basic := improved
+	basic.BasicRBR = true
 	for i := 0; i < b.N; i++ {
 		p, err := ProfileBenchmark(bm, nil, m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err := core.Consistency(bm, m, p, core.MethodRBR, []int{40}, &cfg)
-		if err != nil {
-			b.Fatal(err)
+		for _, v := range []struct {
+			cfg    *core.Config
+			metric string
+		}{{&basic, "basicMu_x100"}, {&improved, "improvedMu_x100"}} {
+			rows, err := core.Consistency(bm, m, p, core.MethodRBR, []int{40}, v.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(rows[0].Windows[40].Mu*100, v.metric)
 		}
-		b.ReportMetric(rows[0].Windows[40].Mu*100, "improvedMu_x100")
 	}
 }
 
