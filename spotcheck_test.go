@@ -112,6 +112,27 @@ func TestTable1SpotCheck(t *testing.T) {
 	}
 }
 
+// TestFigure7SpotCheck enforces the Figure-7 recipe: peak-experiments
+// -headline tunes every Figure-7 bar on both machines with every rating
+// method and must print results_figure7.txt byte for byte, so a change to
+// any of the tuner's raters shows up here.
+func TestFigure7SpotCheck(t *testing.T) {
+	bin := buildExperiments(t)
+	want, err := os.ReadFile("results_figure7.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-headline", "-workers", "2")
+	cmd.Stderr = os.Stderr
+	got, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("peak-experiments -headline: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("peak-experiments -headline differs from results_figure7.txt:\n%s", got)
+	}
+}
+
 // sparc2Half returns the sparc2 section of a two-machine results file:
 // everything before the blank line that opens the p4 section, whose header
 // line is the file's first line with the machine renamed.
