@@ -129,28 +129,37 @@ func BenchmarkFigure7dTuningTimeP4(b *testing.B) {
 // --- Ablations (DESIGN.md §5) -------------------------------------------------
 
 // BenchmarkAblationBasicVsImprovedRBR quantifies the cache-preconditioning
-// bias the improved RBR method removes (paper §2.4.2): it reports the mean
-// rating error of a base==experimental comparison under both variants.
+// bias the improved RBR method removes (paper §2.4.2): for every RBR row of
+// Table 1 on both machines it reports the mean rating error (×100, w=160)
+// of a base==experimental comparison under both variants, one
+// sub-benchmark per row. TestImprovedRBRRemovesCacheBias (internal/core)
+// asserts on the same numbers.
 func BenchmarkAblationBasicVsImprovedRBR(b *testing.B) {
-	bm, _ := workloads.ByName("MCF")
-	m := machine.SPARCII()
+	const w = 160
 	improved := core.DefaultConfig()
 	basic := improved
 	basic.BasicRBR = true
-	for i := 0; i < b.N; i++ {
-		p, err := ProfileBenchmark(bm, nil, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range []struct {
-			cfg    *core.Config
-			metric string
-		}{{&basic, "basicMu_x100"}, {&improved, "improvedMu_x100"}} {
-			rows, err := core.Consistency(bm, m, p, core.MethodRBR, []int{40}, v.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(rows[0].Windows[40].Mu*100, v.metric)
+	for _, m := range []*machine.Machine{machine.SPARCII(), machine.PentiumIV()} {
+		for _, name := range []string{"BZIP2", "CRAFTY", "GZIP", "MCF", "TWOLF", "VORTEX", "ART", "MESA"} {
+			bm, _ := workloads.ByName(name)
+			b.Run(name+"/"+m.Name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p, err := ProfileBenchmark(bm, nil, m)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, v := range []struct {
+						cfg    *core.Config
+						metric string
+					}{{&basic, "basicMu_x100"}, {&improved, "improvedMu_x100"}} {
+						rows, err := core.Consistency(bm, m, p, core.MethodRBR, []int{w}, v.cfg)
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.ReportMetric(rows[0].Windows[w].Mu*100, v.metric)
+					}
+				}
+			})
 		}
 	}
 }

@@ -410,75 +410,3 @@ func TestConsistencySigmaShrinksWithWindow(t *testing.T) {
 		t.Errorf("RBR mean error = %v, want near 0", w20.Mu)
 	}
 }
-
-// cacheSensitiveBenchmark walks a working set large enough that the first
-// execution of an invocation warms the cache for the second — the bias the
-// improved RBR method exists to remove (paper §2.4.2).
-func cacheSensitiveBenchmark() *bench.Benchmark {
-	prog := ir.NewProgram()
-	prog.AddArray("cs", ir.F64, 4096)
-	b := irbuild.NewFunc("csb")
-	b.ScalarParam("off", ir.I64).Local("s", ir.F64)
-	fn := b.Body(
-		b.For("i", b.I(0), b.I(512), 1,
-			b.Set(b.V("s"), b.FAdd(b.V("s"), b.At("cs", b.Add(b.V("off"), b.V("i"))))),
-		),
-		b.Ret(b.V("s")),
-	)
-	prog.AddFunc(fn)
-	mkDS := func(name string, inv int) *bench.Dataset {
-		return &bench.Dataset{
-			Name: name, NumInvocations: inv,
-			Setup: func(mem *sim.Memory, rng *rand.Rand) {
-				d := mem.Get("cs").Data
-				for i := range d {
-					d[i] = rng.Float64()
-				}
-			},
-			Args: func(i int, mem *sim.Memory, rng *rand.Rand) []float64 {
-				// Stride through memory so every invocation starts cold.
-				return []float64{float64((i * 512) % 3584)}
-			},
-		}
-	}
-	return &bench.Benchmark{
-		Name: "CACHESENS", TSName: "csb", Class: bench.FP,
-		Prog: prog, TS: b.Fn(),
-		Train: mkDS("train", 600), Ref: mkDS("ref", 600),
-		NonTSCycles: 10_000, PaperInvocations: "(test)",
-	}
-}
-
-// TestImprovedRBRRemovesCacheBias is the §2.4.2 ablation: under the basic
-// Figure-3 method the second timed execution runs against a warm cache, so
-// the rating systematically exceeds 1; the improved Figure-4 method
-// (preconditioning + order swapping) removes the bias.
-func TestImprovedRBRRemovesCacheBias(t *testing.T) {
-	b := cacheSensitiveBenchmark()
-	m := machine.PentiumIV()
-	p, err := profiling.Run(b, b.Train, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bias := func(basic bool) float64 {
-		cfg := DefaultConfig()
-		cfg.BasicRBR = basic
-		rows, err := Consistency(b, m, p, MethodRBR, []int{40}, &cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows[0].Windows[40].Mu
-	}
-	basicMu := bias(true)
-	improvedMu := bias(false)
-	if math.Abs(improvedMu) >= math.Abs(basicMu) {
-		t.Errorf("improved RBR bias %.4f not smaller than basic %.4f", improvedMu, basicMu)
-	}
-	if math.Abs(basicMu) < 0.01 {
-		t.Errorf("basic RBR bias %.4f unexpectedly small; the ablation workload lost its point", basicMu)
-	}
-	if math.Abs(improvedMu) > 0.01 {
-		t.Errorf("improved RBR bias %.4f still large", improvedMu)
-	}
-}

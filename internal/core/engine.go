@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"peak/internal/bench"
 	"peak/internal/fault"
@@ -440,40 +439,6 @@ func (c *ratingCtx) nextInvocation(needKey bool) (args []float64, key string) {
 	return args, key
 }
 
-func (e *engine) newRater(m Method, mem *sim.Memory) rater {
-	switch m {
-	case MethodAVG:
-		return &avgRater{cfg: e.cfg}
-	case MethodCBR:
-		return &cbrRater{cfg: e.cfg, target: e.t.Profile.DominantContext}
-	case MethodMBR:
-		return newMBRRater(e.t.Profile.Model, e.t.Profile.CAvg, nil, e.cfg)
-	case MethodRBR:
-		r := &rbrRater{
-			cfg:           e.cfg,
-			modifiedInput: e.t.Profile.Effects.ModifiedInput(),
-			saveElems:     int64(e.t.Profile.ModifiedInputElems),
-			improved:      !e.cfg.BasicRBR,
-			inspector:     e.cfg.RBRInspector && !e.cfg.BasicRBR,
-		}
-		if e.cfg.BasicRBR {
-			// The basic method saves the whole Input(TS), not just the
-			// modified part (Figure 3 step 1 vs Eq. 6).
-			r.modifiedInput = nil
-			r.saveElems = 0
-			for arr := range e.t.Profile.Effects.Reads {
-				r.modifiedInput = append(r.modifiedInput, arr)
-				if a := mem.Get(arr); a != nil {
-					r.saveElems += int64(len(a.Data))
-				}
-			}
-			sort.Strings(r.modifiedInput)
-		}
-		return r
-	}
-	panic("core: newRater called for " + m.String())
-}
-
 // jobResult is one rating job's outcome plus its ledger contribution.
 type jobResult struct {
 	rating    Rating
@@ -565,7 +530,7 @@ func (e *engine) simulate(res *jobResult, m Method, expV, baseV *sim.Version, es
 	if escalatable && (m == MethodCBR || m == MethodAVG) {
 		budget = e.cfg.escalationBudget()
 	}
-	r := e.newRater(m, c.mem)
+	r := newRater(m, e.t.Profile, e.cfg, c.mem)
 	needKey := m == MethodCBR
 	checkEvery := e.cfg.Window / 8
 	if checkEvery < 1 {
@@ -595,7 +560,7 @@ func (e *engine) simulate(res *jobResult, m Method, expV, baseV *sim.Version, es
 			return
 		}
 		if budget > 0 && !res.escalated && r.used() >= budget {
-			r = e.newRater(MethodRBR, c.mem)
+			r = newRater(MethodRBR, e.t.Profile, e.cfg, c.mem)
 			needKey = false
 			res.escalated = true
 		}

@@ -134,13 +134,16 @@ type Config struct {
 	// (no cache preconditioning, no order swapping) instead of the
 	// improved Figure-4 method. Kept for the §2.4 ablation: the first
 	// timed execution "may precondition the cache, affecting the second
-	// one", which biases the basic method's ratings.
+	// one", which biases the basic method's ratings. It applies to a tune
+	// and to Consistency alike.
 	BasicRBR bool
 	// RBRInspector replaces the whole-array save/restore of
 	// Modified_Input(TS) with the paper's inspector optimization
 	// (§2.4.2): the runs record the addresses and old values of their
 	// write references, and the undo touches only those elements. Far
-	// cheaper when the section writes sparsely into large inputs.
+	// cheaper when the section writes sparsely into large inputs; the
+	// ratings are identical, only the tuning time differs. It applies to
+	// a tune and to Consistency alike, and is ignored under BasicRBR.
 	RBRInspector bool
 	// MaxContexts bounds CBR applicability ("to keep the number of
 	// contexts reasonable", §2.2).

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"peak/internal/analysis"
+	"peak/internal/profiling"
 	"peak/internal/regress"
 	"peak/internal/sim"
 	"peak/internal/stats"
@@ -197,39 +198,20 @@ func (r *cbrRater) reset()                     { r.resetSamples() }
 // --- MBR --------------------------------------------------------------------
 
 // mbrRater gathers the TS-invocation-time vector Y and component-count
-// matrix C and solves Y = T·C by linear regression (§2.3). EVAL is the
-// dominant component's T_i when that component carries at least 90% of the
-// profile-run time, otherwise the estimate T_avg = Σ T_i·C_avg_i (Eq. 4).
+// matrix C and solves Y = T·C by linear regression (§2.3). EVAL is always
+// the estimate T_avg = Σ T_i·C_avg_i (Eq. 4): the profile keeps no
+// per-component times, so there is no dominant-component shortcut (EVAL =
+// T_i of a component carrying ≥ 90% of the time).
 type mbrRater struct {
 	model *analysis.ComponentModel
 	cAvg  []float64
-	// dominant is the index of the dominant component, or -1 for T_avg.
-	dominant int
-	cfg      *Config
+	cfg   *Config
 
 	rows [][]float64
 	// times holds the invocation times; the constant-only path rates them
 	// as a window, reusing its filter cache across checks.
 	times meanSamples
 	seen  int
-}
-
-func newMBRRater(model *analysis.ComponentModel, cAvg []float64, profT []float64, cfg *Config) *mbrRater {
-	r := &mbrRater{model: model, cAvg: cAvg, dominant: -1, cfg: cfg}
-	// Identify a dominant component from profile component times (profT
-	// may be nil when no profile regression was possible).
-	if profT != nil && len(profT) == len(cAvg) {
-		total := 0.0
-		for i := range profT {
-			total += profT[i] * cAvg[i]
-		}
-		for i := range profT {
-			if total > 0 && profT[i]*cAvg[i] >= 0.9*total {
-				r.dominant = i
-			}
-		}
-	}
-	return r
 }
 
 func (r *mbrRater) method() Method { return MethodMBR }
@@ -256,6 +238,18 @@ func (r *mbrRater) solve() (*regress.Result, bool) {
 	return res, true
 }
 
+// tAvg is Eq. 4's estimate T_avg = Σ T_i·C_avg_i of a regression's
+// component times coef.
+func tAvg(coef, cAvg []float64) float64 {
+	eval := 0.0
+	for i, c := range coef {
+		if i < len(cAvg) {
+			eval += c * cAvg[i]
+		}
+	}
+	return eval
+}
+
 // constantOnly reports whether the model degenerates to the constant
 // component (all counters constant in the profile run — e.g. EQUAKE's fixed
 // sparse structure). MBR then reduces to averaging invocation times, which
@@ -273,17 +267,7 @@ func (r *mbrRater) rating() Rating {
 	if !ok {
 		return Rating{Method: MethodMBR, EVAL: math.Inf(1), VAR: math.Inf(1), Samples: len(r.times.samples)}
 	}
-	eval := 0.0
-	if r.dominant >= 0 && r.dominant < len(res.Coef) {
-		eval = res.Coef[r.dominant]
-	} else {
-		for i, c := range res.Coef {
-			if i < len(r.cAvg) {
-				eval += c * r.cAvg[i]
-			}
-		}
-	}
-	return Rating{Method: MethodMBR, EVAL: eval, VAR: res.VarRatio(), Samples: len(r.times.samples)}
+	return Rating{Method: MethodMBR, EVAL: tAvg(res.Coef, r.cAvg), VAR: res.VarRatio(), Samples: len(r.times.samples)}
 }
 
 func (r *mbrRater) minRows(cfg *Config) int {
@@ -330,7 +314,8 @@ type rbrRater struct {
 	// (no precondition, no swapping, full input save) is kept for the
 	// ablation experiments.
 	improved bool
-	// inspector uses write logging instead of snapshots (§2.4.2).
+	// inspector undoes each run from its own write log instead of a
+	// snapshot of modifiedInput (§2.4.2).
 	inspector bool
 	cfg       *Config
 	flip      bool
@@ -339,13 +324,6 @@ type rbrRater struct {
 func (r *rbrRater) method() Method { return MethodRBR }
 
 func (r *rbrRater) observe(ic *invocation) (int64, error) {
-	if r.inspector {
-		return r.observeInspector(ic)
-	}
-	var overhead int64
-	snap := ic.mem.Snapshot(r.modifiedInput)
-	overhead += r.saveElems * r.cfg.SaveRestoreCyclesPerElem
-
 	// Basic method (Figure 3): always base first, no preconditioning —
 	// the first execution warms the cache for the second, which biases
 	// the ratio toward the experimental version.
@@ -355,31 +333,59 @@ func (r *rbrRater) observe(ic *invocation) (int64, error) {
 	}
 	r.flip = !r.flip
 
-	if r.improved {
-		// Precondition run: bring the data into the cache so the first
-		// timed execution is not systematically colder than the second.
-		_, pre, err := ic.runner.Run(v1, ic.args)
+	var cycles int64
+	var snap map[string][]float64
+	if !r.inspector {
+		snap = ic.mem.Snapshot(r.modifiedInput)
+		cycles += r.saveElems * r.cfg.SaveRestoreCyclesPerElem
+	}
+	// run executes v once and, when undo is set, rolls its writes back.
+	// A run that fails is not charged.
+	run := func(v *sim.Version, undo bool) (int64, error) {
+		ic.runner.WriteLog = ic.runner.WriteLog[:0]
+		ic.runner.RecordWrites = r.inspector
+		_, st, err := ic.runner.Run(v, ic.args)
+		ic.runner.RecordWrites = false
 		if err != nil {
-			return overhead, err
+			return 0, err
 		}
-		overhead += pre.Cycles
-		ic.mem.Restore(snap)
-		overhead += r.saveElems * r.cfg.SaveRestoreCyclesPerElem
+		cycles += st.Cycles
+		switch {
+		case r.inspector:
+			// Inspector instructions cost ~1 cycle per recorded write; the
+			// undo costs two save/restore units per write (address + value).
+			writes := int64(len(ic.runner.WriteLog))
+			cycles += writes
+			if undo {
+				ic.mem.UndoWrites(ic.runner.WriteLog)
+				cycles += 2 * writes * r.cfg.SaveRestoreCyclesPerElem
+			}
+		case undo:
+			ic.mem.Restore(snap)
+			cycles += r.saveElems * r.cfg.SaveRestoreCyclesPerElem
+		}
+		return st.Cycles, nil
 	}
 
-	_, s1, err := ic.runner.Run(v1, ic.args)
-	if err != nil {
-		return overhead, err
+	if r.improved {
+		// Precondition run, untimed: bring the data into the cache so the
+		// first timed execution is not systematically colder than the
+		// second.
+		if _, err := run(v1, true); err != nil {
+			return cycles, err
+		}
 	}
-	t1 := ic.clock.Measure(s1.Cycles)
-	ic.mem.Restore(snap)
-	overhead += r.saveElems * r.cfg.SaveRestoreCyclesPerElem
-
-	_, s2, err := ic.runner.Run(v2, ic.args)
+	c1, err := run(v1, true)
 	if err != nil {
-		return overhead + s1.Cycles, err
+		return cycles, err
 	}
-	t2 := ic.clock.Measure(s2.Cycles)
+	t1 := ic.clock.Measure(c1)
+	// The second run's writes stand: the pair is one logical execution.
+	c2, err := run(v2, false)
+	if err != nil {
+		return cycles, err
+	}
+	t2 := ic.clock.Measure(c2)
 
 	// R_{exp/best} = T_best / T_exp (Eq. 5); undo the swap.
 	tBest, tExp := t1, t2
@@ -390,7 +396,7 @@ func (r *rbrRater) observe(ic *invocation) (int64, error) {
 		r.add(tBest / tExp)
 	}
 	r.seen++
-	return overhead + s1.Cycles + s2.Cycles, nil
+	return cycles, nil
 }
 
 func (r *rbrRater) rating() Rating             { return r.evalVar(r.cfg, MethodRBR) }
@@ -401,62 +407,39 @@ func (r *rbrRater) reset() {
 	r.flip = false
 }
 
-// observeInspector is the improved method with the §2.4.2 inspector: each
-// run records its own writes, and the undo replays just those elements. A
-// small per-write recording cost models the inserted inspector code; the
-// undo costs two save/restore units per touched element (address + value).
-func (r *rbrRater) observeInspector(ic *invocation) (int64, error) {
-	var overhead int64
-	runner := ic.runner
-	runUndo := func(v *sim.Version, undo bool) (int64, float64, error) {
-		runner.WriteLog = runner.WriteLog[:0]
-		runner.RecordWrites = true
-		_, st, err := runner.Run(v, ic.args)
-		runner.RecordWrites = false
-		if err != nil {
-			return 0, 0, err
+// newRater builds method m's rater over profile p. mem is the memory the
+// rater's invocations run in; the basic RBR method sizes its save set
+// from it.
+func newRater(m Method, p *profiling.Profile, cfg *Config, mem *sim.Memory) rater {
+	switch m {
+	case MethodAVG:
+		return &avgRater{cfg: cfg}
+	case MethodCBR:
+		return &cbrRater{cfg: cfg, target: p.DominantContext}
+	case MethodMBR:
+		return &mbrRater{model: p.Model, cAvg: p.CAvg, cfg: cfg}
+	case MethodRBR:
+		r := &rbrRater{
+			cfg:           cfg,
+			modifiedInput: p.Effects.ModifiedInput(),
+			saveElems:     int64(p.ModifiedInputElems),
+			improved:      !cfg.BasicRBR,
+			inspector:     cfg.RBRInspector && !cfg.BasicRBR,
 		}
-		// Inspector instructions: ~1 cycle per recorded write.
-		cost := st.Cycles + int64(len(runner.WriteLog))
-		if undo {
-			ic.mem.UndoWrites(runner.WriteLog)
-			cost += 2 * int64(len(runner.WriteLog)) * r.cfg.SaveRestoreCyclesPerElem
+		if cfg.BasicRBR {
+			// The basic method saves the whole Input(TS), not just the
+			// modified part (Figure 3 step 1 vs Eq. 6).
+			r.modifiedInput = nil
+			r.saveElems = 0
+			for arr := range p.Effects.Reads {
+				r.modifiedInput = append(r.modifiedInput, arr)
+				if a := mem.Get(arr); a != nil {
+					r.saveElems += int64(len(a.Data))
+				}
+			}
+			sort.Strings(r.modifiedInput)
 		}
-		return cost, ic.clock.Measure(st.Cycles), nil
+		return r
 	}
-
-	v1, v2 := ic.best, ic.exp
-	if r.flip {
-		v1, v2 = v2, v1
-	}
-	r.flip = !r.flip
-
-	// Precondition, undone.
-	c, _, err := runUndo(v1, true)
-	overhead += c
-	if err != nil {
-		return overhead, err
-	}
-	// First timed version, undone.
-	c, t1, err := runUndo(v1, true)
-	overhead += c
-	if err != nil {
-		return overhead, err
-	}
-	// Second timed version: its writes stand (one logical execution).
-	c, t2, err := runUndo(v2, false)
-	overhead += c
-	if err != nil {
-		return overhead, err
-	}
-
-	tBest, tExp := t1, t2
-	if v1 == ic.exp {
-		tBest, tExp = t2, t1
-	}
-	if tExp > 0 {
-		r.add(tBest / tExp)
-	}
-	r.seen++
-	return overhead, nil
+	panic("core: newRater called for " + m.String())
 }
