@@ -21,12 +21,15 @@ import (
 	"runtime"
 	"testing"
 
+	"peak/internal/bench"
 	"peak/internal/core"
 	"peak/internal/experiments"
 	"peak/internal/machine"
 	"peak/internal/opt"
+	"peak/internal/profiling"
 	"peak/internal/regress"
 	"peak/internal/sim"
+	"peak/internal/store"
 	"peak/internal/workloads"
 )
 
@@ -212,6 +215,77 @@ func BenchmarkProfileRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkProfileStored contrasts the two ways a warm server gets the
+// profiles of the 16 pairs e2ebench's serve-warm refines (its 8 refinable
+// benchmarks on both machines, train dataset): "run" simulates each
+// profile run, "store" answers each from a reopened store's profile memo,
+// decode included. One iteration is one pass over all 16; the store leg
+// also reports the encoded size of the 16 records.
+func BenchmarkProfileStored(b *testing.B) {
+	type pair struct {
+		bench *bench.Benchmark
+		mach  *machine.Machine
+	}
+	var pairs []pair
+	for _, name := range []string{"CRAFTY", "GZIP", "MCF", "VORTEX", "APPLU", "EQUAKE", "MESA", "SWIM"} {
+		bm, _ := workloads.ByName(name)
+		for _, m := range []*machine.Machine{machine.SPARCII(), machine.PentiumIV()} {
+			pairs = append(pairs, pair{bm, m})
+		}
+	}
+	run := func(p pair) func() (profiling.Profile, error) {
+		return func() (profiling.Profile, error) {
+			prof, err := profiling.Run(p.bench, p.bench.Train, p.mach)
+			if err != nil {
+				return profiling.Profile{}, err
+			}
+			return *prof, nil
+		}
+	}
+	key := func(p pair) string { return p.bench.Name + "/" + p.bench.Train.Name + "/" + p.mach.Name }
+
+	b.Run("run", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, p := range pairs {
+				if _, err := run(p)(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("store", func(b *testing.B) {
+		dir := b.TempDir()
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytes := 0
+		for _, p := range pairs {
+			prof, _, err := store.Memo(st, profiling.MemoKind, key(p), run(p))
+			if err != nil {
+				b.Fatal(err)
+			}
+			enc, _ := prof.MarshalBinary()
+			bytes += len(enc)
+		}
+		if err := st.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if st, err = store.Open(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, p := range pairs {
+				if _, hit, err := store.Memo(st, profiling.MemoKind, key(p), run(p)); err != nil || !hit {
+					b.Fatalf("%s: hit=%t err=%v, want a stored profile", key(p), hit, err)
+				}
+			}
+		}
+		b.ReportMetric(float64(bytes)/1024, "KB/pass")
+	})
 }
 
 // --- Parallel tuning --------------------------------------------------------

@@ -68,7 +68,7 @@ func main() {
 		jobs     = flag.Int("jobs", 2, "jobs allowed to run concurrently")
 		queueCap = flag.Int("queue", 16, "job queue capacity (full queue refuses with 429 + Retry-After)")
 		noCache  = flag.Bool("nocache", false, "private per-job compile caches, profiles and measurements instead of the shared ones (results identical either way)")
-		cacheDir = flag.String("cache-dir", "", "persistent state directory: compile cache, rating memos and finished jobs survive restarts, and jobs checkpoint every round and resume across restarts (results identical either way)")
+		cacheDir = flag.String("cache-dir", "", "persistent state directory: compile cache, profiles, rating memos and finished jobs survive restarts, and jobs checkpoint every round and resume across restarts (results identical either way)")
 		smoke    = flag.String("smoke", "", `run one job end to end and print its report ("BENCH/machine", e.g. "MGRID/sparc2")`)
 
 		deadline = flag.Duration("deadline", 0, "default per-job wall-clock deadline (0 = none; a request's deadline_ms overrides it)")

@@ -357,9 +357,12 @@ func roundSets(current opt.FlagSet, candidates []opt.Flag) []opt.FlagSet {
 // memory, machine state, measurement clock and data RNG, all derived from
 // the job key. A job's outcome is therefore a pure function of
 // (benchmark, machine, profile, method, flag sets, root seed, job key) —
-// independent of scheduling order and worker count.
+// independent of scheduling order and worker count. The simulation state
+// is built by start, only for a job that simulates: a memo hit restores
+// the ledger alone.
 type ratingCtx struct {
 	e      *engine
+	jobKey string
 	mem    *sim.Memory
 	runner *sim.Runner
 	clock  *sim.Clock
@@ -386,16 +389,16 @@ type ratingCtx struct {
 }
 
 func (e *engine) newRatingCtx(jobKey string) *ratingCtx {
-	mem := sim.NewMemory(e.prog)
-	return &ratingCtx{
-		e:      e,
-		mem:    mem,
-		runner: sim.NewRunner(e.t.Mach, mem, sched.DeriveSeed(e.rootSeed, jobKey+"/runner")),
-		clock: sim.NewClockWith(e.cfg.NoiseModel(e.t.Mach),
-			sched.DeriveSeed(e.rootSeed, jobKey+"/clock")),
-		rng:   rand.New(rand.NewSource(sched.DeriveSeed(e.rootSeed, jobKey+"/data"))),
-		hangs: e.faults.MeasureStream(jobKey),
-	}
+	return &ratingCtx{e: e, jobKey: jobKey, hangs: e.faults.MeasureStream(jobKey)}
+}
+
+// start builds the job's simulated memory, runner, clock and data RNG.
+func (c *ratingCtx) start() {
+	e, key := c.e, c.jobKey
+	c.mem = sim.NewMemory(e.prog)
+	c.runner = sim.NewRunner(e.t.Mach, c.mem, sched.DeriveSeed(e.rootSeed, key+"/runner"))
+	c.clock = sim.NewClockWith(e.cfg.NoiseModel(e.t.Mach), sched.DeriveSeed(e.rootSeed, key+"/clock"))
+	c.rng = rand.New(rand.NewSource(sched.DeriveSeed(e.rootSeed, key+"/data")))
 }
 
 // hangBeforeMeasure draws the injected hang faults preceding one timed
@@ -520,6 +523,7 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 // convergence, escalation and error.
 func (e *engine) simulate(res *jobResult, m Method, expV, baseV *sim.Version, escalatable bool) {
 	c := res.ctx
+	c.start()
 	if m == MethodWHL {
 		res.rating, res.err = e.rateWHL(c, expV)
 		res.converged = res.err == nil

@@ -140,6 +140,9 @@ type Server struct {
 	// New; storeFlushErr (under mu) records the last drain-flush failure.
 	restoredJobs  atomic.Int64
 	storeFlushErr string
+	// profileSims counts profile runs simulated rather than answered by
+	// the store (tests read it; /stats shows the profiles table instead).
+	profileSims atomic.Int64
 
 	queue    chan *job
 	draining atomic.Bool
@@ -635,13 +638,28 @@ func (s *Server) runJob(j *job) {
 	// requested dataset, as cmd/peak does.
 	ds := sp.dataset
 	// The profile is a pure function of (bench, dataset, machine) and read
-	// only after Run, so one run serves every job with that key. The final
-	// measurements run once per bench/machine/flags in this process,
-	// resolve through the shared cache and memoize in the store (all
-	// nil-safe), so a warm restart answers them without simulating.
-	// Measured cycles are identical on every path.
+	// only after Run, so one run serves every job with that key, and the
+	// store memoizes it under the same key, so a warm restart decodes it
+	// instead of simulating. The final measurements run once per
+	// bench/machine/flags in this process, resolve through the shared
+	// cache and memoize in the store (all nil-safe), so a warm restart
+	// answers them without simulating. Profiles and measured cycles are
+	// identical on every path.
 	profKey := sp.bench.Name + "/" + ds.Name + "/" + sp.mach.Name
-	profile := func() (*profiling.Profile, error) { return profiling.Run(sp.bench, ds, sp.mach) }
+	profile := func() (*profiling.Profile, error) {
+		p, _, err := store.Memo(s.store, profiling.MemoKind, profKey, func() (profiling.Profile, error) {
+			s.profileSims.Add(1)
+			p, err := profiling.Run(sp.bench, ds, sp.mach)
+			if err != nil {
+				return profiling.Profile{}, err
+			}
+			return *p, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &p, nil
+	}
 	measureKey := func(flags opt.FlagSet) string { return sp.bench.Name + "/" + sp.mach.Name + "/" + flags.String() }
 	measureRun := func(flags opt.FlagSet) func() (int64, error) {
 		return func() (int64, error) {

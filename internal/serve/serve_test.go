@@ -43,6 +43,14 @@ type artifacts struct {
 // spec.
 func runAll(t *testing.T, opts Options, reqs []Request) map[string]artifacts {
 	t.Helper()
+	arts, _ := runServer(t, opts, reqs)
+	return arts
+}
+
+// runServer is runAll that also returns the drained server, for tests
+// that read its counters.
+func runServer(t *testing.T, opts Options, reqs []Request) (map[string]artifacts, *Server) {
+	t.Helper()
 	s := New(opts)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -57,7 +65,7 @@ func runAll(t *testing.T, opts Options, reqs []Request) map[string]artifacts {
 		}
 		ids[i] = res.ID
 	}
-	return collect(t, ts.URL, ids)
+	return collect(t, ts.URL, ids), s
 }
 
 // collect polls every job until it is done and returns its artifacts keyed

@@ -584,3 +584,129 @@ func TestForgedBlockIDDropped(t *testing.T) {
 		t.Fatalf("preloaded %d keys, want the %d genuine ones", n, len(keys))
 	}
 }
+
+// TestFlushSkipsUnchangedFile checks that Flush leaves a whole file alone
+// when the store holds nothing new — disk hits on preloaded keys included
+// — and rewrites it once a pending memo or a freshly compiled key
+// appears.
+func TestFlushSkipsUnchangedFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "peak.store")
+	c, keys := fillCache(t, "SWIM")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachCache(c)
+	s.RecordMemo("rate", "k", []byte{1})
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := vcache.New()
+	s.AttachCache(warm)
+	if _, err := warm.Resolve(keys[0], func() (*sim.Version, error) {
+		t.Fatal("preloaded key recompiled")
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushes != 0 {
+		t.Fatalf("unchanged store rewrote its file: %+v", st)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Fatal("unchanged store's file changed")
+	}
+
+	// A key compiled this process is new content.
+	b, _ := workloads.ByName("SWIM")
+	m := machine.SPARCII()
+	fs := opt.O3().Without(opt.AllFlags()[7])
+	key := vcache.Key{Prog: vcache.ProgramKey(b.Prog), Fn: b.TSName, Flags: fs, Machine: m.Name}
+	if _, err := warm.Resolve(key, func() (*sim.Version, error) { return opt.Compile(b.Prog, b.TS, fs, m) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushes != 1 {
+		t.Fatalf("store with a new cache key did not rewrite its file: %+v", st)
+	}
+
+	// So is a pending memo, with no cache attached.
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.RecordMemo("rate", "k2", []byte{2})
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushes != 1 {
+		t.Fatalf("want one rewrite, for the pending memo alone: %+v", st)
+	}
+}
+
+// TestFlushRepairsDamagedFile checks that a file Open could not load whole
+// is rewritten by the next Flush even with nothing new to write: a torn
+// tail is cut back to the intact records, and a bad header becomes an
+// empty, valid store.
+func TestFlushRepairsDamagedFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "peak.store")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RecordMemo("rate", "a", []byte("payload"))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, damage string
+		records      int
+	}{
+		{"torn tail", string(whole) + "torn", 1},
+		{"bad header", "not a store file at all", 0},
+	} {
+		if err := os.WriteFile(path, []byte(tc.damage), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Flushes != 1 {
+			t.Fatalf("%s: damaged file was not rewritten: %+v", tc.name, st)
+		}
+		s, err = Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := s.Recovery(); r.TornTail || r.HeaderInvalid || r.DroppedBytes != 0 || r.Records != tc.records {
+			t.Fatalf("%s: reopened repaired file with recovery %+v, want %d clean records", tc.name, r, tc.records)
+		}
+	}
+}

@@ -42,21 +42,21 @@ func ProgramKey(p *ir.Program) uint64 {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	h.int(len(names))
+	h.Int(len(names))
 	for _, name := range names {
 		h.Str(name)
 		hashFunc(h, p.Funcs[name])
 	}
-	h.int(len(p.Arrays))
+	h.Int(len(p.Arrays))
 	for _, a := range p.Arrays {
 		h.Str(a.Name)
-		h.int(int(a.Typ))
-		h.int(a.Len)
+		h.Int(int(a.Typ))
+		h.Int(a.Len)
 	}
-	h.int(len(p.Scalars))
+	h.Int(len(p.Scalars))
 	for _, s := range p.Scalars {
 		h.Str(s.Name)
-		h.int(int(s.Typ))
+		h.Int(int(s.Typ))
 	}
 	f := fnv.New64a()
 	f.Write(h.Buf)
@@ -65,18 +65,18 @@ func ProgramKey(p *ir.Program) uint64 {
 
 func hashFunc(h *Encoder, f *ir.Func) {
 	h.Str(f.Name)
-	h.int(len(f.Params))
+	h.Int(len(f.Params))
 	for _, p := range f.Params {
 		h.Str(p.Name)
-		h.int(int(p.Typ))
+		h.Int(int(p.Typ))
 		h.Bool(p.IsArray)
 	}
-	h.int(len(f.Locals))
+	h.Int(len(f.Locals))
 	for _, l := range f.Locals {
 		h.Str(l.Name)
-		h.int(int(l.Typ))
+		h.Int(int(l.Typ))
 	}
-	h.int(f.NumCounters)
+	h.Int(f.NumCounters)
 	hashStmts(h, f.Body)
 }
 
@@ -106,7 +106,7 @@ const (
 )
 
 func hashStmts(h *Encoder, list []ir.Stmt) {
-	h.int(len(list))
+	h.Int(len(list))
 	for _, s := range list {
 		hashStmt(h, s)
 	}
@@ -143,13 +143,13 @@ func hashStmt(h *Encoder, s ir.Stmt) {
 	case *ir.CallStmt:
 		h.tag(tagCallStmt)
 		h.Str(s.Fn)
-		h.int(len(s.Args))
+		h.Int(len(s.Args))
 		for _, a := range s.Args {
 			hashExpr(h, a)
 		}
 	case *ir.Counter:
 		h.tag(tagCounter)
-		h.int(s.ID)
+		h.Int(s.ID)
 	default:
 		h.tag(tagNil)
 	}
@@ -164,7 +164,7 @@ func hashExpr(h *Encoder, e ir.Expr) {
 		h.U64(uint64(e.V))
 	case *ir.ConstFloat:
 		h.tag(tagConstFloat)
-		h.f64(e.V)
+		h.F64(e.V)
 	case *ir.VarRef:
 		h.tag(tagVarRef)
 		h.Str(e.Name)
@@ -174,18 +174,18 @@ func hashExpr(h *Encoder, e ir.Expr) {
 		hashExpr(h, e.Index)
 	case *ir.Unary:
 		h.tag(tagUnary)
-		h.int(int(e.Op))
+		h.Int(int(e.Op))
 		hashExpr(h, e.X)
 	case *ir.Binary:
 		h.tag(tagBinary)
-		h.int(int(e.Op))
-		h.int(int(e.Typ))
+		h.Int(int(e.Op))
+		h.Int(int(e.Typ))
 		hashExpr(h, e.X)
 		hashExpr(h, e.Y)
 	case *ir.CallExpr:
 		h.tag(tagCallExpr)
 		h.Str(e.Fn)
-		h.int(len(e.Args))
+		h.Int(len(e.Args))
 		for _, a := range e.Args {
 			hashExpr(h, a)
 		}
