@@ -42,8 +42,8 @@ type Stats struct {
 	// Store is the persistent warm-start store's snapshot/flush side
 	// (absent without -cache-dir).
 	Store *StoreStats `json:"store,omitempty"`
-	// Memo is the store's memo table: rating/measurement/job records loaded,
-	// queued and consulted (absent without -cache-dir).
+	// Memo is the store's memo table: rating, measurement, profile and job
+	// records loaded, queued and consulted (absent without -cache-dir).
 	Memo *MemoStats `json:"memo,omitempty"`
 	// Breaker is the circuit breaker's state (absent when disabled).
 	Breaker *BreakerStats `json:"breaker,omitempty"`
