@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"peak/internal/opt"
+	"peak/internal/profiling"
+	"peak/internal/store"
 )
 
 // TestOnceTableSingleFlight: concurrent callers of one key share a single
@@ -157,7 +160,11 @@ func TestServeTwinPairOverlapsStages(t *testing.T) {
 // once, profile once per pair and measure once per distinct
 // bench/machine/flags key — and every job's result, report, metrics and
 // trace is byte-identical to a NoSharedCache server's, where every job
-// profiles and measures privately. Run under -race in the tier-1 recipe.
+// profiles and measures privately. A third server, on an empty store,
+// counts the same reuse, returns the same results and reports, and
+// leaves one profile record per pair in the store (the warm path is
+// TestServeWarmRestartReusesProfiles). Run under -race in the tier-1
+// recipe.
 func TestServeReusesProfilesAndMeasurements(t *testing.T) {
 	all := opt.AllFlags()
 	var reqs []Request
@@ -171,11 +178,21 @@ func TestServeReusesProfilesAndMeasurements(t *testing.T) {
 
 	opts := Options{Workers: 2, Jobs: len(reqs), Queue: len(reqs)}
 	shared, st := runHeld(t, opts, reqs)
+	// The same server on an empty store: its profile table's runs read
+	// through the store's profile memo and record one profile per pair.
+	dir := t.TempDir()
+	cold, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Store = cold
+	stored, sst := runHeld(t, opts, reqs)
+	opts.Store = nil
 	opts.NoSharedCache = true
 	private, pst := runHeld(t, opts, reqs)
 
-	if len(shared) != len(reqs) || len(private) != len(reqs) {
-		t.Fatalf("finished %d shared / %d private jobs, want %d", len(shared), len(private), len(reqs))
+	if len(shared) != len(reqs) || len(private) != len(reqs) || len(stored) != len(reqs) {
+		t.Fatalf("finished %d shared / %d stored / %d private jobs, want %d", len(shared), len(stored), len(private), len(reqs))
 	}
 	measureKeys := map[string]bool{}
 	for spec, a := range shared {
@@ -188,6 +205,11 @@ func TestServeReusesProfilesAndMeasurements(t *testing.T) {
 		}
 		if !bytes.Equal(a.trace, p.trace) {
 			t.Errorf("spec %s: trace differs with reuse", spec)
+		}
+		// A store-attached trace tags events with their serving tier, so
+		// only the result and report are compared.
+		if s := stored[spec]; !bytes.Equal(a.body, s.body) || !bytes.Equal(a.report, s.report) {
+			t.Errorf("spec %s: result or report differs with a store attached", spec)
 		}
 		var res Result
 		if err := json.Unmarshal(a.body, &res); err != nil {
@@ -208,6 +230,18 @@ func TestServeReusesProfilesAndMeasurements(t *testing.T) {
 	}
 	if pst.Profiles != nil || pst.Measurements != nil {
 		t.Errorf("NoSharedCache /stats has reuse blocks: %+v %+v", pst.Profiles, pst.Measurements)
+	}
+	if *sst.Profiles != *st.Profiles {
+		t.Errorf("profiles with a store = %+v, want %+v as without", *sst.Profiles, *st.Profiles)
+	}
+	reopened, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var profiles []string
+	reopened.MemoEach(string(profiling.MemoKind), func(key string, _ []byte) { profiles = append(profiles, key) })
+	if want := []string{"v1/GZIP/train/p4", "v1/GZIP/train/sparc2"}; !slices.Equal(profiles, want) {
+		t.Errorf("stored profiles = %v, want one per pair %v", profiles, want)
 	}
 }
 
