@@ -20,11 +20,14 @@
 //
 // The resilience knobs (all off by default) bound how badly a job or a
 // failure storm can hurt the service: -deadline caps any job's wall time
-// (per-request deadline_ms overrides it), -watchdog cancels jobs that stop
-// making round progress, and -breaker-failures arms a circuit breaker that
+// (per-request deadline_ms overrides it), -watchdog cancels a job whose
+// round polls come further apart than its bound (the first gap runs from
+// the job's start), and -breaker-failures arms a circuit breaker that
 // sheds new work with 503 after that many consecutive job failures while
-// finished results keep serving. Timed-out jobs keep their checkpoints —
-// resubmitting resumes them.
+// finished results keep serving. The deadline and the watchdog are both
+// checked at the job's round poll, before each Iterative Elimination
+// round, so timed-out jobs keep their checkpoints — resubmitting resumes
+// them.
 //
 // Usage:
 //

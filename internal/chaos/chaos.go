@@ -62,10 +62,13 @@ type Report struct {
 	// Completed counts specs that reached a terminal verdict (done or
 	// failed — both are deterministic outcomes with baselines); Resumed
 	// counts resubmissions of not-yet-settled jobs across restarts;
-	// TimedOut counts deadline/watchdog cancellations observed.
-	Completed int
-	Resumed   int
-	TimedOut  int
+	// DeadlineTimeouts and WatchdogTimeouts count the jobs each epoch saw
+	// end timed_out, once per job and epoch, told apart by the reason the
+	// server gave.
+	Completed        int
+	Resumed          int
+	DeadlineTimeouts int
+	WatchdogTimeouts int
 
 	// TearsInjected counts journal files deliberately damaged between
 	// epochs; RecoveredRecords / DroppedBytes aggregate what the reopens
@@ -84,8 +87,8 @@ type Report struct {
 func (r *Report) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "chaos: seed=%d specs=%d epochs=%d\n", r.Seed, r.Specs, r.Epochs)
-	fmt.Fprintf(&sb, "  completed %d/%d spec(s), %d resume(s), %d deadline/watchdog timeout(s)\n",
-		r.Completed, r.Specs, r.Resumed, r.TimedOut)
+	fmt.Fprintf(&sb, "  completed %d/%d spec(s), %d resume(s), %d deadline and %d watchdog timeout(s)\n",
+		r.Completed, r.Specs, r.Resumed, r.DeadlineTimeouts, r.WatchdogTimeouts)
 	fmt.Fprintf(&sb, "  journal: %d tear(s) injected, %d record(s) recovered, %d byte(s) dropped\n",
 		r.TearsInjected, r.RecoveredRecords, r.DroppedBytes)
 	fmt.Fprintf(&sb, "  breaker: %d open(s), %d request(s) shed with 503\n", r.BreakerOpens, r.BreakerShed503)
@@ -344,7 +347,10 @@ func Run(cfg Config) (*Report, error) {
 		// Harvest settled verdicts, drain (which settles or interrupts the
 		// rest), then harvest what the drain finished. Exactly-once: a key
 		// already in completed is never overwritten — a second settle for
-		// the same spec would be a duplicated job.
+		// the same spec would be a duplicated job. A timed-out job stays
+		// timed out across the drain, so both harvests see it; it counts
+		// once.
+		timedOut := map[string]bool{}
 		harvest := func() error {
 			for key, id := range ids {
 				res, found := h.srv.Job(id)
@@ -352,8 +358,13 @@ func Run(cfg Config) (*Report, error) {
 					lastSeen[key] = fmt.Sprintf("epoch %d: job %s not found", epoch, id)
 					continue
 				}
-				if res.State == serve.StateTimedOut {
-					rep.TimedOut++
+				if res.State == serve.StateTimedOut && !timedOut[key] {
+					timedOut[key] = true
+					if strings.HasPrefix(res.Error, "watchdog:") {
+						rep.WatchdogTimeouts++
+					} else {
+						rep.DeadlineTimeouts++
+					}
 				}
 				if !settled(res.State) {
 					lastSeen[key] = fmt.Sprintf("epoch %d: %s (%s)", epoch, res.State, res.Error)

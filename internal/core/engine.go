@@ -50,16 +50,8 @@ type Tuner struct {
 	// stops with ErrInterrupted instead of starting the round. The last
 	// completed round was already checkpointed (when a Journal is
 	// attached), so an interrupted tune resumes byte-identically. The
-	// serve layer wires its drain signal here.
+	// serve layer decides a job's drain, deadline and watchdog stop here.
 	Interrupt func() bool
-
-	// OnRound, when non-nil, is called on the reduction goroutine after
-	// each completed Iterative Elimination round (after its checkpoint, if
-	// any) with the 1-based round number. It is a liveness signal, not a
-	// result channel: the serve layer's watchdog uses it to detect tunes
-	// that stop making round progress. The hook must not block and must
-	// not touch tuning state.
-	OnRound func(round int)
 
 	// Pool shards Iterative Elimination's independent candidate ratings
 	// across workers. Nil (or a sched.Serial pool) rates them one after
@@ -951,9 +943,6 @@ func (e *engine) iterativeElimination() error {
 		}
 		if err := e.checkpoint(round, current, candidates, stopped); err != nil {
 			return err
-		}
-		if e.t.OnRound != nil {
-			e.t.OnRound(round + 1)
 		}
 	}
 	e.res.Best = current

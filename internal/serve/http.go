@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -48,7 +50,7 @@ type Stats struct {
 	// Breaker is the circuit breaker's state (absent when disabled).
 	Breaker *BreakerStats `json:"breaker,omitempty"`
 	// WatchdogStalls counts jobs the watchdog canceled for making no round
-	// progress.
+	// progress, counted at the round poll that cancels each one.
 	WatchdogStalls int64 `json:"watchdog_stalls"`
 	// RetryAfterSeconds is the current 429 hint: the estimated wait behind
 	// the queued work, from the recent mean job duration.
@@ -248,12 +250,29 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
+// maxTuneBody bounds a POST /tune body. A valid request naming every flag
+// is well under 2 KiB.
+const maxTuneBody = 64 << 10
+
+// decodeRequest reads a POST /tune body: one JSON object, unknown fields
+// refused.
+func decodeRequest(body io.Reader) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxTuneBody))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	res, code, err := s.Submit(req)

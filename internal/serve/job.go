@@ -5,10 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"peak/internal/bench"
@@ -37,7 +37,8 @@ type Request struct {
 	// and tunes on, with or without a forced method (cmd/peak -dataset).
 	Dataset string `json:"dataset,omitempty"`
 	// Noise names a stress regime (baseline, gauss4x, spikes, drift,
-	// bursts); empty keeps the machine default.
+	// bursts); empty keeps the machine default, which "baseline" also
+	// names.
 	Noise string `json:"noise,omitempty"`
 	// Faults names a fault-injection regime (f2, f5, f10, poison); empty
 	// tunes fault-free. Injected faults deterministically change the
@@ -45,23 +46,24 @@ type Request struct {
 	Faults string `json:"faults,omitempty"`
 	// Flags restricts the Iterative Elimination search to this subset of
 	// the tunable flag names (with or without the "-f" prefix); empty
-	// searches all 38. Order and duplicates are irrelevant: the set is
-	// canonicalized to ascending flag order, which is part of the job's
-	// identity.
+	// searches all 38, as does a list naming all 38. Order and duplicates
+	// are irrelevant: the set is canonicalized to ascending flag order,
+	// which is part of the job's identity.
 	Flags []string `json:"flags,omitempty"`
 	// DeadlineMS is a per-job wall-clock deadline in milliseconds (0 uses
-	// the server's -deadline default; negative is invalid). A job that
-	// overruns it stops at the next round boundary as "timed_out" with its
-	// completed rounds checkpointed. The deadline is an operational knob,
-	// NOT part of the job's identity: resubmitting the same spec with any
-	// deadline resumes the same job.
+	// the server's -deadline default; negative, or too long for a
+	// time.Duration, is invalid). A job that overruns it stops at the next
+	// round boundary as "timed_out" with its completed rounds
+	// checkpointed. The deadline is an operational knob, NOT part of the
+	// job's identity: resubmitting the same spec with any deadline resumes
+	// the same job.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
 // spec is a validated, canonicalized request: everything runJob needs,
 // plus the canonical string that names the job. Two Requests that differ
-// only in spelling (flag order, "-f" prefixes, duplicate flags) produce
-// the same spec and therefore the same job.
+// only in spelling (flag order, "-f" prefixes, duplicate flags, defaults
+// spelled out) produce the same spec and therefore the same job.
 type spec struct {
 	bench   *bench.Benchmark
 	mach    *machine.Machine
@@ -117,8 +119,10 @@ func parseSpec(req Request) (spec, error) {
 		return sp, fmt.Errorf("unknown dataset %q (want \"train\" or \"ref\")", req.Dataset)
 	}
 
+	// "baseline" is the machine's default model spelled out, so it names
+	// the same job as no regime at all.
 	noiseName := "default"
-	if req.Noise != "" {
+	if req.Noise != "" && req.Noise != "baseline" {
 		regime, ok := experiments.RegimeByName(m, req.Noise)
 		if !ok {
 			return sp, fmt.Errorf("unknown noise regime %q", req.Noise)
@@ -139,8 +143,8 @@ func parseSpec(req Request) (spec, error) {
 		faultsName = regime.Name
 	}
 
-	if req.DeadlineMS < 0 {
-		return sp, fmt.Errorf("negative deadline_ms %d", req.DeadlineMS)
+	if maxMS := int64(math.MaxInt64 / time.Millisecond); req.DeadlineMS < 0 || req.DeadlineMS > maxMS {
+		return sp, fmt.Errorf("deadline_ms %d out of range [0, %d]", req.DeadlineMS, maxMS)
 	}
 	sp.deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 
@@ -159,18 +163,26 @@ func parseSpec(req Request) (spec, error) {
 		}
 		// Candidate order is part of the tune's identity (it fixes
 		// reduction order and tie-breaks); ascending flag order is the
-		// canonical form.
+		// canonical form. Every flag in that order is the engine's default
+		// search, so it names the same job as no list.
 		sort.Slice(sp.candidates, func(i, j int) bool { return sp.candidates[i] < sp.candidates[j] })
-		names := make([]string, len(sp.candidates))
-		for i, f := range sp.candidates {
-			names[i] = f.String()
+		if len(sp.candidates) == opt.NumFlags {
+			sp.candidates = nil
+		} else {
+			names := make([]string, len(sp.candidates))
+			for i, f := range sp.candidates {
+				names[i] = f.String()
+			}
+			flagsName = strings.Join(names, ",")
 		}
-		flagsName = strings.Join(names, ",")
 	}
 
 	sp.canonical = fmt.Sprintf("%s/%s/%s/%s/%s/%s/%s",
 		b.Name, m.Name, methodName, sp.dataset.Name, noiseName, faultsName, flagsName)
-	canonReq := Request{Bench: b.Name, Machine: m.Name, Dataset: sp.dataset.Name, Noise: req.Noise}
+	canonReq := Request{Bench: b.Name, Machine: m.Name, Dataset: sp.dataset.Name}
+	if sp.noise != nil {
+		canonReq.Noise = noiseName
+	}
 	if sp.faults != nil {
 		canonReq.Faults = faultsName
 	}
@@ -259,13 +271,6 @@ type job struct {
 	id   string
 	spec spec
 
-	// progress is the wall-clock nanosecond stamp of the job's last
-	// liveness signal (run start, every Interrupt poll, every completed
-	// round). The watchdog reads it to detect tunes that stop making
-	// round progress. Atomic: the tune goroutine writes it, the watchdog
-	// goroutine reads it.
-	progress atomic.Int64
-
 	mu      sync.Mutex
 	state   string
 	res     *core.TuneResult
@@ -275,10 +280,6 @@ type job struct {
 	// starting at 1 — isolated from every other job's).
 	traceData []byte
 	errMsg    string
-	// cancelMsg, once set, makes the job's Interrupt hook fire at the next
-	// round boundary and names why ("deadline ... exceeded", "watchdog:
-	// ..."); the job then terminates as timed_out.
-	cancelMsg string
 }
 
 func newJob(sp spec) *job {
@@ -289,26 +290,6 @@ func (j *job) setState(s string) {
 	j.mu.Lock()
 	j.state = s
 	j.mu.Unlock()
-}
-
-// noteProgress stamps the job's liveness clock.
-func (j *job) noteProgress() { j.progress.Store(time.Now().UnixNano()) }
-
-// cancelWith requests cancellation at the next round boundary; the first
-// reason wins.
-func (j *job) cancelWith(msg string) {
-	j.mu.Lock()
-	if j.cancelMsg == "" {
-		j.cancelMsg = msg
-	}
-	j.mu.Unlock()
-}
-
-// canceled returns the pending cancellation reason ("" when none).
-func (j *job) canceled() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelMsg
 }
 
 // snapshot returns the job's Result under its lock.

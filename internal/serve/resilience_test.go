@@ -187,9 +187,11 @@ func TestServeDeadlineTimeoutAndResume(t *testing.T) {
 	}
 }
 
-// TestServeWatchdogCancelsStalledJob: a running job that stops making
-// round progress for longer than WatchdogStall is canceled as timed_out
-// with a watchdog message, and the stall is counted in /stats.
+// TestServeWatchdogCancelsStalledJob: a round poll that comes longer than
+// WatchdogStall after the job's previous poll (here the first, so after
+// the job's start) cancels the job as timed_out with a watchdog message,
+// and the stall is counted in /stats. A bound far above round time lets
+// the same spec run to done without a stall.
 func TestServeWatchdogCancelsStalledJob(t *testing.T) {
 	all := opt.AllFlags()
 	req := subsetReq("BZIP2", all[3:6])
@@ -204,22 +206,29 @@ func TestServeWatchdogCancelsStalledJob(t *testing.T) {
 	if err != nil || code != 202 {
 		t.Fatalf("submit: %d %v", code, err)
 	}
-	// The tune stamps its liveness at the first round poll and then blocks
-	// on the gate — an artificial in-round stall the watchdog must flag.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.watchdogStalls.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never flagged the stalled job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	s.roundGate <- struct{}{} // release the stalled poll; it sees the cancel
+	// The tune blocks on the gate at its first round poll — an artificial
+	// stall the poll must see once the gate lets it through.
+	waitState(t, s, res.ID, StateRunning, 5*time.Second)
+	time.Sleep(100 * time.Millisecond)
+	s.roundGate <- struct{}{}
 	timedOut := waitState(t, s, res.ID, StateTimedOut, 5*time.Second)
 	if !strings.Contains(timedOut.Error, "watchdog: no round progress for 30ms") {
 		t.Fatalf("timed_out error = %q", timedOut.Error)
 	}
 	if got := s.Stats().WatchdogStalls; got != 1 {
 		t.Errorf("stats watchdog_stalls = %d, want 1", got)
+	}
+
+	calm := New(Options{Workers: 1, Jobs: 1, WatchdogStall: 10 * time.Minute})
+	calm.Start()
+	defer calm.Drain()
+	res, code, err = calm.Submit(req)
+	if err != nil || code != 202 {
+		t.Fatalf("submit under a far bound: %d %v", code, err)
+	}
+	waitState(t, calm, res.ID, StateDone, 60*time.Second)
+	if got := calm.Stats().WatchdogStalls; got != 0 {
+		t.Errorf("stats watchdog_stalls under a far bound = %d, want 0", got)
 	}
 }
 

@@ -81,20 +81,22 @@ type Options struct {
 	JournalPath string
 
 	// Deadline is the default per-job wall-clock budget (0 = none); a
-	// request's deadline_ms overrides it. An overrunning job is canceled
-	// at its next round boundary through the engine's Interrupt hook and
-	// reported timed_out with its completed rounds checkpointed —
-	// resubmission resumes it. The first boundary follows the job's
-	// profile run and its -O3 ref measurement, which run before the tune.
+	// request's deadline_ms overrides it. A job's round poll, which the
+	// engine calls before every Iterative Elimination round, cancels an
+	// overrunning job there: it is reported timed_out with its completed
+	// rounds checkpointed, and resubmission resumes it. The first poll
+	// follows the job's profile run and its -O3 ref measurement, which run
+	// before the tune.
 	Deadline time.Duration
 
-	// WatchdogStall, when > 0, arms the watchdog: a running job that makes
-	// no round progress for this long is canceled like a deadline overrun
-	// (state timed_out, reason "watchdog: ..."). A job's first stretch
-	// without a stamp covers its profile run and -O3 ref measurement
-	// together (one after the other when no lane is free), so the stall
-	// bound must exceed both. The watchdog scans every WatchdogStall/4,
-	// floored at 10ms.
+	// WatchdogStall, when > 0, arms the watchdog: a round poll that comes
+	// more than this long after the job's previous poll cancels the job
+	// like a deadline overrun (state timed_out, reason "watchdog: ...").
+	// The first gap runs from the job's start, so it covers the profile
+	// run, the -O3 ref measurement (one after the other when no lane is
+	// free) and the engine's setup, and the bound must exceed all three
+	// together. A stall is seen only at the poll that ends it; the final
+	// ref measurements after the last round are never cut.
 	WatchdogStall time.Duration
 
 	// BreakerFailures, when > 0, arms the circuit breaker: that many
@@ -150,7 +152,7 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// breaker is the failure-storm circuit breaker (nil = disabled);
-	// watchdogStalls counts jobs the watchdog canceled.
+	// watchdogStalls counts jobs a round poll canceled for a stall.
 	breaker        *breaker
 	watchdogStalls atomic.Int64
 
@@ -247,56 +249,11 @@ func (s *Server) restoreJobs() {
 	})
 }
 
-// Start launches the job slots (and the watchdog when armed). It returns
-// immediately.
+// Start launches the job slots. It returns immediately.
 func (s *Server) Start() {
 	for i := 0; i < s.opts.Jobs; i++ {
 		s.wg.Add(1)
 		go s.slot()
-	}
-	if s.opts.WatchdogStall > 0 {
-		s.wg.Add(1)
-		go s.watchdog()
-	}
-}
-
-// watchdog periodically scans the running jobs and cancels any whose last
-// round-progress stamp is older than WatchdogStall. The cancel fires
-// through the same Interrupt path as a deadline, so the stalled job exits
-// as timed_out at its next round boundary with its completed rounds
-// checkpointed. A tune stuck *inside* a round can only be abandoned at
-// that boundary; until then the stall is still visible in /stats.
-func (s *Server) watchdog() {
-	defer s.wg.Done()
-	poll := s.opts.WatchdogStall / 4
-	if poll < 10*time.Millisecond {
-		poll = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.drainCh:
-			return
-		case <-ticker.C:
-		}
-		cutoff := time.Now().Add(-s.opts.WatchdogStall).UnixNano()
-		s.mu.Lock()
-		running := make([]*job, 0, len(s.jobs))
-		for _, j := range s.jobs {
-			j.mu.Lock()
-			if j.state == StateRunning {
-				running = append(running, j)
-			}
-			j.mu.Unlock()
-		}
-		s.mu.Unlock()
-		for _, j := range running {
-			if last := j.progress.Load(); last > 0 && last < cutoff && j.canceled() == "" {
-				j.cancelWith(fmt.Sprintf("watchdog: no round progress for %s", s.opts.WatchdogStall))
-				s.watchdogStalls.Add(1)
-			}
-		}
 	}
 }
 
@@ -369,7 +326,6 @@ func (s *Server) Submit(req Request) (Result, int, error) {
 			wasTimeout = existing.state == StateTimedOut
 			existing.state = StateQueued
 			existing.errMsg = ""
-			existing.cancelMsg = ""
 			// The deadline is operational, not identity: the resume runs
 			// under the new request's deadline (0 = the server default),
 			// not the one that may just have expired.
@@ -558,12 +514,10 @@ func retryAfterSeconds(queueDepth int, meanSeconds float64, slots int) int {
 // byte-for-byte the CLI's output for the same arguments: profile and tune
 // on the requested dataset, then measure -O3 and the winner on the ref
 // dataset (the profile run and the -O3 measurement start together, see
-// below). Around that core it runs the resilience bookkeeping:
-// deadline/watchdog cancellation through the engine's Interrupt hook,
-// liveness stamps for the watchdog, the Retry-After duration sample, and
-// the circuit breaker's verdict.
+// below). Around that core it runs the resilience bookkeeping: the round
+// poll that decides whether the job stops (drain, deadline, watchdog), the
+// Retry-After duration sample, and the circuit breaker's verdict.
 func (s *Server) runJob(j *job) {
-	j.noteProgress()
 	j.setState(StateRunning)
 	sp := j.spec
 	start := time.Now()
@@ -574,6 +528,10 @@ func (s *Server) runJob(j *job) {
 	// neighbours it ran with.
 	buf := trace.NewBuffer()
 	mx := trace.NewMetrics()
+
+	// cancel names why the round poll timed the job out ("deadline ...
+	// exceeded", "watchdog: ..."); it stays empty for a drain.
+	var cancel string
 
 	// Every breaker verdict lands before the job's terminal state is
 	// published, so a client that sees the job end also sees the breaker
@@ -592,41 +550,43 @@ func (s *Server) runJob(j *job) {
 		case !interrupted:
 			j.state = StateFailed
 			j.errMsg = err.Error()
-		case j.cancelMsg != "":
+		case cancel != "":
 			j.state = StateTimedOut
-			j.errMsg = j.cancelMsg + "; completed rounds are checkpointed — resubmit to resume"
+			j.errMsg = cancel + "; completed rounds are checkpointed — resubmit to resume"
 		default:
 			j.state = StateInterrupted
 			j.errMsg = "interrupted by drain; completed rounds are checkpointed — resubmit to resume"
 		}
 	}
 
-	// The effective deadline: per-request, else the server default. The
-	// Interrupt hook fires at round boundaries when the deadline passes, a
-	// watchdog/deadline cancel is pending, or the server drains — and
-	// every poll is a liveness stamp for the watchdog.
-	var deadline time.Time
-	if d := sp.deadline; d > 0 {
-		deadline = start.Add(d)
-	} else if s.opts.Deadline > 0 {
-		deadline = start.Add(s.opts.Deadline)
+	// The round poll is the one place the job's stop is decided. The
+	// engine calls it on this goroutine before every Iterative Elimination
+	// round, and it checks in order: the drain, the deadline (the
+	// request's, else the server default) and the watchdog (the time since
+	// the previous poll, or since the job's start for the first one,
+	// exceeds WatchdogStall).
+	deadline := sp.deadline
+	if deadline == 0 {
+		deadline = s.opts.Deadline
 	}
+	lastPoll := start
 	interrupt := func() bool {
-		j.noteProgress()
 		if s.roundGate != nil {
 			<-s.roundGate
 		}
 		if s.draining.Load() {
 			return true
 		}
-		if j.canceled() != "" {
-			return true
+		now := time.Now()
+		switch {
+		case deadline > 0 && now.Sub(start) > deadline:
+			cancel = fmt.Sprintf("deadline %s exceeded", deadline)
+		case s.opts.WatchdogStall > 0 && now.Sub(lastPoll) > s.opts.WatchdogStall:
+			cancel = fmt.Sprintf("watchdog: no round progress for %s", s.opts.WatchdogStall)
+			s.watchdogStalls.Add(1)
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			j.cancelWith(fmt.Sprintf("deadline %s exceeded", deadlineOf(sp.deadline, s.opts.Deadline)))
-			return true
-		}
-		return false
+		lastPoll = now
+		return cancel != ""
 	}
 
 	cfg := core.DefaultConfig()
@@ -678,8 +638,7 @@ func (s *Server) runJob(j *job) {
 	// below are unchanged. With private tables (NoSharedCache) both items
 	// do nothing. No round poll happens before the tune, so the deadline,
 	// the watchdog and a drain see this stage, -O3 measurement included,
-	// only at the tune's first round; the liveness stamp after it starts
-	// the watchdog's clock afresh.
+	// only at the tune's first round.
 	s.pool.Map(2, func(i int) {
 		if i == 0 {
 			s.profiles.prefetch(profKey, profile)
@@ -688,7 +647,6 @@ func (s *Server) runJob(j *job) {
 		}
 	})
 	prof, err := s.profiles.do(profKey, profile)
-	j.noteProgress()
 	if err != nil {
 		fail(err)
 		return
@@ -703,7 +661,6 @@ func (s *Server) runJob(j *job) {
 		Force:        sp.force,
 		Candidates:   sp.candidates,
 		Interrupt:    interrupt,
-		OnRound:      func(int) { j.noteProgress() },
 		CheckpointID: sp.checkpointID(),
 	})
 	if err != nil {
@@ -761,13 +718,4 @@ func (s *Server) runJob(j *job) {
 			s.store.RecordMemo(core.MemoKindJob, sp.canonical, payload)
 		}
 	}
-}
-
-// deadlineOf names the deadline that applied (the request's, else the
-// server default) for the timed_out message.
-func deadlineOf(req, def time.Duration) time.Duration {
-	if req > 0 {
-		return req
-	}
-	return def
 }

@@ -25,11 +25,16 @@ import (
 // flag subset keeps a job to a handful of ratings instead of a full
 // 38-flag elimination.
 func subsetReq(benchName string, flags []opt.Flag) Request {
+	return Request{Bench: benchName, Machine: "sparc2", Method: "CBR", Flags: flagNames(flags)}
+}
+
+// flagNames lists the canonical names of flags.
+func flagNames(flags []opt.Flag) []string {
 	names := make([]string, len(flags))
 	for i, f := range flags {
 		names[i] = f.String()
 	}
-	return Request{Bench: benchName, Machine: "sparc2", Method: "CBR", Flags: names}
+	return names
 }
 
 type artifacts struct {
@@ -343,6 +348,39 @@ func TestServeValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServeTuneBodyBound: a POST /tune body over maxTuneBody is refused
+// with 413, while the longest spelling of a valid request — every flag
+// named with its "-f" prefix — stays far below the bound.
+func TestServeTuneBodyBound(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var every []string
+	for _, f := range opt.AllFlags() {
+		every = append(every, "-f"+f.String())
+	}
+	long := Request{Bench: "WUPWISE", Machine: "pentiumIV", Method: "CBR", Dataset: "train",
+		Noise: "baseline", Faults: "poison", Flags: every, DeadlineMS: 9223372036854}
+	if body, _ := json.Marshal(long); len(body) > maxTuneBody/16 {
+		t.Errorf("a valid request takes %d bytes, near the %d-byte bound", len(body), maxTuneBody)
+	}
+	if res, code := post(t, ts.URL, long); code != http.StatusAccepted {
+		t.Fatalf("longest valid request: status %d (%s), want 202", code, res.Error)
+	}
+
+	big := `{"bench":"MGRID","machine":"sparc2","noise":"` + strings.Repeat("x", maxTuneBody) + `"}`
+	resp, err := http.Post(ts.URL+"/tune", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), "too large") {
+		t.Errorf("oversized body: status %d (%s), want 413", resp.StatusCode, data)
 	}
 }
 

@@ -154,31 +154,50 @@ func sparc2Half(t *testing.T, name string) []byte {
 // TestResultsSpotCheck enforces the noise and fault spot-checks on sparc2:
 // peak-experiments -noise must print the sparc2 half of results_noise.txt
 // byte for byte at two workers and at one worker with the compile cache
-// off, and -faults must print the sparc2 half of results_faults.txt. Both
-// reports are built from simulated cycle counts, so any change to the
-// simulator's accounting shows up here.
+// off, and the -trace files of those two runs must be byte-identical;
+// -faults must print the sparc2 half of results_faults.txt. Both reports
+// are built from simulated cycle counts, so any change to the simulator's
+// accounting shows up here.
 func TestResultsSpotCheck(t *testing.T) {
 	bin := buildExperiments(t)
 	noise := sparc2Half(t, "results_noise.txt")
 	faults := sparc2Half(t, "results_faults.txt")
+	dir := t.TempDir()
+	var traces [][]byte
 	for _, c := range []struct {
-		want []byte
-		file string
-		args []string
+		want  []byte
+		file  string
+		trace string
+		args  []string
 	}{
-		{noise, "results_noise.txt", []string{"-noise", "-machine", "sparc2", "-workers", "2"}},
-		{noise, "results_noise.txt", []string{"-noise", "-machine", "sparc2", "-workers", "1", "-nocache"}},
-		{faults, "results_faults.txt", []string{"-faults", "-machine", "sparc2", "-workers", "2"}},
+		{noise, "results_noise.txt", "w2.jsonl", []string{"-noise", "-machine", "sparc2", "-workers", "2"}},
+		{noise, "results_noise.txt", "w1-nocache.jsonl", []string{"-noise", "-machine", "sparc2", "-workers", "1", "-nocache"}},
+		{faults, "results_faults.txt", "", []string{"-faults", "-machine", "sparc2", "-workers", "2"}},
 	} {
-		cmd := exec.Command(bin, c.args...)
+		args := c.args
+		if c.trace != "" {
+			args = append(args, "-trace", filepath.Join(dir, c.trace))
+		}
+		cmd := exec.Command(bin, args...)
 		cmd.Stderr = os.Stderr
 		got, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("peak-experiments %v: %v", c.args, err)
+			t.Fatalf("peak-experiments %v: %v", args, err)
 		}
 		if !bytes.Equal(got, c.want) {
-			t.Errorf("peak-experiments %v differs from the sparc2 half of %s:\n%s", c.args, c.file, got)
+			t.Errorf("peak-experiments %v differs from the sparc2 half of %s:\n%s", args, c.file, got)
 		}
+		if c.trace != "" {
+			data, err := os.ReadFile(filepath.Join(dir, c.trace))
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces = append(traces, data)
+		}
+	}
+	if len(traces[0]) == 0 || !bytes.Equal(traces[0], traces[1]) {
+		t.Errorf("-noise traces differ or are empty: %d bytes at -workers 2, %d at -workers 1 -nocache",
+			len(traces[0]), len(traces[1]))
 	}
 }
 
