@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"peak/internal/opt"
 	"peak/internal/store"
 	"peak/internal/workloads"
 )
@@ -80,6 +81,79 @@ func BenchmarkServeColdPass(b *testing.B) {
 		b.ReportMetric(float64(stats.Cache.Misses), "cache_misses")
 		b.ReportMetric(float64(stats.Cache.Shared), "cache_shared")
 	}
+}
+
+// BenchmarkWarmBoot times a warm boot's two steps separately: store.Open
+// of a store that six finished jobs left behind (SWIM and MGRID flag
+// subsets on both machines, and two consultant-path jobs), and New on that
+// store, which preloads the compile cache and restores the job
+// artifacts. The store is prepared once; each op opens it afresh and
+// builds, but does not start, a server in peak-serve's default
+// configuration (-workers 1 -jobs 2 -queue 16). It reports each step's
+// mean in ms/op beside the combined ns/op and, with -benchmem, the
+// combined allocations.
+func BenchmarkWarmBoot(b *testing.B) {
+	dir := warmBootStore(b)
+	var open, boot time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		s := New(Options{Workers: 1, Jobs: 2, Queue: 16, Store: st})
+		open, boot = open+t1.Sub(t0), boot+time.Since(t1)
+		if s.restoredJobs.Load() == 0 {
+			b.Fatal("warm boot restored no jobs")
+		}
+	}
+	b.ReportMetric(open.Seconds()*1e3/float64(b.N), "open_ms/op")
+	b.ReportMetric(boot.Seconds()*1e3/float64(b.N), "new_ms/op")
+}
+
+// warmBootStore runs BenchmarkWarmBoot's jobs on an empty store in a
+// temporary directory, drains the server, which flushes the store, and
+// returns the directory. The file is the same on every call, so the
+// benchmark prepares it in each of its runs.
+func warmBootStore(b *testing.B) string {
+	b.Helper()
+	var reqs []Request
+	for _, m := range []string{"sparc2", "p4"} {
+		reqs = append(reqs,
+			Request{Bench: "SWIM", Machine: m, Method: "CBR", Flags: flagNames(opt.AllFlags()[:3])},
+			Request{Bench: "MGRID", Machine: m, Method: "MBR", Flags: flagNames(opt.AllFlags()[3:6])})
+	}
+	reqs = append(reqs, Request{Bench: "SWIM", Machine: "sparc2"}, Request{Bench: "MGRID", Machine: "p4"})
+	dir := b.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(Options{Workers: 2, Jobs: 2, Queue: len(reqs), Store: st})
+	s.Start()
+	ids := make([]string, len(reqs))
+	for k, req := range reqs {
+		res, _, err := s.Submit(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[k] = res.ID
+	}
+	for _, id := range ids {
+		for res, _ := s.Job(id); res.State != StateDone; res, _ = s.Job(id) {
+			if terminalState(res.State) {
+				b.Fatalf("job %s ended %s: %s", res.Spec, res.State, res.Error)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	s.Drain()
+	if st := s.Stats().Store; st == nil || st.FlushError != "" {
+		b.Fatalf("store not flushed: %+v", st)
+	}
+	return dir
 }
 
 // cpuTime returns the process's user plus system CPU time so far.

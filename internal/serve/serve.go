@@ -221,32 +221,50 @@ func New(opts Options) *Server {
 // a duplicate submission is answered from memory with zero simulator
 // invocations. Artifacts that fail to decode, or whose canonical spec no
 // longer matches their key (schema drift across versions), are skipped —
-// the job simply runs fresh when resubmitted.
+// the job simply runs fresh when resubmitted. Artifacts decode in
+// parallel; jobs are installed in key order.
 func (s *Server) restoreJobs() {
+	var keys []string
+	var payloads [][]byte
 	s.store.MemoEach(core.MemoKindJob, func(key string, payload []byte) {
-		var art jobArtifact
-		if err := json.Unmarshal(payload, &art); err != nil {
-			return
-		}
-		var req Request
-		if err := json.Unmarshal(art.Request, &req); err != nil {
-			return
-		}
-		sp, err := parseSpec(req)
-		if err != nil || sp.canonical != key {
-			return
-		}
-		j := newJob(sp)
-		j.state = StateDone
-		j.res = art.Result
-		j.report = art.Report
-		j.metrics = art.Metrics
-		j.traceData = art.Trace
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.mu.Unlock()
-		s.restoredJobs.Add(1)
+		keys = append(keys, key)
+		payloads = append(payloads, payload)
 	})
+	jobs := make([]*job, len(keys))
+	// New runs before Start, so no job competes for the cores.
+	sched.New(0).Map(len(keys), func(i int) { jobs[i] = restoreJob(keys[i], payloads[i]) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range jobs {
+		if j != nil {
+			s.jobs[j.id] = j
+			s.restoredJobs.Add(1)
+		}
+	}
+}
+
+// restoreJob decodes one job artifact stored under key, or returns nil
+// when it does not decode or no longer names key.
+func restoreJob(key string, payload []byte) *job {
+	var art jobArtifact
+	if err := json.Unmarshal(payload, &art); err != nil {
+		return nil
+	}
+	var req Request
+	if err := json.Unmarshal(art.Request, &req); err != nil {
+		return nil
+	}
+	sp, err := parseSpec(req)
+	if err != nil || sp.canonical != key {
+		return nil
+	}
+	j := newJob(sp)
+	j.state = StateDone
+	j.res = art.Result
+	j.report = art.Report
+	j.metrics = art.Metrics
+	j.traceData = art.Trace
+	return j
 }
 
 // Start launches the job slots. It returns immediately.

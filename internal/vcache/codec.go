@@ -3,8 +3,8 @@ package vcache
 import (
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"sort"
 
 	"peak/internal/ir"
@@ -156,11 +156,70 @@ func Fingerprint128(v *sim.Version) FP128 {
 	return sum128(e.Buf)
 }
 
+// FNV-1a-128's offset basis and prime, 2^88 + 0x13b, as hash/fnv defines
+// them.
+const (
+	offset128Hi   = 0x6c62272e07bb0142
+	offset128Lo   = 0x62b821756295c58d
+	prime128Lo    = 0x13b
+	prime128Shift = 88 - 64
+)
+
+// primePow[k] is the FNV-128 prime to the k-th power, mod 2^128.
+var primePow = func() (pow [9][2]uint64) {
+	pow[0] = [2]uint64{0, 1}
+	for k := 1; k < len(pow); k++ {
+		pow[k][0], pow[k][1] = mul128(pow[k-1][0], pow[k-1][1], 1<<prime128Shift, prime128Lo)
+	}
+	return pow
+}()
+
+// mul128 returns (aHi, aLo) × (bHi, bLo) mod 2^128.
+func mul128(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(aLo, bLo)
+	return hi + aLo*bHi + aHi*bLo, lo
+}
+
+// sum128 returns the FNV-1a-128 hash of b, the value hash/fnv's New128a
+// gives, reading b a word of 8 bytes at a time. XOR with a zero byte
+// changes nothing, so a run of k zero bytes only multiplies the state by
+// the prime k times, which is one multiply by primePow[k]: the zero bytes
+// at either end of a word (most of an encoding's integers are small) take
+// one multiply each, and only the bytes between them are hashed one by
+// one.
 func sum128(b []byte) FP128 {
-	h := fnv.New128a()
-	h.Write(b)
-	s := h.Sum(nil)
-	return FP128{Hi: binary.BigEndian.Uint64(s), Lo: binary.BigEndian.Uint64(s[8:])}
+	hi, lo := uint64(offset128Hi), uint64(offset128Lo)
+	for ; len(b) >= 8; b = b[8:] {
+		w := binary.LittleEndian.Uint64(b)
+		if w == 0 {
+			hi, lo = mul128(hi, lo, primePow[8][0], primePow[8][1])
+			continue
+		}
+		low, high := bits.TrailingZeros64(w)/8, bits.LeadingZeros64(w)/8
+		if low > 0 {
+			hi, lo = mul128(hi, lo, primePow[low][0], primePow[low][1])
+			w >>= 8 * low
+		}
+		for n := 8 - low - high; n > 0; n-- {
+			hi, lo = fnvStep(hi, lo, w&0xff)
+			w >>= 8
+		}
+		if high > 0 {
+			hi, lo = mul128(hi, lo, primePow[high][0], primePow[high][1])
+		}
+	}
+	for _, c := range b {
+		hi, lo = fnvStep(hi, lo, uint64(c))
+	}
+	return FP128{Hi: hi, Lo: lo}
+}
+
+// fnvStep folds one byte c into the state: XOR, then multiply by the
+// prime, whose low half is 0x13b and whose high half is a shift.
+func fnvStep(hi, lo, c uint64) (uint64, uint64) {
+	lo ^= c
+	h, l := bits.Mul64(prime128Lo, lo)
+	return h + lo<<prime128Shift + prime128Lo*hi, l
 }
 
 var errMalformed = errors.New("vcache: malformed encoding")
@@ -294,52 +353,68 @@ const maxBlockID = 4095
 // names are not strictly increasing is not canonical and fails the
 // decoder, as does one the simulator could not index: a block ID that is
 // negative, repeated or above maxBlockID, or a jump or branch to an ID no
-// block has.
+// block has. Each slice is allocated once at the length its count gives
+// (Count has bounded it by the bytes left); a count of 0 leaves it nil, as
+// the compiler does.
 func (d *Decoder) Version() (*sim.Version, []CalleeRef, FP128) {
 	start := d.buf
 	lf := &ir.LFunc{Name: d.Str(), NumRegs: d.Int(), NumCounters: d.Int()}
-	np := d.Count(8 + 8 + 1 + 8)
-	for i := 0; i < np; i++ {
-		lf.Params = append(lf.Params, ir.Param{Name: d.Str(), Typ: ir.Type(d.Int()), IsArray: d.Bool()})
-		lf.ParamRegs = append(lf.ParamRegs, d.reg())
-	}
-	nb := d.Count(9 * 8)
-	for i := 0; i < nb; i++ {
-		b := &ir.Block{ID: d.Int(), Origin: d.Int()}
-		b.Term = ir.Terminator{Kind: ir.TermKind(d.Int()), Cond: d.reg(), Then: d.Int(),
-			Else: d.Int(), Val: d.reg(), Likely: d.Int()}
-		ni := d.Count(10 * 8)
-		for j := 0; j < ni; j++ {
-			in := ir.Instr{Op: ir.Opcode(d.Int()), Dst: d.reg(), A: d.reg(), B: d.reg(), Src: d.reg(),
-				Imm: int64(d.U64()), FImm: d.F64(), Arr: d.Str(), Fn: d.Str()}
-			na := d.Count(8)
-			for k := 0; k < na; k++ {
-				in.CallArgs = append(in.CallArgs, d.reg())
-			}
-			b.Instrs = append(b.Instrs, in)
+	if np := d.Count(8 + 8 + 1 + 8); np > 0 {
+		lf.Params = make([]ir.Param, np)
+		lf.ParamRegs = make([]ir.Reg, np)
+		for i := range lf.Params {
+			lf.Params[i] = ir.Param{Name: d.Str(), Typ: ir.Type(d.Int()), IsArray: d.Bool()}
+			lf.ParamRegs[i] = d.reg()
 		}
-		lf.Blocks = append(lf.Blocks, b)
+	}
+	if nb := d.Count(9 * 8); nb > 0 {
+		lf.Blocks = make([]*ir.Block, nb)
+		blocks := make([]ir.Block, nb)
+		for i := range blocks {
+			b := &blocks[i]
+			b.ID, b.Origin = d.Int(), d.Int()
+			b.Term = ir.Terminator{Kind: ir.TermKind(d.Int()), Cond: d.reg(), Then: d.Int(),
+				Else: d.Int(), Val: d.reg(), Likely: d.Int()}
+			if ni := d.Count(10 * 8); ni > 0 {
+				b.Instrs = make([]ir.Instr, ni)
+				for j := range b.Instrs {
+					in := &b.Instrs[j]
+					*in = ir.Instr{Op: ir.Opcode(d.Int()), Dst: d.reg(), A: d.reg(), B: d.reg(), Src: d.reg(),
+						Imm: int64(d.U64()), FImm: d.F64(), Arr: d.Str(), Fn: d.Str()}
+					if na := d.Count(8); na > 0 {
+						in.CallArgs = make([]ir.Reg, na)
+						for k := range in.CallArgs {
+							in.CallArgs[k] = d.reg()
+						}
+					}
+				}
+			}
+			lf.Blocks[i] = b
+		}
 	}
 	if !d.failed && !validBlocks(lf.Blocks) {
 		d.Fail()
 	}
 	v := &sim.Version{LF: lf}
-	ns := d.Count(1)
-	for i := 0; i < ns; i++ {
-		v.Alloc.Spilled = append(v.Alloc.Spilled, d.Bool())
+	if ns := d.Count(1); ns > 0 {
+		v.Alloc.Spilled = make([]bool, ns)
+		for i := range v.Alloc.Spilled {
+			v.Alloc.Spilled[i] = d.Bool()
+		}
 	}
 	v.Mods = sim.CostMods{TakenBranchFactor: d.F64(), CallOverheadFactor: d.F64(),
 		CodeSizeExtra: d.Int(), StaticPredict: d.Bool()}
 	v.CodeSize = d.Int()
 	v.NumOrigins = d.Int()
-	nc := d.Count(8 + 16)
 	var refs []CalleeRef
-	for i := 0; i < nc; i++ {
-		r := CalleeRef{Name: d.Str(), FP: d.FP()}
-		if i > 0 && r.Name <= refs[i-1].Name {
-			d.Fail()
+	if nc := d.Count(8 + 16); nc > 0 {
+		refs = make([]CalleeRef, nc)
+		for i := range refs {
+			refs[i] = CalleeRef{Name: d.Str(), FP: d.FP()}
+			if i > 0 && refs[i].Name <= refs[i-1].Name {
+				d.Fail()
+			}
 		}
-		refs = append(refs, r)
 	}
 	if d.failed {
 		return nil, nil, FP128{}

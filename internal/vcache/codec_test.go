@@ -2,6 +2,8 @@ package vcache
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -216,6 +218,33 @@ func FuzzVersionCodec(f *testing.F) {
 				t.Fatalf("decoded body fingerprints as %s, read as %s", got, fp)
 			}
 			linked[fp] = v
+		}
+	})
+}
+
+// FuzzSum128 checks sum128, which multiplies runs of zero bytes in at
+// once, against hash/fnv's byte-at-a-time FNV-1a-128. The seeds cover
+// zero runs of every length up to 20 at every offset from a word start,
+// a trailing short run, and a compiled body's encoding.
+func FuzzSum128(f *testing.F) {
+	for n := 0; n <= 20; n++ {
+		for off := 0; off < 8; off++ {
+			b := bytes.Repeat([]byte{7}, off)
+			b = append(b, make([]byte, n)...)
+			f.Add(append(b, 9))
+			f.Add(b)
+		}
+	}
+	var e Encoder
+	e.Version(callerVersion(f))
+	f.Add(e.Buf)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := fnv.New128a()
+		h.Write(data)
+		sum := h.Sum(nil)
+		want := FP128{Hi: binary.BigEndian.Uint64(sum), Lo: binary.BigEndian.Uint64(sum[8:])}
+		if got := sum128(data); got != want {
+			t.Fatalf("sum128(%x) = %s, want %s", data, got, want)
 		}
 	})
 }

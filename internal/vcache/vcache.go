@@ -61,6 +61,8 @@ type entry struct {
 	// (byCode) aliases on fp.Lo only, the persistent store keys on all of
 	// it.
 	fp FP128
+	// size is the length of the body's canonical encoding (Stats.Bytes).
+	size int64
 	// shared marks entries whose code was first compiled under a different
 	// flag set (content-dedup alias). Recorded per key at insert time, so
 	// hits report the same value every time.
@@ -331,9 +333,9 @@ func (c *Cache) publish(key Key, nv *sim.Version, nfp FP128, size int64) {
 		// itself was compiled this process, so it is not fromDisk even when
 		// the body it aliases is.
 		c.stats.Shared++
-		e = &entry{v: e.v, fp: e.fp, shared: true}
+		e = &entry{v: e.v, fp: e.fp, size: e.size, shared: true}
 	} else {
-		e = &entry{v: nv, fp: nfp}
+		e = &entry{v: nv, fp: nfp, size: size}
 		c.byCode[ck] = e
 		c.stats.Versions++
 		c.stats.Bytes += size
@@ -353,11 +355,14 @@ type SnapshotEntry struct {
 
 // Snapshot is the cache's persistable content: every distinct version body
 // keyed by full fingerprint (callees included, each body counted once) and
-// every resident key as an alias into it. Quarantined keys are excluded —
-// a persistent store must never re-serve code that failed golden-output
-// verification as if it were clean.
+// every resident key as an alias into it. Sizes holds the length of the
+// canonical encoding of each body an entry addresses, the figure Preload
+// adds to Stats.Bytes. Quarantined keys are excluded — a persistent store
+// must never re-serve code that failed golden-output verification as if it
+// were clean.
 type Snapshot struct {
 	Versions map[FP128]*sim.Version
+	Sizes    map[FP128]int64
 	Entries  []SnapshotEntry
 }
 
@@ -367,12 +372,13 @@ type Snapshot struct {
 func (c *Cache) Export() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sn := Snapshot{Versions: make(map[FP128]*sim.Version)}
+	sn := Snapshot{Versions: make(map[FP128]*sim.Version), Sizes: make(map[FP128]int64)}
 	for key, e := range c.entries {
 		if e.quarantined {
 			continue
 		}
 		sn.Entries = append(sn.Entries, SnapshotEntry{Key: key, FP: e.fp, Shared: e.shared})
+		sn.Sizes[e.fp] = e.size
 		addVersions(sn.Versions, e.v, e.fp)
 	}
 	SortEntries(sn.Entries)
@@ -415,12 +421,13 @@ func addVersions(dst map[FP128]*sim.Version, v *sim.Version, fp FP128) {
 // is missing from the snapshot — are skipped, so preloading composes with
 // a warm cache. Callers must pass verified, frozen versions; the store's
 // loader checks every body against its fingerprint before handing it
-// here.
+// here. Preload encodes nothing: each new body adds its length from
+// sn.Sizes to Stats.Bytes (the store takes it from the record it decoded
+// the body from).
 func (c *Cache) Preload(sn Snapshot) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	var enc Encoder
 	for _, se := range sn.Entries {
 		if _, ok := c.entries[se.Key]; ok {
 			continue
@@ -432,14 +439,12 @@ func (c *Cache) Preload(sn Snapshot) int {
 		ck := codeKey{se.Key.Prog, se.Key.Fn, se.Key.Machine, se.FP.Lo}
 		be, ok := c.byCode[ck]
 		if !ok {
-			be = &entry{v: body, fp: se.FP, fromDisk: true}
+			be = &entry{v: body, fp: se.FP, size: sn.Sizes[se.FP], fromDisk: true}
 			c.byCode[ck] = be
 			c.stats.Versions++
-			enc.Buf = enc.Buf[:0]
-			enc.Version(body)
-			c.stats.Bytes += int64(len(enc.Buf))
+			c.stats.Bytes += be.size
 		}
-		c.entries[se.Key] = &entry{v: be.v, fp: be.fp, shared: se.Shared, fromDisk: true}
+		c.entries[se.Key] = &entry{v: be.v, fp: be.fp, size: be.size, shared: se.Shared, fromDisk: true}
 		c.stats.Entries++
 		c.stats.Preloaded++
 		n++

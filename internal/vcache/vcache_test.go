@@ -262,6 +262,21 @@ func TestExportPreloadRoundTrip(t *testing.T) {
 	if n := cold.Preload(sn); n != 0 {
 		t.Errorf("second Preload installed %d keys, want 0", n)
 	}
+	// Preload takes each body's size from the snapshot; it must be the
+	// canonical encoding's length, once per distinct body.
+	var bytes int64
+	counted := make(map[FP128]bool)
+	for _, se := range sn.Entries {
+		if !counted[se.FP] {
+			counted[se.FP] = true
+			var e Encoder
+			e.Version(sn.Versions[se.FP])
+			bytes += int64(len(e.Buf))
+		}
+	}
+	if st := cold.Stats(); st.Bytes != bytes {
+		t.Errorf("preloaded Bytes = %d, want %d", st.Bytes, bytes)
+	}
 }
 
 // TestStatsConsistentUnderRace is the audit of Stats() snapshotting: with

@@ -17,20 +17,34 @@ import (
 	"peak/internal/sim"
 )
 
-// All returns every benchmark, in the paper's Table-1 order (integer codes
-// first, then floating point).
-func All() []*bench.Benchmark {
-	return []*bench.Benchmark{
-		BZIP2(), CRAFTY(), GZIP(), MCF(), TWOLF(), VORTEX(),
-		APPLU(), APSI(), ART(), MGRID(), EQUAKE(), MESA(), SWIM(), WUPWISE(),
-	}
+// table lists every benchmark's name and constructor in the paper's
+// Table-1 order (integer codes first, then floating point).
+var table = []struct {
+	name  string
+	build func() *bench.Benchmark
+}{
+	{"BZIP2", BZIP2}, {"CRAFTY", CRAFTY}, {"GZIP", GZIP}, {"MCF", MCF},
+	{"TWOLF", TWOLF}, {"VORTEX", VORTEX},
+	{"APPLU", APPLU}, {"APSI", APSI}, {"ART", ART}, {"MGRID", MGRID},
+	{"EQUAKE", EQUAKE}, {"MESA", MESA}, {"SWIM", SWIM}, {"WUPWISE", WUPWISE},
 }
 
-// ByName returns the benchmark with the given (case-sensitive) name.
+// All returns every benchmark, in Table-1 order.
+func All() []*bench.Benchmark {
+	bs := make([]*bench.Benchmark, len(table))
+	for i, t := range table {
+		bs[i] = t.build()
+	}
+	return bs
+}
+
+// ByName returns the benchmark with the given (case-sensitive) name. It
+// builds only that benchmark, and a fresh one on every call, so callers
+// may modify what they get.
 func ByName(name string) (*bench.Benchmark, bool) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, true
+	for _, t := range table {
+		if t.name == name {
+			return t.build(), true
 		}
 	}
 	return nil, false
@@ -38,10 +52,9 @@ func ByName(name string) (*bench.Benchmark, bool) {
 
 // Names lists all benchmark names in Table-1 order.
 func Names() []string {
-	bs := All()
-	names := make([]string, len(bs))
-	for i, b := range bs {
-		names[i] = b.Name
+	names := make([]string, len(table))
+	for i, t := range table {
+		names[i] = t.name
 	}
 	return names
 }

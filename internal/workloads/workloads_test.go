@@ -8,6 +8,7 @@ import (
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/profiling"
+	"peak/internal/vcache"
 )
 
 // paperMethods is Table 1's "Rating Approach" column.
@@ -54,6 +55,34 @@ func TestBenchmarkInventory(t *testing.T) {
 		if _, ok := ByName(b.Name); !ok {
 			t.Errorf("ByName(%s) failed", b.Name)
 		}
+	}
+}
+
+// TestByNameMatchesAll checks that ByName, which builds only the named
+// benchmark, builds the same program as All for every name, a fresh one on
+// each call, and rejects an unknown name; Names lists All's names.
+func TestByNameMatchesAll(t *testing.T) {
+	names := Names()
+	for i, want := range All() {
+		if names[i] != want.Name {
+			t.Errorf("Names()[%d] = %s, want %s", i, names[i], want.Name)
+		}
+		got, ok := ByName(want.Name)
+		if !ok {
+			t.Fatalf("ByName(%s) failed", want.Name)
+		}
+		if got.Name != want.Name || got.TSName != want.TSName {
+			t.Errorf("ByName(%s) = %s/%s, want %s/%s", want.Name, got.Name, got.TSName, want.Name, want.TSName)
+		}
+		if g, w := vcache.ProgramKey(got.Prog), vcache.ProgramKey(want.Prog); g != w {
+			t.Errorf("ByName(%s): program key %x, want %x", want.Name, g, w)
+		}
+		if again, _ := ByName(want.Name); again == got || again.Prog == got.Prog {
+			t.Errorf("ByName(%s) returned a shared benchmark", want.Name)
+		}
+	}
+	if b, ok := ByName("NOSUCH"); ok || b != nil {
+		t.Errorf("ByName(NOSUCH) = %v, %v; want nil, false", b, ok)
 	}
 }
 
